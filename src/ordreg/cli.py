@@ -27,8 +27,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .core import InputError, ProblemSpec
 from .data import (
@@ -46,7 +44,6 @@ from .harness import (
     SUMMARY_FILE,
     TrainConfig,
     build_summary,
-    compare_methods,
     paired_t_test_one_sided,
     read_records_csv,
     run_cv,
@@ -112,6 +109,34 @@ def _load_config(path: Optional[str]) -> dict:
         if key not in _CONFIG_DEFAULTS:
             raise InputError(f"{path}: unknown config field {key!r}")
         cfg[key] = value
+    return _typed_config(cfg)
+
+
+# numeric config fields, converted once where the config enters
+_INT_FIELDS = ("folds", "split_seed", "epochs", "batch_size", "num_bins")
+_FLOAT_FIELDS = ("lr", "val_fraction")
+_INT_LIST_FIELDS = ("seeds", "hidden_dims")
+
+
+def _converted(name: str, value, kind: type):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"field {name!r}: expected {what}, got {value!r}") from None
+
+
+def _typed_config(cfg: dict) -> dict:
+    for name in _INT_FIELDS:
+        cfg[name] = _converted(name, cfg[name], int)
+    for name in _FLOAT_FIELDS:
+        cfg[name] = _converted(name, cfg[name], float)
+    for name in _INT_LIST_FIELDS:
+        if not isinstance(cfg[name], list):
+            raise InputError(f"field {name!r}: expected a list of integers, got {cfg[name]!r}")
+        cfg[name] = [_converted(name, v, int) for v in cfg[name]]
+    if cfg["num_classes"] is not None:
+        cfg["num_classes"] = _converted("num_classes", cfg["num_classes"], int)
     return cfg
 
 
@@ -122,7 +147,7 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
     if getattr(args, "out", None):
         cfg["out"] = args.out
-    if getattr(args, "folds", None):
+    if getattr(args, "folds", None) is not None:
         cfg["folds"] = args.folds
     if getattr(args, "decode", None):
         cfg["decode"] = args.decode
@@ -180,7 +205,7 @@ def _load_dataset(cfg: dict, seed_override: Optional[int]) -> tuple[Dataset, dic
     """Dataset plus a summary block describing its source."""
     if cfg["data"] is not None:
         k = cfg["num_classes"] or _infer_num_classes(cfg["data"])
-        dataset = load_csv(cfg["data"], ProblemSpec(int(k)))
+        dataset = load_csv(cfg["data"], ProblemSpec(k))
         source = str(cfg["data"])
     elif cfg["synthetic"] is not None:
         synth = SyntheticConfig.from_dict(cfg["synthetic"])
@@ -205,20 +230,20 @@ def _train_config(cfg: dict, method: str, input_dim: int) -> TrainConfig:
         raise InputError(f"field 'ties': must be 'paper' or 'lowest', got {cfg['ties']!r}")
     encoder = EncoderConfig(
         input_dim=input_dim,
-        hidden_dims=tuple(int(h) for h in cfg["hidden_dims"]),
+        hidden_dims=tuple(cfg["hidden_dims"]),
         activation=cfg["activation"],
     )
     return TrainConfig(
         method=method,
         encoder=encoder,
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        lr=float(cfg["lr"]),
-        seeds=tuple(int(s) for s in cfg["seeds"]),
-        val_fraction=float(cfg["val_fraction"]),
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
+        lr=cfg["lr"],
+        seeds=tuple(cfg["seeds"]),
+        val_fraction=cfg["val_fraction"],
         decode=cfg["decode"],
         tie_policy=_TIE_VOCAB[cfg["ties"]],
-        num_bins=int(cfg["num_bins"]),
+        num_bins=cfg["num_bins"],
     )
 
 
@@ -227,18 +252,18 @@ def _config_echo(cfg: dict, num_classes: int) -> dict:
     return {
         "methods": list(cfg["methods"]),
         "num_classes": num_classes,
-        "folds": int(cfg["folds"]),
-        "split_seed": int(cfg["split_seed"]),
-        "seeds": [int(s) for s in cfg["seeds"]],
-        "epochs": int(cfg["epochs"]),
-        "batch_size": int(cfg["batch_size"]),
-        "lr": float(cfg["lr"]),
-        "hidden_dims": [int(h) for h in cfg["hidden_dims"]],
+        "folds": cfg["folds"],
+        "split_seed": cfg["split_seed"],
+        "seeds": list(cfg["seeds"]),
+        "epochs": cfg["epochs"],
+        "batch_size": cfg["batch_size"],
+        "lr": cfg["lr"],
+        "hidden_dims": list(cfg["hidden_dims"]),
         "activation": cfg["activation"],
-        "val_fraction": float(cfg["val_fraction"]),
+        "val_fraction": cfg["val_fraction"],
         "decode": cfg["decode"],
         "ties": cfg["ties"],
-        "num_bins": int(cfg["num_bins"]),
+        "num_bins": cfg["num_bins"],
     }
 
 
@@ -273,7 +298,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         raise InputError("field 'out': an output directory is required")
     dataset, _ = _load_dataset(cfg, args.seed)
     config = _train_config(cfg, methods[0], dataset.num_features)
-    outcomes = train_single(dataset, config, split_seed=int(cfg["split_seed"]))
+    outcomes = train_single(dataset, config, split_seed=cfg["split_seed"])
     out = Path(cfg["out"]) / methods[0]
     out.mkdir(parents=True, exist_ok=True)
     from .harness import history_csv_text
@@ -295,6 +320,8 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     methods = _check_methods(cfg["methods"] or [])
     if cfg["out"] is None:
         raise InputError("field 'out': an output directory is required")
+    if cfg["folds"] < 2:
+        raise InputError(f"field 'folds': cv needs at least 2 folds, got {cfg['folds']}")
     dataset, dataset_doc = _load_dataset(cfg, args.seed)
     results = []
     for method in methods:
@@ -302,8 +329,8 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         result = run_cv(
             dataset,
             config,
-            k=int(cfg["folds"]),
-            split_seed=int(cfg["split_seed"]),
+            k=cfg["folds"],
+            split_seed=cfg["split_seed"],
             jobs=args.jobs,
         )
         write_experiment_result(cfg["out"], result)

@@ -247,16 +247,64 @@ def hard_label_from_soft(
     raise InputError(f"unknown tie policy {tie_policy!r}")
 
 
-def exceedance_from_soft(dist: RatingDistribution) -> ExceedanceLabel:
-    """Tail masses of a rating distribution: entry k = sum of probs above class k."""
-    p = dist.probs
-    # suffix sums; cumsum of non-negative terms is exactly non-decreasing,
-    # so the reversed result is exactly non-increasing
-    suffix = np.cumsum(p[::-1])[::-1]
-    return ExceedanceLabel(np.minimum(suffix[1:], 1.0))
+def _checked_rows(name: str, values, min_width: int, sums_to_one: bool = False) -> np.ndarray:
+    """A (B, n) float64 matrix of probability rows, checked once as a whole.
+
+    The array-level form of the wrapper checks: shape, finiteness, the unit
+    interval and, for distributions, row sums within ``PROB_SUM_TOL`` of 1.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] < min_width:
+        raise InputError(
+            f"{name} must be a (B, n) matrix with B >= 1 and n >= {min_width},"
+            f" got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} entries must be finite")
+    if arr.min() < 0.0 or arr.max() > 1.0:
+        raise InputError(f"{name} must lie in [0, 1]")
+    if sums_to_one:
+        worst = float(np.abs(arr.sum(axis=1) - 1.0).max())
+        if worst > PROB_SUM_TOL:
+            raise InputError(f"{name} rows sum up to {worst!r} away from 1")
+    return arr
 
 
-def class_distribution_from_tasks(tasks: TaskProbabilities) -> ClassDistribution:
+# The _*_rows helpers work along the last axis, so one vector and a (B, n)
+# matrix of rows go through the same code.
+
+
+def _tail_rows(p: np.ndarray) -> np.ndarray:
+    # suffix sums; a running sum of non-negative terms is exactly
+    # non-decreasing, so the reversed result is exactly non-increasing
+    suffix = np.add.accumulate(p[..., ::-1], axis=-1)[..., ::-1]
+    return np.minimum(suffix[..., 1:], 1.0)
+
+
+def exceedance_from_soft(
+    dist: Union[RatingDistribution, np.ndarray],
+) -> Union[ExceedanceLabel, np.ndarray]:
+    """Tail masses of a rating distribution: entry k = sum of probs above class k.
+
+    A :class:`RatingDistribution` gives an :class:`ExceedanceLabel`; a (B, K)
+    matrix of distributions gives the (B, K-1) matrix of their tail masses.
+    """
+    if isinstance(dist, (RatingDistribution, ClassDistribution)):
+        return ExceedanceLabel(_tail_rows(dist.probs))
+    return _tail_rows(_checked_rows("rating probabilities", dist, 2, sums_to_one=True))
+
+
+def _class_rows(t: np.ndarray) -> np.ndarray:
+    raw = np.concatenate([1.0 - t[..., :1], t[..., :-1] - t[..., 1:], t[..., -1:]], axis=-1)
+    clamped = np.maximum(raw, 0.0)
+    total = np.add.reduce(clamped, axis=-1, keepdims=True)
+    assert total.min() > 0.0, "clamped class mass vanished; raw telescopes to 1"
+    return clamped / total
+
+
+def class_distribution_from_tasks(
+    tasks: Union[TaskProbabilities, np.ndarray],
+) -> Union[ClassDistribution, np.ndarray]:
     """Adjacent differences of task probabilities, clamped and renormalized.
 
     raw[1] = 1 - t[1], raw[k] = t[k-1] - t[k], raw[K] = t[K-1]. On
@@ -264,54 +312,101 @@ def class_distribution_from_tasks(tasks: TaskProbabilities) -> ClassDistribution
     is a no-op; rank-inconsistent input produces negative raw entries, which
     are clamped to zero before renormalizing. The raw vector telescopes to 1,
     so the clamped sum is always positive.
+
+    :class:`TaskProbabilities` give a :class:`ClassDistribution`; a (B, K-1)
+    matrix of task rows gives the (B, K) matrix of class distributions.
     """
-    t = tasks.probs
-    k = t.size + 1
-    raw = np.empty(k, dtype=np.float64)
-    raw[0] = 1.0 - t[0]
-    if k > 2:
-        raw[1:-1] = t[:-1] - t[1:]
-    raw[-1] = t[-1]
-    clamped = np.maximum(raw, 0.0)
-    total = float(clamped.sum())
-    assert total > 0.0, "clamped class mass vanished; raw telescopes to 1 so this cannot happen"
-    return ClassDistribution(clamped / total)
+    if isinstance(tasks, TaskProbabilities):
+        return ClassDistribution(_class_rows(tasks.probs))
+    return _class_rows(_checked_rows("task probabilities", tasks, 1))
 
 
-def decode_count(tasks: TaskProbabilities) -> int:
-    """Counting decode: 1 plus the number of tasks with probability strictly above 0.5."""
+def _count_rows(t: np.ndarray) -> np.ndarray:
     # strict > keeps an exact 0.5 boundary deterministic (counts as "does not exceed")
-    return 1 + int(np.count_nonzero(tasks.probs > 0.5))
+    return 1 + np.add.reduce(t > 0.5, axis=-1)
+
+
+def decode_count(tasks: Union[TaskProbabilities, np.ndarray]) -> Union[int, np.ndarray]:
+    """Counting decode: 1 plus the number of tasks with probability strictly above 0.5.
+
+    :class:`TaskProbabilities` give an int; a (B, K-1) matrix gives an int
+    array with one class per row.
+    """
+    if isinstance(tasks, TaskProbabilities):
+        return int(_count_rows(tasks.probs))
+    return _count_rows(_checked_rows("task probabilities", tasks, 1))
+
+
+def _argmax_rows(p: np.ndarray) -> np.ndarray:
+    # np.argmax returns the first maximum: the lowest class on an exact tie
+    return np.argmax(p, axis=-1) + 1
 
 
 def decode_argmax(
-    dist: ClassDistribution, tie_policy: str = TIE_LOWEST
-) -> Union[int, Tie]:
-    """Argmax decode of a predicted class distribution; ties per ``tie_policy``."""
-    top = _argmax_classes(dist.probs)
-    if len(top) == 1 or tie_policy == TIE_LOWEST:
-        return int(top[0]) + 1
-    if tie_policy == TIE_REPORT:
-        return Tie(tuple(int(i) + 1 for i in top))
-    raise InputError(f"unknown tie policy {tie_policy!r}")
+    dist: Union[ClassDistribution, np.ndarray], tie_policy: str = TIE_LOWEST
+) -> Union[int, Tie, np.ndarray]:
+    """Argmax decode of a predicted class distribution; ties per ``tie_policy``.
+
+    A :class:`ClassDistribution` gives an int, or a :class:`Tie` under
+    ``report-tie``. A (B, K) matrix of distributions gives an int array with
+    one class per row; its exact ties go to the lowest class, the only policy
+    a matrix takes.
+    """
+    if not isinstance(dist, ClassDistribution):
+        if tie_policy != TIE_LOWEST:
+            raise InputError(f"a matrix of distributions decodes with {TIE_LOWEST!r} only")
+        return _argmax_rows(_checked_rows("class probabilities", dist, 2, sums_to_one=True))
+    if tie_policy != TIE_LOWEST:
+        top = _argmax_classes(dist.probs)
+        if len(top) > 1:
+            if tie_policy == TIE_REPORT:
+                return Tie(tuple(int(i) + 1 for i in top))
+            raise InputError(f"unknown tie policy {tie_policy!r}")
+    return int(_argmax_rows(dist.probs))
+
+
+def check_class_indices(labels, spec: ProblemSpec) -> np.ndarray:
+    """Validate a 1-d array of 1-based class indices against the problem spec."""
+    arr = np.asarray(labels)
+    try:
+        idx = arr.astype(np.int64)
+    except (TypeError, ValueError):
+        raise InputError("class indices must be integers") from None
+    if idx.ndim != 1 or idx.size == 0:
+        raise InputError(f"class indices must be a non-empty 1-d array, got shape {idx.shape}")
+    bad = (idx != arr) | (idx < 1) | (idx > spec.num_classes)
+    if bad.any():
+        raise InputError(
+            f"class index {arr[bad][0].item()!r} outside 1..{spec.num_classes}"
+        )
+    return idx
 
 
 def sord_soft_label(
-    true_class: int, spec: ProblemSpec, distance: str = DISTANCE_AE
-) -> RatingDistribution:
+    true_class: Union[int, np.ndarray], spec: ProblemSpec, distance: str = DISTANCE_AE
+) -> Union[RatingDistribution, np.ndarray]:
     """Distance-smoothed synthetic soft label around ``true_class``.
 
     probs[k] = exp(-phi(k, y)) / sum_j exp(-phi(j, y)) with phi the absolute
     (``"ae"``) or squared (``"se"``) class-index distance. The result is
     unimodal with its mode at the true class.
+
+    One class index gives a :class:`RatingDistribution`; a 1-d array of B
+    class indices gives the (B, K) matrix of their soft labels.
     """
-    y = check_class_index(true_class, spec)
+    single = np.ndim(true_class) == 0
+    ys = (
+        np.array([check_class_index(true_class, spec)])
+        if single
+        else check_class_indices(true_class, spec)
+    )
     ks = np.arange(1, spec.num_classes + 1, dtype=np.float64)
     if distance == DISTANCE_AE:
-        phi = np.abs(ks - y)
+        phi = np.abs(ks - ys[:, None])
     elif distance == DISTANCE_SE:
-        phi = (ks - y) ** 2
+        phi = (ks - ys[:, None]) ** 2
     else:
         raise InputError(f"unknown distance kind {distance!r} (use 'ae' or 'se')")
     w = np.exp(-phi)
-    return RatingDistribution(w / w.sum())
+    rows = w / w.sum(axis=1, keepdims=True)
+    return RatingDistribution(rows[0]) if single else rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -131,6 +132,10 @@ def dataset_from_votes(
         raise InputError("ids and features disagree on the number of examples")
     if len(set(ids)) != n:
         raise InputError("example ids must be unique")
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InputError(f"example index {i} (id {ids[i]!r}) has a non-finite feature value")
 
     soft = np.empty((n, spec.num_classes))
     hard = np.empty(n, dtype=np.int64)
@@ -320,9 +325,16 @@ def load_csv(path, spec: ProblemSpec) -> Dataset:
                     f"line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                features.append([float(row[p]) for p in f_cols])
+                values = [float(row[p]) for p in f_cols]
             except ValueError:
                 raise InputError(f"line {line_no}: malformed feature value") from None
+            if not all(map(math.isfinite, values)):
+                p = next(p for p, x in zip(f_cols, values) if not math.isfinite(x))
+                raise InputError(
+                    f"{path} line {line_no}: non-finite feature value {row[p].strip()!r}"
+                    f" in column {header[p].strip()!r}"
+                )
+            features.append(values)
             row_votes: list[int] = []
             if r_cols:
                 for p in r_cols:

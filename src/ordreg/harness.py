@@ -23,9 +23,9 @@ from __future__ import annotations
 import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,10 +33,8 @@ from . import losses as losses_mod
 from .core import (
     ClassDistribution,
     InputError,
-    ProblemSpec,
     RatingDistribution,
     TIE_LOWEST,
-    TaskProbabilities,
     class_distribution_from_tasks,
     decode_argmax,
     decode_count,
@@ -62,10 +60,10 @@ from .metrics import (
     paired_t_test_one_sided,
 )
 from .model import (
+    Batch,
     EncoderConfig,
     ModelParams,
     adam_step,
-    ensemble_average,
     forward,
     init_adam_state,
     init_params,
@@ -185,37 +183,42 @@ def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) 
     logits = np.atleast_2d(forward(params, features))
     if spec.head_kind == "softmax":
         return softmax(logits)
-    probs = sigmoid(logits)
-    rows = []
-    for row in probs:
-        if spec.loss_kind == losses_mod.LOSS_CORN:
-            tasks = losses_mod.corn_unconditional(row)
-        else:
-            tasks = TaskProbabilities(row)
-        rows.append(class_distribution_from_tasks(tasks).probs)
-    return np.asarray(rows)
+    tasks = sigmoid(logits)
+    if spec.loss_kind == losses_mod.LOSS_CORN:
+        tasks = losses_mod.corn_unconditional(tasks)
+    return class_distribution_from_tasks(tasks)
 
 
-def decode_distribution(dist: ClassDistribution, rule: str) -> int:
-    """Hard class from a predicted distribution under the given decode rule."""
+def decode_distribution(
+    dist: Union[ClassDistribution, np.ndarray], rule: str
+) -> Union[int, np.ndarray]:
+    """Hard classes from predicted distributions under the given decode rule.
+
+    A (B, K) matrix of distributions gives an int array with one class per
+    row; one :class:`ClassDistribution` gives an int. Argmax sends exact ties
+    to the lowest class; the count decode is 1 + #{k : P(y > k) > 0.5}.
+    """
+    if rule not in ALL_DECODES:
+        raise InputError(f"decode must be one of {ALL_DECODES}, got {rule!r}")
+    single = isinstance(dist, ClassDistribution)
+    probs = dist.probs[None, :] if single else dist
     if rule == DECODE_ARGMAX:
-        return decode_argmax(dist, TIE_LOWEST)
-    if rule == DECODE_COUNT:
-        exc = exceedance_from_soft(dist)
-        return decode_count(TaskProbabilities(exc.exceed))
-    raise InputError(f"decode must be one of {ALL_DECODES}, got {rule!r}")
+        classes = decode_argmax(probs, TIE_LOWEST)
+    else:
+        classes = decode_count(exceedance_from_soft(probs))
+    return int(classes[0]) if single else classes
 
 
 def _epoch_targets(
-    dataset: Dataset, config: TrainConfig, indices: Sequence[int], hard: np.ndarray
-) -> list:
+    dataset: Dataset, config: TrainConfig, indices: np.ndarray, hard: np.ndarray
+) -> np.ndarray:
+    """The training targets of one epoch as an array, one row per index."""
     kind = METHODS[config.method].loss_kind
-    if kind in (losses_mod.LOSS_CE, losses_mod.LOSS_OR_CNN, losses_mod.LOSS_CORN,
-                losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
-        return [int(hard[i]) for i in indices]
     if kind == losses_mod.LOSS_CE_SOFT:
-        return [dataset.soft[i] for i in indices]
-    return [dataset.exceed[i] for i in indices]  # or_soft
+        return dataset.soft[indices]
+    if kind == losses_mod.LOSS_OR_SOFT:
+        return dataset.exceed[indices]
+    return hard[indices]
 
 
 def train_one(
@@ -252,8 +255,9 @@ def train_one(
     tie_rng = np.random.default_rng([int(seed), _STREAM_TIE_RESAMPLE])
     resampling = method.uses_hard_targets and config.tie_policy == TIE_POLICY_RESAMPLE
 
-    train_idx = [int(i) for i in train_indices]
+    train_idx = np.asarray(train_indices, dtype=np.int64)
     n_train = len(train_idx)
+    train_x = dataset.features[train_idx]
     static_targets = None
     if not resampling:
         static_targets = _epoch_targets(dataset, config, train_idx, dataset.hard)
@@ -273,7 +277,7 @@ def train_one(
         loss_sum = 0.0
         for start in range(0, n_train, config.batch_size):
             chunk = perm[start : start + config.batch_size]
-            batch = [(dataset.features[train_idx[j]], targets[j]) for j in chunk]
+            batch = Batch(train_x[chunk], targets[chunk])
             loss, grad = loss_and_gradient(params, batch, method.loss_kind)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -284,10 +288,7 @@ def train_one(
         train_loss = loss_sum / n_train
 
         probs = predict_prob_matrix(params, config.method, val_x)
-        preds = np.asarray(
-            [decode_distribution(ClassDistribution(row), decode_rule) for row in probs],
-            dtype=np.float64,
-        )
+        preds = decode_distribution(probs, decode_rule).astype(np.float64)
         val_mae = float((val_w * np.abs(preds - val_h)).sum() / val_w.sum())
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_uw_mae=val_mae))
         if val_mae < best_mae:
@@ -401,20 +402,21 @@ def run_cv(
             )
             continue
         ens = np.mean(np.asarray(prob_stack), axis=0)
+        keep = mask[list(fold.test)]  # tie-excluded examples leave evaluation
         records = []
-        for row, idx in zip(ens, fold.test):
-            if not mask[idx]:
-                continue  # tie-excluded from evaluation
-            dist = ClassDistribution(row)
-            pred = decode_distribution(dist, config.effective_decode)
-            records.append(
+        if keep.any():
+            kept = ens[keep]
+            preds = decode_distribution(kept, config.effective_decode)
+            test_kept = np.asarray(fold.test)[keep]
+            records = [
                 eval_record(
                     soft=dataset.soft_distribution(idx),
-                    pred_dist=dist,
-                    pred_hard=pred,
+                    pred_dist=ClassDistribution(row),
+                    pred_hard=int(pred),
                     example_id=dataset.ids[idx],
                 )
-            )
+                for row, pred, idx in zip(kept, preds, test_kept)
+            ]
         if not records:
             fold_outcomes.append(
                 FoldOutcome(fold=fi + 1, status="failed",

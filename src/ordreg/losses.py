@@ -16,6 +16,11 @@ kind                  target
 CORAL and its soft variant reuse ``or_cnn``/``or_soft`` on a shared-slope head;
 there is no separate loss kind for them. All probabilities are clamped to
 [LOG_EPS, 1-LOG_EPS] before any log.
+
+Every per-example loss sums over the last axis. One prediction vector with
+one target gives a float; a (B, n) matrix of prediction rows with B targets
+(a (B,) label array or a (B, n) target matrix) gives the (B,) array of
+per-row losses, each bit-identical to the float of that row alone.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .core import (
     ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
+    check_class_indices,
     sord_soft_label,
 )
 
@@ -59,9 +65,28 @@ ArrayLike = Union[np.ndarray, Sequence[float]]
 
 def _probs(x, name: str) -> np.ndarray:
     arr = x.probs if hasattr(x, "probs") else np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError(f"{name} must be a 1-d probability vector")
+    if arr.ndim not in (1, 2):
+        raise InputError(f"{name} must be a 1-d probability vector or a (B, n) matrix of them")
     return arr
+
+
+def _hard_labels(y, p: np.ndarray, k: int) -> Union[int, np.ndarray]:
+    """``y`` checked against 1..k: an int for one vector, an int array for a matrix."""
+    if p.ndim == 1:
+        label = int(y)
+        if not 1 <= label <= k:
+            raise InputError(f"hard label {y!r} outside 1..{k}")
+        return label
+    labels = check_class_indices(y, ProblemSpec(k))
+    if labels.shape != p.shape[:1]:
+        raise InputError(f"{labels.size} hard labels for {p.shape[0]} probability rows")
+    return labels
+
+
+def _row_sums(terms: np.ndarray):
+    """Sum over the last axis: a float for one vector, the (B,) array for a matrix."""
+    total = np.add.reduce(terms, axis=-1)
+    return float(total) if terms.ndim == 1 else total
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -73,20 +98,21 @@ def _bce(p: np.ndarray, target: np.ndarray) -> np.ndarray:
     return -(target * _log(p) + (1.0 - target) * _log(1.0 - p))
 
 
-def or_cnn_loss(tasks: Union[TaskProbabilities, ArrayLike], y: int) -> float:
+def or_cnn_loss(
+    tasks: Union[TaskProbabilities, ArrayLike], y: Union[int, np.ndarray]
+) -> Union[float, np.ndarray]:
     """Sum of per-task binary cross entropies against the indicators 1(y > k)."""
     p = _probs(tasks, "tasks")
-    k = p.size + 1
-    if not 1 <= int(y) <= k:
-        raise InputError(f"hard label {y!r} outside 1..{k}")
-    targets = (int(y) > np.arange(1, k)).astype(np.float64)
-    return float(_bce(p, targets).sum())
+    k = p.shape[-1] + 1
+    labels = _hard_labels(y, p, k)
+    targets = ((labels if p.ndim == 1 else labels[:, None]) > np.arange(1, k)).astype(np.float64)
+    return _row_sums(_bce(p, targets))
 
 
 def or_soft_loss(
     tasks: Union[TaskProbabilities, ArrayLike],
     target: Union[ExceedanceLabel, ArrayLike],
-) -> float:
+) -> Union[float, np.ndarray]:
     """Sum of per-task weighted binary cross entropies.
 
     Task k's term weighs the two BCE branches by the target tail mass
@@ -98,27 +124,30 @@ def or_soft_loss(
     t = target.exceed if isinstance(target, ExceedanceLabel) else np.asarray(target, np.float64)
     if t.shape != p.shape:
         raise InputError(f"target shape {t.shape} does not match tasks shape {p.shape}")
-    return float(_bce(p, t).sum())
+    return _row_sums(_bce(p, t))
 
 
-def ce_loss(class_dist: Union[ClassDistribution, ArrayLike], y: int) -> float:
+def ce_loss(
+    class_dist: Union[ClassDistribution, ArrayLike], y: Union[int, np.ndarray]
+) -> Union[float, np.ndarray]:
     """Multi-class cross entropy against a hard label: -log p[y]."""
     p = _probs(class_dist, "class_dist")
-    if not 1 <= int(y) <= p.size:
-        raise InputError(f"hard label {y!r} outside 1..{p.size}")
-    return float(-_log(p[int(y) - 1]))
+    labels = _hard_labels(y, p, p.shape[-1])
+    if p.ndim == 1:
+        return float(-_log(p[labels - 1]))
+    return -_log(p[np.arange(p.shape[0]), labels - 1])
 
 
 def ce_soft_loss(
     class_dist: Union[ClassDistribution, ArrayLike],
     target: Union[RatingDistribution, ArrayLike],
-) -> float:
+) -> Union[float, np.ndarray]:
     """Cross entropy against a soft target: -sum_k target[k] log p[k]."""
     p = _probs(class_dist, "class_dist")
     t = _probs(target, "target")
     if t.shape != p.shape:
         raise InputError(f"target shape {t.shape} does not match prediction shape {p.shape}")
-    return float(-(t * _log(p)).sum())
+    return _row_sums(-(t * _log(p)))
 
 
 def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> float:
@@ -154,21 +183,23 @@ def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> float:
 
 def corn_unconditional(
     task_cond_probs: Union[TaskProbabilities, ArrayLike],
-) -> TaskProbabilities:
+) -> Union[TaskProbabilities, np.ndarray]:
     """Chain conditional task probabilities into unconditional P(y > k).
 
     P(y > k) = prod_{j<=k} P(y > j | y >= j). Products of factors in [0, 1]
-    are non-increasing, so the output is always rank-consistent.
+    are non-increasing, so the output is always rank-consistent. A (B, K-1)
+    matrix of conditional rows gives the (B, K-1) matrix of chained rows.
     """
     p = _probs(task_cond_probs, "task_cond_probs")
-    return TaskProbabilities(np.cumprod(p))
+    chained = np.cumprod(p, axis=-1)
+    return TaskProbabilities(chained) if chained.ndim == 1 else chained
 
 
 def sord_loss(
     class_dist: Union[ClassDistribution, ArrayLike],
-    y: int,
+    y: Union[int, np.ndarray],
     spec: ProblemSpec,
     distance: str,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Cross entropy against the distance-smoothed soft label of ``y``."""
     return ce_soft_loss(class_dist, sord_soft_label(y, spec, distance))

@@ -17,14 +17,24 @@ runs, so folds and seeds can run in parallel freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import losses as losses_mod
-from .core import ClassDistribution, InputError, ProblemSpec, sord_soft_label
+from .core import (
+    DISTANCE_AE,
+    DISTANCE_SE,
+    ClassDistribution,
+    InputError,
+    ProblemSpec,
+    sord_soft_label,
+)
 from .ioutil import atomic_write_json, read_json
 
 ACT_RELU = "relu"
@@ -68,41 +78,83 @@ class EncoderConfig:
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
 
-@dataclass
-class ParamBundle:
-    """Arrays for every trainable tensor; also the shape of gradients and moments."""
+@dataclass(frozen=True)
+class ParamLayout:
+    """Shapes of the trainable tensors, in flat-vector order.
 
-    encoder_w: tuple[np.ndarray, ...]
-    encoder_b: tuple[np.ndarray, ...]
-    head_w: np.ndarray
-    head_b: np.ndarray
+    The order is every encoder weight, every encoder bias, the head weight,
+    then the head bias; the flat vector is their C-order ravels concatenated.
+    """
+
+    shapes: tuple[tuple[int, ...], ...]
+    n_layers: int
+
+    @cached_property
+    def _bounds(self) -> tuple[tuple[int, int], ...]:
+        ends = tuple(accumulate(math.prod(s) for s in self.shapes))
+        return tuple(zip((0, *ends[:-1]), ends))
+
+    @property
+    def size(self) -> int:
+        return self._bounds[-1][1]
+
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(flat[a:b].reshape(s) for (a, b), s in zip(self._bounds, self.shapes))
+
+
+def _layout(config: "EncoderConfig", head_kind: str, k: int) -> ParamLayout:
+    dims = (config.input_dim, *config.hidden_dims)
+    w_shape, n_bias = _head_shapes(config, head_kind, k)
+    return ParamLayout(
+        shapes=(
+            *((fan_out, fan_in) for fan_in, fan_out in zip(dims[:-1], dims[1:])),
+            *((fan_out,) for fan_out in dims[1:]),
+            w_shape,
+            (n_bias,),
+        ),
+        n_layers=len(dims) - 1,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ParamBundle:
+    """Every trainable tensor as a shaped view into one flat float64 vector.
+
+    Writing through a view changes ``flat`` and the other way round.
+    Gradients use the same layout; Adam works on the flat vectors only.
+    """
+
+    flat: np.ndarray
+    layout: ParamLayout
+
+    def __post_init__(self) -> None:
+        if self.flat.shape != (self.layout.size,):
+            raise InputError(
+                f"flat vector must have {self.layout.size} entries, got {self.flat.shape}"
+            )
+
+    @cached_property
+    def _views(self) -> tuple[np.ndarray, ...]:
+        return self.layout.views(self.flat)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        return (*self.encoder_w, *self.encoder_b, self.head_w, self.head_b)
+        return self._views
 
-    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "ParamBundle":
-        return ParamBundle(
-            encoder_w=tuple(fn(a) for a in self.encoder_w),
-            encoder_b=tuple(fn(a) for a in self.encoder_b),
-            head_w=fn(self.head_w),
-            head_b=fn(self.head_b),
-        )
+    @property
+    def encoder_w(self) -> tuple[np.ndarray, ...]:
+        return self._views[: self.layout.n_layers]
 
-    def zip_map(
-        self, fn: Callable[..., np.ndarray], *others: "ParamBundle"
-    ) -> "ParamBundle":
-        return ParamBundle(
-            encoder_w=tuple(
-                fn(a, *(o.encoder_w[i] for o in others))
-                for i, a in enumerate(self.encoder_w)
-            ),
-            encoder_b=tuple(
-                fn(a, *(o.encoder_b[i] for o in others))
-                for i, a in enumerate(self.encoder_b)
-            ),
-            head_w=fn(self.head_w, *(o.head_w for o in others)),
-            head_b=fn(self.head_b, *(o.head_b for o in others)),
-        )
+    @property
+    def encoder_b(self) -> tuple[np.ndarray, ...]:
+        return self._views[self.layout.n_layers : 2 * self.layout.n_layers]
+
+    @property
+    def head_w(self) -> np.ndarray:
+        return self._views[-2]
+
+    @property
+    def head_b(self) -> np.ndarray:
+        return self._views[-1]
 
 
 @dataclass
@@ -116,13 +168,18 @@ class ModelParams:
     def num_logits(self) -> int:
         return self.num_classes if self.head_kind == HEAD_SOFTMAX else self.num_classes - 1
 
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """The same model with its values taken from ``flat`` (no copy)."""
+        return ModelParams(self.encoder, self.head_kind, self.num_classes,
+                           ParamBundle(flat, self.bundle.layout))
+
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus step counter and hyperparameters."""
+    """First/second moment vectors (flat layout) plus step counter and hyperparameters."""
 
-    m: ParamBundle
-    v: ParamBundle
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr: float
     beta1: float
@@ -145,22 +202,17 @@ def init_params(
     config: EncoderConfig, head_kind: str, spec: ProblemSpec, seed: int
 ) -> ModelParams:
     """Deterministic init: fan-in-scaled uniform weights, zero biases."""
+    layout = _layout(config, head_kind, spec.num_classes)
     rng = np.random.default_rng([int(seed), _INIT_STREAM])
-    dims = (config.input_dim, *config.hidden_dims)
-    enc_w, enc_b = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    enc_w = []
+    for fan_out, fan_in in layout.shapes[: layout.n_layers]:
         bound = 1.0 / np.sqrt(fan_in)
         enc_w.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        enc_b.append(np.zeros(fan_out))
-    (w_shape, n_bias) = _head_shapes(config, head_kind, spec.num_classes)
+    enc_b = [np.zeros(shape) for shape in layout.shapes[layout.n_layers : -2]]
     bound = 1.0 / np.sqrt(config.output_dim)
-    bundle = ParamBundle(
-        encoder_w=tuple(enc_w),
-        encoder_b=tuple(enc_b),
-        head_w=rng.uniform(-bound, bound, size=w_shape),
-        head_b=np.zeros(n_bias),
-    )
-    return ModelParams(config, head_kind, spec.num_classes, bundle)
+    head_w = rng.uniform(-bound, bound, size=layout.shapes[-2])
+    flat = np.concatenate([*enc_w, *enc_b, head_w, np.zeros(layout.shapes[-1])], axis=None)
+    return ModelParams(config, head_kind, spec.num_classes, ParamBundle(flat, layout))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -187,13 +239,14 @@ def _forward_cached(params: ModelParams, x: np.ndarray):
     acts = [x]
     pres = []
     z = x
-    for w, b in zip(params.bundle.encoder_w, params.bundle.encoder_b):
+    bundle = params.bundle
+    for w, b in zip(bundle.encoder_w, bundle.encoder_b):
         pre = z @ w.T + b
         z = _activation(params.encoder.activation, pre)
         pres.append(pre)
         acts.append(z)
     # for the shared head the (B,1) slope output broadcasts against the K-1 biases
-    logits = z @ params.bundle.head_w.T + params.bundle.head_b
+    logits = z @ bundle.head_w.T + bundle.head_b
     return logits, pres, acts
 
 
@@ -214,58 +267,72 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
-def _target_matrix(
-    params: ModelParams, batch: Sequence[tuple], loss_kind: str, spec: ProblemSpec
-) -> np.ndarray:
-    """Per-example target rows matching the logit arity for ``loss_kind``."""
-    k = params.num_classes
-    rows = []
-    for _, target in batch:
-        if loss_kind in (losses_mod.LOSS_CE, losses_mod.LOSS_CORN):
-            y = int(target)
-            if not 1 <= y <= k:
-                raise InputError(f"hard label {target!r} outside 1..{k}")
-            if loss_kind == losses_mod.LOSS_CORN:
-                rows.append(np.zeros(k - 1))  # targets rebuilt per subset later
-            else:
-                row = np.zeros(k)
-                row[y - 1] = 1.0
-                rows.append(row)
-        elif loss_kind == losses_mod.LOSS_OR_CNN:
-            y = int(target)
-            if not 1 <= y <= k:
-                raise InputError(f"hard label {target!r} outside 1..{k}")
-            rows.append((y > np.arange(1, k)).astype(np.float64))
-        elif loss_kind == losses_mod.LOSS_OR_SOFT:
-            t = target.exceed if hasattr(target, "exceed") else np.asarray(target, np.float64)
-            if t.shape != (k - 1,):
-                raise InputError("or_soft target must have K-1 exceedance entries")
-            rows.append(t)
-        elif loss_kind == losses_mod.LOSS_CE_SOFT:
-            t = target.probs if hasattr(target, "probs") else np.asarray(target, np.float64)
-            if t.shape != (k,):
-                raise InputError("ce_soft target must have K probabilities")
-            rows.append(t)
-        elif loss_kind in (losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
-            dist_kind = "ae" if loss_kind == losses_mod.LOSS_SORD_AE else "se"
-            rows.append(sord_soft_label(int(target), spec, dist_kind).probs)
-        else:
-            raise InputError(f"unknown loss kind {loss_kind!r}")
-    return np.asarray(rows)
+# loss kinds whose targets are hard labels; or_soft and ce_soft take soft rows
+_HARD_TARGET_LOSSES = (
+    losses_mod.LOSS_CE,
+    losses_mod.LOSS_OR_CNN,
+    losses_mod.LOSS_CORN,
+    losses_mod.LOSS_SORD_AE,
+    losses_mod.LOSS_SORD_SE,
+)
+
+
+@dataclass(frozen=True)
+class Batch:
+    """One mini-batch as arrays.
+
+    ``features`` is (B, input_dim). ``targets`` is a (B,) array of hard
+    labels, or (B, K-1) exceedance rows for ``or_soft``, or (B, K) rating
+    rows for ``ce_soft``.
+    """
+
+    features: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+
+def _stack(rows: list, what: str) -> np.ndarray:
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(f"batch {what} must all have the same length") from None
+
+
+def batch_from_pairs(pairs: Sequence[tuple], loss_kind: str) -> Batch:
+    """A :class:`Batch` from ``(features, target)`` pairs.
+
+    Hard-label targets are ints; ``or_soft`` targets are ExceedanceLabels or
+    K-1 vectors; ``ce_soft`` targets are RatingDistributions or K vectors.
+    """
+    features = _stack([np.asarray(f, dtype=np.float64) for f, _ in pairs], "features")
+    if loss_kind in _HARD_TARGET_LOSSES:
+        try:
+            targets = np.asarray([int(t) for _, t in pairs], dtype=np.int64)
+        except (TypeError, ValueError):
+            raise InputError(f"{loss_kind} targets must be hard labels") from None
+    else:
+        targets = _stack(
+            [getattr(t, "exceed", getattr(t, "probs", t)) for _, t in pairs], "targets"
+        )
+    return Batch(features, targets)
 
 
 def loss_and_gradient(
-    params: ModelParams, batch: Sequence[tuple], loss_kind: str
+    params: ModelParams, batch: Union["Batch", Sequence[tuple]], loss_kind: str
 ) -> tuple[float, ParamBundle]:
     """Mini-batch loss and its exact gradient.
 
-    The loss is the MEAN over examples of the per-example loss (tasks summed
-    within an example), so learning-rate semantics do not depend on batch
-    size. ``corn`` is inherently batch-level (per-task subset means, summed)
-    and is returned as-is; duplicating a batch leaves every loss kind's value
-    unchanged.
+    ``batch`` is a :class:`Batch` or a sequence of ``(features, target)``
+    pairs (see :func:`batch_from_pairs`). The loss is the MEAN over examples
+    of the per-example loss (tasks summed within an example), so
+    learning-rate semantics do not depend on batch size. ``corn`` is
+    inherently batch-level (per-task subset means, summed) and is returned
+    as-is; duplicating a batch leaves every loss kind's value unchanged.
     """
-    if len(batch) == 0:
+    n = len(batch)
+    if n == 0:
         raise InputError("batch must be non-empty")
     if loss_kind not in losses_mod.ALL_LOSS_KINDS:
         raise InputError(
@@ -276,76 +343,80 @@ def loss_and_gradient(
         raise InputError(f"loss {loss_kind!r} needs a task head, not softmax")
     if not task_loss and params.head_kind != HEAD_SOFTMAX:
         raise InputError(f"loss {loss_kind!r} needs the softmax head")
+    if not isinstance(batch, Batch):
+        batch = batch_from_pairs(batch, loss_kind)
 
-    spec = ProblemSpec(params.num_classes)
-    x = np.asarray([np.asarray(f, dtype=np.float64) for f, _ in batch])
+    k = params.num_classes
+    x = np.asarray(batch.features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.encoder.input_dim:
         raise InputError("batch features must all have length input_dim")
-    n = x.shape[0]
-    targets = _target_matrix(params, batch, loss_kind, spec)
     logits, pres, acts = _forward_cached(params, x)
+    probs = sigmoid(logits) if task_loss else softmax(logits)
 
+    # each loss call checks its targets (label range, shape) for the whole batch
+    # before the gradient uses them
+    if loss_kind in _HARD_TARGET_LOSSES:
+        ys = np.asarray(batch.targets, dtype=np.int64)
     if loss_kind == losses_mod.LOSS_CORN:
-        probs = sigmoid(logits)
-        ys = np.asarray([int(t) for _, t in batch])
         loss = losses_mod.corn_loss(probs, ys)
         dlogits = np.zeros_like(logits)
-        for col in range(params.num_classes - 1):
+        for col in range(k - 1):
             subset = ys >= col + 1
             m = int(subset.sum())
             if m == 0:
                 continue
             tcol = (ys[subset] > col + 1).astype(np.float64)
             dlogits[subset, col] = (probs[subset, col] - tcol) / m
-    elif task_loss:
-        probs = sigmoid(logits)
-        if loss_kind == losses_mod.LOSS_OR_CNN:
-            per_example = [losses_mod.or_cnn_loss(probs[i], int(batch[i][1])) for i in range(n)]
-        else:
-            per_example = [losses_mod.or_soft_loss(probs[i], targets[i]) for i in range(n)]
-        loss = float(np.sum(per_example)) / n
-        dlogits = (probs - targets) / n
     else:
-        probs = softmax(logits)
-        if loss_kind == losses_mod.LOSS_CE:
-            per_example = [losses_mod.ce_loss(probs[i], int(batch[i][1])) for i in range(n)]
+        if loss_kind == losses_mod.LOSS_OR_CNN:
+            per_example = losses_mod.or_cnn_loss(probs, ys)
+            targets = (ys[:, None] > np.arange(1, k)).astype(np.float64)
+        elif loss_kind == losses_mod.LOSS_CE:
+            per_example = losses_mod.ce_loss(probs, ys)
+            targets = (ys[:, None] == np.arange(1, k + 1)).astype(np.float64)
+        elif loss_kind in (losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
+            distance = DISTANCE_AE if loss_kind == losses_mod.LOSS_SORD_AE else DISTANCE_SE
+            targets = sord_soft_label(ys, ProblemSpec(k), distance)
+            per_example = losses_mod.ce_soft_loss(probs, targets)
         else:
-            per_example = [losses_mod.ce_soft_loss(probs[i], targets[i]) for i in range(n)]
-        loss = float(np.sum(per_example)) / n
+            targets = np.asarray(batch.targets, dtype=np.float64)
+            soft_loss = (losses_mod.or_soft_loss if loss_kind == losses_mod.LOSS_OR_SOFT
+                         else losses_mod.ce_soft_loss)
+            per_example = soft_loss(probs, targets)
+        loss = float(per_example.sum()) / n
         dlogits = (probs - targets) / n
 
-    grad = _backward(params, dlogits, pres, acts)
-    return loss, grad
+    return loss, _backward(params, dlogits, pres, acts)
 
 
 def _backward(
     params: ModelParams, dlogits: np.ndarray, pres: list, acts: list
 ) -> ParamBundle:
+    bundle = params.bundle
     z_last = acts[-1]
+    gb = dlogits.sum(axis=0)
     if params.head_kind == HEAD_SHARED_SLOPE_BIAS:
-        gb = dlogits.sum(axis=0)
         dshared = dlogits.sum(axis=1, keepdims=True)  # (B,1): logit_k shares one slope
         gw = dshared.T @ z_last
-        dz = dshared @ params.bundle.head_w
+        dz = dshared @ bundle.head_w
     else:
-        gb = dlogits.sum(axis=0)
         gw = dlogits.T @ z_last
-        dz = dlogits @ params.bundle.head_w
+        dz = dlogits @ bundle.head_w
 
-    genc_w: list[np.ndarray] = []
-    genc_b: list[np.ndarray] = []
-    for i in range(len(params.bundle.encoder_w) - 1, -1, -1):
+    n_layers = bundle.layout.n_layers
+    genc_w: list[np.ndarray] = [None] * n_layers
+    genc_b: list[np.ndarray] = [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
         pre = pres[i]
         if params.encoder.activation == ACT_RELU:
             dpre = dz * (pre > 0.0)
         else:
             dpre = dz * (1.0 - np.tanh(pre) ** 2)
-        genc_w.append(dpre.T @ acts[i])
-        genc_b.append(dpre.sum(axis=0))
-        dz = dpre @ params.bundle.encoder_w[i]
-    genc_w.reverse()
-    genc_b.reverse()
-    return ParamBundle(tuple(genc_w), tuple(genc_b), gw, gb)
+        genc_w[i] = dpre.T @ acts[i]
+        genc_b[i] = dpre.sum(axis=0)
+        dz = dpre @ bundle.encoder_w[i]
+    flat = np.concatenate([*genc_w, *genc_b, gw, gb], axis=None)
+    return ParamBundle(flat, bundle.layout)
 
 
 def init_adam_state(
@@ -355,30 +426,25 @@ def init_adam_state(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    return AdamState(m=params.bundle.map(np.zeros_like),
-                     v=params.bundle.map(np.zeros_like), step=0,
-                     lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(m=np.zeros_like(params.bundle.flat), v=np.zeros_like(params.bundle.flat),
+                     step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(
     params: ModelParams, grad: ParamBundle, state: AdamState
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update on the flat vectors; returns fresh params and state."""
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
-    m = state.m.zip_map(lambda m_, g: b1 * m_ + (1.0 - b1) * g, grad)
-    v = state.v.zip_map(lambda v_, g: b2 * v_ + (1.0 - b2) * g * g, grad)
+    g = grad.flat
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    new_bundle = params.bundle.zip_map(
-        lambda p, m_, v_: p - state.lr * (m_ / bc1) / (np.sqrt(v_ / bc2) + state.eps),
-        m,
-        v,
-    )
-    new_params = replace(params, bundle=new_bundle)
+    flat = params.bundle.flat - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     new_state = AdamState(m=m, v=v, step=t, lr=state.lr,
                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+    return params.with_flat(flat), new_state
 
 
 def ensemble_average(dists: Sequence[ClassDistribution]) -> ClassDistribution:
@@ -393,30 +459,13 @@ def ensemble_average(dists: Sequence[ClassDistribution]) -> ClassDistribution:
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:
-    """All trainable values as one flat vector (finite-difference plumbing)."""
-    return np.concatenate([a.ravel() for a in params.bundle.arrays()])
+    """A copy of all trainable values as one flat vector (finite-difference plumbing)."""
+    return params.bundle.flat.copy()
 
 
 def replace_flat(params: ModelParams, flat: np.ndarray) -> ModelParams:
     """Rebuild params from a flat vector shaped like :func:`flatten_params` output."""
-    arrays = params.bundle.arrays()
-    total = sum(a.size for a in arrays)
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (total,):
-        raise InputError(f"flat vector must have {total} entries, got {flat.shape}")
-    out = []
-    pos = 0
-    for a in arrays:
-        out.append(flat[pos : pos + a.size].reshape(a.shape))
-        pos += a.size
-    n_layers = len(params.bundle.encoder_w)
-    bundle = ParamBundle(
-        encoder_w=tuple(out[:n_layers]),
-        encoder_b=tuple(out[n_layers : 2 * n_layers]),
-        head_w=out[2 * n_layers],
-        head_b=out[2 * n_layers + 1],
-    )
-    return replace(params, bundle=bundle)
+    return params.with_flat(np.asarray(flat, dtype=np.float64))
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:
@@ -448,10 +497,12 @@ def load_params(path: str | Path) -> ModelParams:
         hidden_dims=tuple(doc["encoder"]["hidden_dims"]),
         activation=doc["encoder"]["activation"],
     )
-    bundle = ParamBundle(
-        encoder_w=tuple(np.asarray(a, dtype=np.float64) for a in doc["encoder_w"]),
-        encoder_b=tuple(np.asarray(a, dtype=np.float64) for a in doc["encoder_b"]),
-        head_w=np.asarray(doc["head_w"], dtype=np.float64),
-        head_b=np.asarray(doc["head_b"], dtype=np.float64),
-    )
-    return ModelParams(enc, doc["head_kind"], int(doc["num_classes"]), bundle)
+    head_kind = doc["head_kind"]
+    num_classes = int(doc["num_classes"])
+    layout = _layout(enc, head_kind, num_classes)
+    arrays = [np.asarray(a, dtype=np.float64) for a in
+              (*doc["encoder_w"], *doc["encoder_b"], doc["head_w"], doc["head_b"])]
+    if tuple(a.shape for a in arrays) != layout.shapes:
+        raise InputError(f"{path}: parameter shapes do not match the encoder and head")
+    flat = np.concatenate(arrays, axis=None)
+    return ModelParams(enc, head_kind, num_classes, ParamBundle(flat, layout))

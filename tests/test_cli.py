@@ -122,6 +122,50 @@ def test_unknown_config_key_exits_one_and_names_it(ws, tmp_path, capsys):
     assert "leaning_rate" in capsys.readouterr().err
 
 
+def test_folds_flag_zero_is_not_ignored(ws, tmp_path, capsys):
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json",
+                     {**EXP, "folds": 3, "data": str(ws.data), "out": str(out)})
+    assert run(["cv", "--config", cfg, "--folds", "0"]) == 1
+    assert "folds" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "abc"),          # int field
+    ("lr", "fast"),             # float field
+    ("seeds", [0, "one"]),      # list-of-int field
+    ("hidden_dims", 4),         # list-of-int field given a scalar
+])
+def test_config_type_errors_exit_one_naming_the_field(ws, tmp_path, capsys, field, value):
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data),
+                                             "out": str(tmp_path / "r"), field: value})
+    assert run(["cv", "--config", cfg]) == 1
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("placement", ["test", "train"])
+def test_non_finite_feature_exits_one_naming_file_and_line(ws, tmp_path, capsys, placement):
+    from ordreg.core import ProblemSpec
+    from ordreg.data import load_csv, stratified_k_fold
+
+    dataset = load_csv(ws.data, ProblemSpec(SYNTH["num_classes"]))
+    fold = stratified_k_fold(dataset, EXP["folds"], 0, 0.8).folds[0]
+    index = (fold.test if placement == "test" else fold.train)[0]
+    lines = ws.data.read_text().splitlines()
+    fields = lines[index + 1].split(",")
+    fields[1] = "nan"  # f_1
+    lines[index + 1] = ",".join(fields)
+    data = tmp_path / "nan.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(data), "out": str(out)})
+    assert run(["cv", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and f"line {index + 2}" in err
+    assert not (out / "summary.json").exists()
+
+
 def test_seed_flag_rewrites_seed_list_and_split_seed(ws, tmp_path):
     out = tmp_path / "r"
     cfg = write_json(tmp_path / "exp.json",

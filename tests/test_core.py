@@ -348,3 +348,31 @@ def test_sord_rejects_unknown_distance_and_bad_class():
         sord_soft_label(2, K4, distance="rmse")
     with pytest.raises(InputError):
         sord_soft_label(5, K4)
+
+
+# ---- matrices of rows ----
+
+
+def test_matrix_transforms_check_the_whole_array():
+    good = np.array([[0.9, 0.4], [0.2, 0.7]])
+    assert class_distribution_from_tasks(good).shape == (2, 3)
+    for bad in (np.array([[0.9, np.nan]]), np.array([[0.9, 1.5]]), np.zeros((0, 2)), np.zeros(2)):
+        with pytest.raises(InputError):
+            class_distribution_from_tasks(bad)
+        with pytest.raises(InputError):
+            decode_count(bad)
+    with pytest.raises(InputError, match="finite"):
+        decode_argmax(np.array([[0.5, 0.5], [np.inf, 0.0]]))
+    with pytest.raises(InputError, match="sum"):
+        decode_argmax(np.array([[0.5, 0.5], [0.5, 0.6]]))
+    with pytest.raises(InputError, match="sum"):
+        exceedance_from_soft(np.array([[0.2, 0.2, 0.2]]))
+    with pytest.raises(InputError):
+        decode_argmax(np.array([[0.5, 0.5]]), TIE_REPORT)  # ties are reported one row at a time
+
+
+def test_sord_matrix_checks_every_class_index():
+    assert sord_soft_label(np.array([1, 4]), K4).shape == (2, 4)
+    for bad in (np.array([1, 5]), np.array([0]), np.array([1.5]), np.array([], dtype=int)):
+        with pytest.raises(InputError):
+            sord_soft_label(bad, K4)

@@ -232,6 +232,26 @@ def test_load_csv_malformed_fields(tmp_path):
         load_csv(write_csv(tmp_path, "f_1,r_1\n0.0\n", "width.csv"), SPEC4)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_load_csv_rejects_non_finite_feature_naming_file_and_line(tmp_path, bad):
+    path = write_csv(tmp_path, f"id,f_1,f_2,r_1\na,0.0,1.0,1\nb,0.5,{bad},2\nc,1.0,0.0,3\n")
+    with pytest.raises(InputError) as err:
+        load_csv(path, SPEC4)
+    message = str(err.value)
+    assert str(path) in message
+    assert "line 3" in message and "f_2" in message and "non-finite" in message
+
+
+def test_dataset_from_votes_rejects_non_finite_features_naming_the_example():
+    features = np.zeros((3, 2))
+    features[2, 1] = np.nan
+    with pytest.raises(InputError, match="example index 2.*non-finite"):
+        dataset_from_votes(SPEC4, features, [(1,), (2,), (3,)])
+    features[2, 1] = -np.inf
+    with pytest.raises(InputError, match="example index 2"):
+        dataset_from_votes(SPEC4, features, [(1,), (2,), (3,)])
+
+
 def test_save_then_load_round_trips_exactly(tmp_path):
     cfg = SyntheticConfig.from_dict({**NOISELESS.to_dict(), "rater_noise_sd": 0.8, "n_examples": 40})
     ds = generate_synthetic(cfg)

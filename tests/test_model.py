@@ -14,6 +14,7 @@ from ordreg.losses import (
 )
 from ordreg.model import (
     ALL_HEAD_KINDS,
+    Batch,
     HEAD_INDEPENDENT,
     HEAD_SHARED_SLOPE_BIAS,
     HEAD_SOFTMAX,
@@ -75,7 +76,7 @@ def _fd_gradient(params, batch, loss_kind, h=1e-5):
 
 
 def _flat_grad(params, bundle):
-    return np.concatenate([a.ravel() for a in bundle.arrays()])
+    return bundle.flat
 
 
 def check_gradient(loss_kind, head_kind, seed, hidden=(4,), k=3, d=3, n=4):
@@ -142,7 +143,7 @@ def test_encoder_config_validation():
 def _zero_params(head_kind, k, d=3):
     cfg = EncoderConfig(d, ())
     params = init_params(cfg, head_kind, ProblemSpec(k), 0)
-    zero = params.bundle.map(np.zeros_like)
+    zero = ParamBundle(np.zeros_like(params.bundle.flat), params.bundle.layout)
     return ModelParams(cfg, head_kind, k, zero)
 
 
@@ -245,13 +246,32 @@ def test_empty_batch_rejected():
         loss_and_gradient(params, [], LOSS_CE)
 
 
+@pytest.mark.parametrize("loss_kind,head_kind", PAIRINGS)
+def test_batched_step_checks_its_arrays_once(loss_kind, head_kind):
+    k = 4
+    params = init_params(EncoderConfig(3, ()), head_kind, ProblemSpec(k), 0)
+    x = np.zeros((3, 3))
+    if loss_kind in (LOSS_OR_SOFT, LOSS_CE_SOFT):
+        width = k - 1 if loss_kind == LOSS_OR_SOFT else k
+        bad_targets = [np.full((3, width + 1), 0.2), np.full((2, width), 0.2)]
+    else:
+        bad_targets = [np.array([1, 2, k + 1]), np.array([0, 1, 2]), np.array([1, 2])]
+    for targets in bad_targets:
+        with pytest.raises(InputError):
+            loss_and_gradient(params, Batch(x, targets), loss_kind)
+    with pytest.raises(InputError):
+        loss_and_gradient(params, Batch(np.zeros((3, 2)), np.array([1, 2, 3])), loss_kind)
+    with pytest.raises(InputError):
+        loss_and_gradient(params, Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)), loss_kind)
+
+
 # ---- adam ----
 
 
 def test_first_adam_step_moves_by_lr_times_sign():
     params = _zero_params(HEAD_INDEPENDENT, 3, d=2)
     state = init_adam_state(params, lr=1e-3)
-    grad = params.bundle.map(lambda a: np.full_like(a, 2.0))
+    grad = ParamBundle(np.full_like(params.bundle.flat, 2.0), params.bundle.layout)
     new_params, new_state = adam_step(params, grad, state)
     for arr in new_params.bundle.arrays():
         np.testing.assert_allclose(arr, -1e-3 * np.ones_like(arr), rtol=1e-6)
@@ -261,7 +281,7 @@ def test_first_adam_step_moves_by_lr_times_sign():
 def test_zero_gradient_leaves_params_unchanged():
     params = init_params(EncoderConfig(2, (3,)), HEAD_SOFTMAX, ProblemSpec(3), 4)
     state = init_adam_state(params)
-    zero = params.bundle.map(np.zeros_like)
+    zero = ParamBundle(np.zeros_like(params.bundle.flat), params.bundle.layout)
     new_params, new_state = adam_step(params, zero, state)
     for a, b in zip(params.bundle.arrays(), new_params.bundle.arrays()):
         np.testing.assert_array_equal(a, b)
@@ -273,8 +293,8 @@ def test_two_adam_steps_match_the_recurrence_written_out_by_hand():
     rng = np.random.default_rng(7)
     params = init_params(EncoderConfig(3, (4,)), HEAD_SOFTMAX, ProblemSpec(3), 5)
     state = init_adam_state(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-    g1 = params.bundle.map(lambda a: rng.normal(size=a.shape))
-    g2 = params.bundle.map(lambda a: rng.normal(size=a.shape))
+    g1 = ParamBundle(rng.normal(size=params.bundle.flat.shape), params.bundle.layout)
+    g2 = ParamBundle(rng.normal(size=params.bundle.flat.shape), params.bundle.layout)
 
     p = flatten_params(params)
     m = np.zeros_like(p)
