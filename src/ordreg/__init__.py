@@ -41,6 +41,7 @@ from .losses import (
 from .metrics import (
     EvalRecord,
     MetricReport,
+    RecordTable,
     aurc,
     calibration_curve,
     compute_metric_report,

@@ -54,6 +54,7 @@ from .harness import (
 from .ioutil import atomic_write_text, canonical_json, read_json
 from .metrics import (
     ALPHA,
+    DEFAULT_NUM_BINS,
     DIRECTION_HIGHER,
     DIRECTION_LOWER,
     calibration_curve,
@@ -87,7 +88,7 @@ _CONFIG_DEFAULTS: dict = {
     "val_fraction": 0.8,
     "decode": None,
     "ties": TIES_PAPER,
-    "num_bins": 10,
+    "num_bins": DEFAULT_NUM_BINS,
 }
 
 
@@ -344,9 +345,16 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     print(f"wrote {Path(cfg['out']) / SUMMARY_FILE}")
 
 
+def _num_bins(args: argparse.Namespace) -> int:
+    if args.num_bins < 1:
+        raise InputError(f"--num-bins: num_bins must be >= 1, got {args.num_bins}")
+    return args.num_bins
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> None:
+    num_bins = _num_bins(args)
     records = read_records_csv(args.data)
-    report = compute_metric_report(records)
+    report = compute_metric_report(records, num_bins)
     text = canonical_json(report.to_dict())
     if args.out:
         atomic_write_text(args.out, text)
@@ -412,6 +420,7 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 
 
 def _cmd_curves(args: argparse.Namespace) -> None:
+    num_bins = _num_bins(args)
     path = Path(args.data)
     if path.is_dir():
         path = path / "records.csv"  # fold directory shorthand
@@ -419,7 +428,7 @@ def _cmd_curves(args: argparse.Namespace) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    bins = calibration_curve(records)
+    bins = calibration_curve(records, num_bins)
     lines = ["bin_low,bin_high,mean_confidence,mean_true_accuracy,count"]
     for b in bins:
         conf = "" if b.mean_confidence is None else repr(b.mean_confidence)
@@ -479,9 +488,15 @@ def _build_parser() -> _Parser:
     common(p, jobs=True)
     p.set_defaults(func=_cmd_cv)
 
+    def num_bins(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--num-bins", type=int, default=DEFAULT_NUM_BINS,
+                       help="equal-width confidence bins for ECE and the calibration curve;"
+                            " give the experiment's num_bins to reproduce its metrics")
+
     p = sub.add_parser("evaluate", help="metric suite over an exported records CSV")
     p.add_argument("--data", required=True, help="records.csv from a cv fold")
     p.add_argument("--out", help="write the report JSON here instead of stdout")
+    num_bins(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="paired one-sided t-test between two result dirs")
@@ -495,6 +510,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("curves", help="calibration / risk-coverage / confusion tables")
     p.add_argument("--data", required=True, help="records.csv or a fold directory")
     p.add_argument("--out", required=True, help="output directory")
+    num_bins(p)
     p.set_defaults(func=_cmd_curves)
 
     return parser

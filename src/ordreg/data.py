@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     InputError,
     ProblemSpec,
-    RatingDistribution,
     Tie,
     exceedance_from_soft,
     soft_label_from_votes,
@@ -87,9 +86,6 @@ class Dataset:
     @property
     def tied_mask(self) -> np.ndarray:
         return np.asarray([t is not None for t in self.tie_classes])
-
-    def soft_distribution(self, i: int) -> RatingDistribution:
-        return RatingDistribution(self.soft[i].copy())
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = [int(i) for i in indices]
@@ -436,12 +432,19 @@ class TieResolution:
         return mask
 
     def sample_hard_labels(self, rng: np.random.Generator) -> np.ndarray:
-        """One epoch's hard labels; tied examples drawn uniformly when resampling."""
+        """One epoch's hard labels; tied examples drawn uniformly when resampling.
+
+        One ``rng.integers`` call draws for every tied example, in index order.
+        It takes the same draws from ``rng``, and leaves it in the same state,
+        as one call per tied example.
+        """
         labels = self.hard.copy()
-        if self.policy == TIE_POLICY_RESAMPLE:
-            for i in self.tied_indices:
-                classes = self.tie_classes[i].classes
-                labels[i] = classes[rng.integers(len(classes))]
+        if self.policy == TIE_POLICY_RESAMPLE and self.tied_indices:
+            choices = [self.tie_classes[i].classes for i in self.tied_indices]
+            picks = rng.integers([len(classes) for classes in choices])
+            labels[list(self.tied_indices)] = [
+                classes[p] for classes, p in zip(choices, picks.tolist())
+            ]
         return labels
 
 

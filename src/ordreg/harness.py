@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import csv
 import warnings
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -55,9 +57,13 @@ from .metrics import (
     DEFAULT_NUM_BINS,
     EvalRecord,
     MetricReport,
+    RecordRowError,
+    Records,
+    RecordTable,
     compute_metric_report,
     eval_record,
     paired_t_test_one_sided,
+    record_table,
 )
 from .model import (
     Batch,
@@ -301,11 +307,13 @@ def train_one(
 
 @dataclass(frozen=True)
 class FoldOutcome:
+    """One fold's result; ``records`` is its RecordTable, or () when it failed."""
+
     fold: int
     status: str
     error: str
     report: Optional[MetricReport]
-    records: tuple[EvalRecord, ...]
+    records: Union[RecordTable, tuple[()]]
     best_epochs: dict[int, int]
     histories: dict[int, tuple[EpochStats, ...]]
 
@@ -403,21 +411,7 @@ def run_cv(
             continue
         ens = np.mean(np.asarray(prob_stack), axis=0)
         keep = mask[list(fold.test)]  # tie-excluded examples leave evaluation
-        records = []
-        if keep.any():
-            kept = ens[keep]
-            preds = decode_distribution(kept, config.effective_decode)
-            test_kept = np.asarray(fold.test)[keep]
-            records = [
-                eval_record(
-                    soft=dataset.soft_distribution(idx),
-                    pred_dist=ClassDistribution(row),
-                    pred_hard=int(pred),
-                    example_id=dataset.ids[idx],
-                )
-                for row, pred, idx in zip(kept, preds, test_kept)
-            ]
-        if not records:
+        if not keep.any():
             fold_outcomes.append(
                 FoldOutcome(fold=fi + 1, status="failed",
                             error="no evaluable test examples after tie exclusion",
@@ -425,10 +419,18 @@ def run_cv(
                             histories=histories)
             )
             continue
+        kept = ens[keep]
+        test_kept = np.asarray(fold.test)[keep]
+        records = eval_record(
+            soft=dataset.soft[test_kept],
+            pred_dist=kept,
+            pred_hard=decode_distribution(kept, config.effective_decode),
+            example_id=[dataset.ids[i] for i in test_kept],
+        )
         report = compute_metric_report(records, config.num_bins)
         fold_outcomes.append(
             FoldOutcome(fold=fi + 1, status="ok", error="", report=report,
-                        records=tuple(records), best_epochs=best_epochs,
+                        records=records, best_epochs=best_epochs,
                         histories=histories)
         )
 
@@ -535,68 +537,133 @@ def _fmt(x: float) -> str:
     return repr(float(x))  # shortest round-trip decimal
 
 
-def records_csv_text(records: Sequence[EvalRecord]) -> str:
+def records_csv_text(records: Records) -> str:
     if not records:
         raise InputError("no records to export")
-    k = records[0].soft.num_classes
+    t = record_table(records)
+    k = t.num_classes
     header = (
         ["id", "hard", "pred_hard", "weight"]
         + [f"soft_{c}" for c in range(1, k + 1)]
         + [f"pred_{c}" for c in range(1, k + 1)]
     )
+    # tolist() gives Python floats, whose repr is the shortest round-trip decimal
+    numbers = np.column_stack([t.weight, t.soft, t.pred]).tolist()
     lines = [",".join(header)]
-    for r in records:
-        fields = [r.example_id, str(r.hard), str(r.pred_hard), _fmt(r.weight)]
-        fields += [_fmt(x) for x in r.soft.probs]
-        fields += [_fmt(x) for x in r.pred_dist.probs]
-        lines.append(",".join(fields))
+    lines += [
+        f"{example_id},{hard},{pred_hard}," + ",".join(map(repr, row))
+        for example_id, hard, pred_hard, row in zip(
+            t.ids, t.hard.tolist(), t.pred_hard.tolist(), numbers
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 
-def read_records_csv(path) -> list[EvalRecord]:
-    """Rebuild EvalRecords from an exported records.csv, bit-exact."""
+@dataclass(frozen=True)
+class _RecordColumns:
+    """Where each field of a records.csv row sits, from its header."""
+
+    id: int
+    hard: int
+    pred_hard: int
+    weight: int
+    soft: tuple[int, ...]
+    pred: tuple[int, ...]
+
+    @property
+    def width(self) -> int:
+        """The number of fields a row needs."""
+        return max(self.id, self.hard, self.pred_hard, self.weight, *self.soft, *self.pred) + 1
+
+    def record(self, row: list[str]) -> EvalRecord:
+        """One row parsed and checked field by field, in the order of the record checks."""
+        try:
+            soft = np.asarray([float(row[i]) for i in self.soft])
+            pred = np.asarray([float(row[i]) for i in self.pred])
+            return EvalRecord(
+                soft=RatingDistribution(soft),
+                hard=int(row[self.hard]),
+                pred_dist=ClassDistribution(pred),
+                pred_hard=int(row[self.pred_hard]),
+                weight=float(row[self.weight]),
+                rater_classes=frozenset(int(i) + 1 for i in np.flatnonzero(soft > 0.0)),
+                example_id=row[self.id],
+            )
+        except IndexError:
+            raise InputError(f"the row has {len(row)} fields; the header needs {self.width}") from None
+
+
+def _record_columns(path, header: list[str]) -> _RecordColumns:
+    soft_cols = [i for i, name in enumerate(header) if name.startswith("soft_")]
+    pred_cols = [i for i, name in enumerate(header) if name.startswith("pred_") and name != "pred_hard"]
+    try:
+        id_col = header.index("id")
+        hard_col = header.index("hard")
+        pred_hard_col = header.index("pred_hard")
+        weight_col = header.index("weight")
+    except ValueError as missing:
+        raise InputError(f"{path}: records header is missing a column: {missing}") from None
+    if not soft_cols or len(soft_cols) != len(pred_cols):
+        raise InputError(f"{path}: records header needs matching soft_/pred_ columns")
+    return _RecordColumns(id=id_col, hard=hard_col, pred_hard=pred_hard_col, weight=weight_col,
+                          soft=tuple(soft_cols), pred=tuple(pred_cols))
+
+
+def read_records_csv(path) -> RecordTable:
+    """Rebuild the RecordTable of an exported records.csv, bit-exact.
+
+    Rows stream into flat typed buffers, and the table checks them once. A
+    bad row raises InputError naming the file, the 1-based line of the first
+    failing row and the check it fails.
+    """
+    floats = array("d")  # weight, soft_1..soft_K, pred_1..pred_K per row
+    labels = array("q")  # hard, pred_hard per row
+    ids: list[str] = []
+    lines = array("q")
+    unparsed = None  # (line, row) of the first row whose fields do not parse
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty records file") from None
-        soft_cols = [i for i, name in enumerate(header) if name.startswith("soft_")]
-        pred_cols = [i for i, name in enumerate(header) if name.startswith("pred_") and name != "pred_hard"]
-        try:
-            id_col = header.index("id")
-            hard_col = header.index("hard")
-            pred_hard_col = header.index("pred_hard")
-            weight_col = header.index("weight")
-        except ValueError as missing:
-            raise InputError(f"{path}: records header is missing a column: {missing}") from None
-        if not soft_cols or len(soft_cols) != len(pred_cols):
-            raise InputError(f"{path}: records header needs matching soft_/pred_ columns")
-        records = []
+        cols = _record_columns(path, header)
+        get_floats = itemgetter(cols.weight, *cols.soft, *cols.pred)
+        get_labels = itemgetter(cols.hard, cols.pred_hard)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                soft = np.asarray([float(row[i]) for i in soft_cols])
-                pred = np.asarray([float(row[i]) for i in pred_cols])
-                records.append(
-                    EvalRecord(
-                        soft=RatingDistribution(soft),
-                        hard=int(row[hard_col]),
-                        pred_dist=ClassDistribution(pred),
-                        pred_hard=int(row[pred_hard_col]),
-                        weight=float(row[weight_col]),
-                        rater_classes=frozenset(
-                            int(i) + 1 for i in np.flatnonzero(soft > 0.0)
-                        ),
-                        example_id=row[id_col],
-                    )
-                )
-            except (ValueError, InputError) as err:
-                raise InputError(f"{path} line {line_no}: {err}") from None
-    if not records:
+                example_id = row[cols.id]
+                row_floats = tuple(map(float, get_floats(row)))
+                labels.extend(map(int, get_labels(row)))
+            except (IndexError, ValueError, OverflowError):
+                unparsed = (line_no, row)
+                break
+            floats.extend(row_floats)
+            ids.append(example_id)
+            lines.append(line_no)
+    if not ids and unparsed is None:
         raise InputError(f"{path}: no records")
-    return records
+    if ids:
+        n, k = len(ids), len(cols.soft)
+        numbers = np.frombuffer(floats, dtype=np.float64).reshape(n, 1 + 2 * k)
+        classes = np.frombuffer(labels, dtype=np.int64, count=2 * n).reshape(n, 2)
+        try:
+            table = RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k],
+                                pred=numbers[:, 1 + k :], hard=classes[:, 0],
+                                pred_hard=classes[:, 1], weight=numbers[:, 0])
+        except RecordRowError as err:
+            raise InputError(f"{path} line {lines[err.row]}: {err}") from None
+    if unparsed is not None:
+        # every earlier row passed; the per-field parse names what is wrong here
+        line_no, row = unparsed
+        try:
+            cols.record(row)
+        except (ValueError, InputError) as err:
+            raise InputError(f"{path} line {line_no}: {err}") from None
+        raise InputError(f"{path} line {line_no}: the row does not parse")
+    return table
 
 
 def history_csv_text(histories: dict[int, tuple[EpochStats, ...]]) -> str:
@@ -619,7 +686,7 @@ def write_experiment_result(out_dir, result: ExperimentResult) -> None:
         if fold.status != "ok":
             continue
         atomic_write_text(fold_path / METRICS_FILE, canonical_json(fold.report.to_dict()))
-        atomic_write_text(fold_path / RECORDS_FILE, records_csv_text(list(fold.records)))
+        atomic_write_text(fold_path / RECORDS_FILE, records_csv_text(fold.records))
 
 
 def result_summary_block(result: ExperimentResult) -> dict:

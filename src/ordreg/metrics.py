@@ -1,9 +1,15 @@
-"""Evaluation suite over per-example records carrying rater-distribution labels.
+"""Evaluation suite over evaluated examples carrying rater-distribution labels.
 
-The unit every metric consumes is an :class:`EvalRecord`: one example's rating
-distribution (soft label), its mode rating (hard label), the model's predicted
-class distribution, the decoded hard prediction, and an agreement weight
-``w`` equal to the fraction of raters that chose the mode.
+Records are columns. A :class:`RecordTable` holds N evaluated examples: their
+ids, the rating distributions ``soft`` (N, K), the predicted class
+distributions ``pred`` (N, K), the mode ``hard``, the decoded prediction
+``pred_hard`` and the agreement weight ``weight``, the fraction of raters that
+chose the mode. A table is validated once, as whole arrays, when it is built;
+every metric is then an array expression over its columns.
+
+An :class:`EvalRecord` is one row of a table. Iterating a table yields its
+rows, and every metric also accepts a sequence of EvalRecords, which it stacks
+into a table once.
 
 Conventions shared by the whole suite:
 
@@ -12,23 +18,30 @@ Conventions shared by the whole suite:
   "true accuracy" of a prediction is the soft-label mass on the predicted
   class, so calibration is judged against the rater distribution rather than
   the mode.
+* The rater classes of an example are the classes with nonzero soft mass.
 * Metrics that are undefined for degenerate inputs (constant ranks, empty
   agreement mass) return None and are listed in the report's ``undefined``
   field, never NaN.
 
-All functions are pure over immutable record sequences and safe to call
-concurrently.
+All functions are pure over immutable records and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ClassDistribution, InputError, RatingDistribution
+from .core import (
+    PROB_SUM_TOL,
+    TIE_LOWEST,
+    ClassDistribution,
+    InputError,
+    RatingDistribution,
+    decode_argmax,
+)
 
 DEFAULT_NUM_BINS = 10
 ALPHA = 0.05
@@ -66,73 +79,215 @@ class EvalRecord:
             raise InputError("weight must equal the soft label's maximum entry")
         if not 0.0 < self.weight <= 1.0:
             raise InputError("weight must lie in (0, 1]")
-        object.__setattr__(self, "rater_classes", frozenset(int(c) for c in self.rater_classes))
-        if self.hard not in self.rater_classes:
+        rater_classes = frozenset(int(c) for c in self.rater_classes)
+        object.__setattr__(self, "rater_classes", rater_classes)
+        if self.hard not in rater_classes:
             raise InputError("the mode class must be one of the rater classes")
+        if rater_classes != _rater_classes(self.soft.probs):
+            raise InputError("rater_classes must be the classes with nonzero soft mass")
 
 
-def eval_record(
-    soft, pred_dist, pred_hard: Optional[int] = None, example_id: str = ""
-) -> EvalRecord:
-    """Build an EvalRecord, deriving mode, weight, and rater classes from ``soft``.
+def _rater_classes(soft: np.ndarray) -> frozenset[int]:
+    return frozenset(int(c) + 1 for c in np.flatnonzero(soft > 0.0))
 
-    ``pred_hard`` defaults to the argmax of ``pred_dist`` (lowest class on an
-    exact tie). Accepts bare arrays or the wrapper types.
+
+class RecordRowError(InputError):
+    """A record table row that fails a record check; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def _failing_rows(
+    soft: np.ndarray, pred: np.ndarray, hard: np.ndarray, pred_hard: np.ndarray,
+    weight: np.ndarray,
+) -> np.ndarray:
+    """True for each row that a check of the wrappers or of EvalRecord rejects."""
+    n, k = soft.shape
+    if k < 2:
+        return np.ones(n, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.isfinite(soft).all(axis=1) & np.isfinite(pred).all(axis=1))
+        for probs in (soft, pred):
+            bad |= (probs.min(axis=1) < 0.0) | (probs.max(axis=1) > 1.0)
+            bad |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL
+        bad |= (hard < 1) | (hard > k) | (pred_hard < 1) | (pred_hard > k)
+        bad |= np.abs(weight - soft.max(axis=1)) > _WEIGHT_TOL
+        bad |= ~((weight > 0.0) & (weight <= 1.0))
+        bad |= ~(soft[np.arange(n), np.clip(hard, 1, k) - 1] > 0.0)
+    return bad
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """N evaluated examples as columns: the array form of N EvalRecords.
+
+    ``soft`` and ``pred`` are (N, K) float64, ``hard`` and ``pred_hard`` (N,)
+    int64 classes in 1..K, ``weight`` (N,) float64 and ``ids`` N strings. The
+    columns are read-only copies, checked once on construction with the
+    checks each row would meet as an EvalRecord; the first failing row raises
+    :class:`RecordRowError` with that record check's message.
     """
-    soft_d = soft if isinstance(soft, RatingDistribution) else RatingDistribution(np.asarray(soft, float))
-    pred_d = pred_dist if isinstance(pred_dist, ClassDistribution) else ClassDistribution(np.asarray(pred_dist, float))
-    p = soft_d.probs
-    hard = int(np.argmax(p)) + 1  # lowest class on ties
-    if pred_hard is None:
-        pred_hard = int(np.argmax(pred_d.probs)) + 1
-    return EvalRecord(
-        soft=soft_d,
-        hard=hard,
-        pred_dist=pred_d,
-        pred_hard=int(pred_hard),
-        weight=float(p.max()),
-        rater_classes=frozenset(int(i) + 1 for i in np.flatnonzero(p > 0.0)),
-        example_id=example_id,
-    )
+
+    ids: tuple[str, ...]
+    soft: np.ndarray
+    pred: np.ndarray
+    hard: np.ndarray
+    pred_hard: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self) -> None:
+        soft = _frozen(self.soft, np.float64)
+        pred = _frozen(self.pred, np.float64)
+        hard = _frozen(self.hard, np.int64)
+        pred_hard = _frozen(self.pred_hard, np.int64)
+        weight = _frozen(self.weight, np.float64)
+        ids = tuple(self.ids)
+        n = len(ids)
+        if soft.ndim != 2 or soft.shape[0] != n or n == 0 or pred.shape != soft.shape:
+            raise InputError(
+                f"a record table needs (N, K) soft and pred with N >= 1 and N = {n} ids,"
+                f" got shapes {soft.shape} and {pred.shape}"
+            )
+        if hard.shape != (n,) or pred_hard.shape != (n,) or weight.shape != (n,):
+            raise InputError(f"hard, pred_hard and weight must each hold {n} entries")
+        for name, value in (("ids", ids), ("soft", soft), ("pred", pred), ("hard", hard),
+                            ("pred_hard", pred_hard), ("weight", weight)):
+            object.__setattr__(self, name, value)
+        bad = _failing_rows(soft, pred, hard, pred_hard, weight)
+        if bad.any():
+            row = int(np.argmax(bad))
+            try:
+                self.record(row)
+            except InputError as err:
+                raise RecordRowError(row, str(err)) from None
+            raise RecordRowError(row, "record fails the record checks")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[EvalRecord]:
+        for i in range(len(self)):
+            yield self.record(i)
+
+    def record(self, i: int) -> EvalRecord:
+        """Row ``i`` as an EvalRecord."""
+        soft = self.soft[i]
+        return EvalRecord(
+            soft=RatingDistribution(soft),
+            hard=int(self.hard[i]),
+            pred_dist=ClassDistribution(self.pred[i]),
+            pred_hard=int(self.pred_hard[i]),
+            weight=float(self.weight[i]),
+            rater_classes=_rater_classes(soft),
+            example_id=self.ids[i],
+        )
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.soft.shape[1])
+
+    @property
+    def confidence(self) -> np.ndarray:
+        """Each prediction's confidence: the maximum of its predicted distribution."""
+        return self.pred.max(axis=1)
+
+    @property
+    def true_accuracy(self) -> np.ndarray:
+        """Each prediction's true accuracy: the soft-label mass on the predicted class."""
+        return self.soft[np.arange(len(self)), self.pred_hard - 1]
+
+    @property
+    def correct(self) -> np.ndarray:
+        return self.pred_hard == self.hard
 
 
-def _require_records(records: Sequence[EvalRecord]) -> int:
+Records = Union[RecordTable, Sequence[EvalRecord]]
+
+
+def record_table(records: Records) -> RecordTable:
+    """``records`` as a RecordTable: a table as it is, EvalRecords stacked once."""
+    if isinstance(records, RecordTable):
+        return records
     if len(records) == 0:
         raise InputError("metrics need at least one record")
     k = records[0].soft.num_classes
     if any(r.soft.num_classes != k for r in records):
         raise InputError("records disagree on the number of classes")
-    return k
+    return RecordTable(
+        ids=tuple(r.example_id for r in records),
+        soft=np.stack([r.soft.probs for r in records]),
+        pred=np.stack([r.pred_dist.probs for r in records]),
+        hard=[r.hard for r in records],
+        pred_hard=[r.pred_hard for r in records],
+        weight=[r.weight for r in records],
+    )
 
 
-def abs_error(record: EvalRecord) -> float:
-    return float(abs(record.pred_hard - record.hard))
+def eval_record(
+    soft, pred_dist, pred_hard=None, example_id: Union[str, Sequence[str]] = ""
+) -> Union[EvalRecord, RecordTable]:
+    """Evaluated examples, with the mode and the weight derived from ``soft``.
+
+    One rating distribution and one predicted distribution (arrays or the
+    wrapper types) give an :class:`EvalRecord`. An (N, K) matrix of each gives
+    a :class:`RecordTable`; ``pred_hard`` is then N classes and
+    ``example_id`` N ids. The mode, and ``pred_hard`` when omitted, are the
+    argmax decode, lowest class on an exact tie.
+    """
+    single = isinstance(soft, RatingDistribution) or np.ndim(soft) == 1
+    if single:
+        soft_d = soft if isinstance(soft, RatingDistribution) else RatingDistribution(soft)
+        pred_d = (pred_dist if isinstance(pred_dist, ClassDistribution)
+                  else ClassDistribution(pred_dist))
+        soft, pred = soft_d.probs[None, :], pred_d.probs[None, :]
+        ids = (example_id,)
+        pred_hard = None if pred_hard is None else [int(pred_hard)]
+    else:
+        soft = np.asarray(soft, dtype=np.float64)
+        pred = np.asarray(pred_dist, dtype=np.float64)
+        n = soft.shape[0] if soft.ndim == 2 else 0
+        ids = (example_id,) * n if isinstance(example_id, str) else tuple(example_id)
+    hard = decode_argmax(soft, TIE_LOWEST)
+    if pred_hard is None:
+        pred_hard = decode_argmax(pred, TIE_LOWEST)
+    table = RecordTable(ids=ids, soft=soft, pred=pred, hard=hard, pred_hard=pred_hard,
+                        weight=soft.max(axis=1))
+    return table.record(0) if single else table
 
 
-def is_correct(record: EvalRecord) -> float:
-    return 1.0 if record.pred_hard == record.hard else 0.0
+def _weighted_mean(values: np.ndarray, weight: np.ndarray, use_weights: bool) -> float:
+    if not use_weights:
+        return float(values.sum() / values.size)
+    return float((weight * values).sum() / weight.sum())
 
 
 def weighted_metric_mean(
-    records: Sequence[EvalRecord],
+    records: Records,
     per_example_metric: Callable[[EvalRecord], float],
     use_weights: bool,
 ) -> float:
     """Agreement-weighted mean of a per-example metric: sum(w m) / sum(w)."""
-    _require_records(records)
+    table = record_table(records)
     values = np.asarray([per_example_metric(r) for r in records])
-    if not use_weights:
-        return float(values.sum() / len(records))
-    w = np.asarray([r.weight for r in records])
-    return float((w * values).sum() / w.sum())
+    return _weighted_mean(values, table.weight, use_weights)
 
 
-def mae(records: Sequence[EvalRecord], use_weights: bool = True) -> float:
-    return weighted_metric_mean(records, abs_error, use_weights)
+def mae(records: Records, use_weights: bool = True) -> float:
+    t = record_table(records)
+    return _weighted_mean(np.abs(t.pred_hard - t.hard).astype(np.float64), t.weight, use_weights)
 
 
-def accuracy(records: Sequence[EvalRecord], use_weights: bool = True) -> float:
-    return weighted_metric_mean(records, is_correct, use_weights)
+def accuracy(records: Records, use_weights: bool = True) -> float:
+    t = record_table(records)
+    return _weighted_mean(t.correct.astype(np.float64), t.weight, use_weights)
 
 
 def qwk_from_pairs(
@@ -173,28 +328,16 @@ def qwk_from_pairs(
     return 1.0 - s_obs / s_exp
 
 
-def qwk(records: Sequence[EvalRecord], use_weights: bool = True) -> Optional[float]:
+def qwk(records: Records, use_weights: bool = True) -> Optional[float]:
     """Kappa between hard labels and hard predictions over the records."""
-    k = _require_records(records)
-    labels = [r.hard for r in records]
-    preds = [r.pred_hard for r in records]
-    weights = [r.weight for r in records] if use_weights else None
-    return qwk_from_pairs(labels, preds, k, weights)
+    t = record_table(records)
+    return qwk_from_pairs(t.hard, t.pred_hard, t.num_classes, t.weight if use_weights else None)
 
 
-def any_rater_accuracy(records: Sequence[EvalRecord]) -> float:
+def any_rater_accuracy(records: Records) -> float:
     """Fraction of predictions that match at least one rater's class."""
-    _require_records(records)
-    hits = sum(1 for r in records if r.pred_hard in r.rater_classes)
-    return hits / len(records)
-
-
-def _confidences(records: Sequence[EvalRecord]) -> np.ndarray:
-    return np.asarray([float(r.pred_dist.probs.max()) for r in records])
-
-
-def _true_accuracies(records: Sequence[EvalRecord]) -> np.ndarray:
-    return np.asarray([float(r.soft.probs[r.pred_hard - 1]) for r in records])
+    t = record_table(records)
+    return int(np.count_nonzero(t.true_accuracy > 0.0)) / len(t)
 
 
 def _bin_indices(conf: np.ndarray, num_bins: int) -> np.ndarray:
@@ -203,7 +346,27 @@ def _bin_indices(conf: np.ndarray, num_bins: int) -> np.ndarray:
     return np.searchsorted(uppers, conf, side="left")
 
 
-def ece(records: Sequence[EvalRecord], num_bins: int = DEFAULT_NUM_BINS) -> float:
+def _bin_means(
+    t: RecordTable, num_bins: int
+) -> list[tuple[int, Optional[float], Optional[float]]]:
+    """Per bin: member count, mean confidence and mean true accuracy (None if empty)."""
+    if num_bins < 1:
+        raise InputError("num_bins must be >= 1")
+    conf = t.confidence
+    acc = t.true_accuracy
+    idx = _bin_indices(conf, num_bins)
+    rows = []
+    for b in range(num_bins):
+        members = idx == b
+        n = int(np.count_nonzero(members))
+        if n:
+            rows.append((n, float(conf[members].mean()), float(acc[members].mean())))
+        else:
+            rows.append((0, None, None))
+    return rows
+
+
+def ece(records: Records, num_bins: int = DEFAULT_NUM_BINS) -> float:
     """Expected calibration error against the soft labels.
 
     Confidence is the predicted distribution's maximum; per-example true
@@ -211,20 +374,11 @@ def ece(records: Sequence[EvalRecord], num_bins: int = DEFAULT_NUM_BINS) -> floa
     equal-width over (0,1], count-weighted, empty bins skipped. A predictor
     that emits the soft label itself scores exactly 0.
     """
-    _require_records(records)
-    if num_bins < 1:
-        raise InputError("num_bins must be >= 1")
-    conf = _confidences(records)
-    acc = _true_accuracies(records)
-    idx = _bin_indices(conf, num_bins)
+    t = record_table(records)
     total = 0.0
-    for b in range(num_bins):
-        members = idx == b
-        n = int(members.sum())
-        if n == 0:
-            continue
-        gap = abs(float(conf[members].mean()) - float(acc[members].mean()))
-        total += (n / len(records)) * gap
+    for n, conf, acc in _bin_means(t, num_bins):
+        if n:
+            total += (n / len(t)) * abs(conf - acc)
     return total
 
 
@@ -238,39 +392,37 @@ class CalibrationBin:
 
 
 def calibration_curve(
-    records: Sequence[EvalRecord], num_bins: int = DEFAULT_NUM_BINS
+    records: Records, num_bins: int = DEFAULT_NUM_BINS
 ) -> list[CalibrationBin]:
     """Per-bin mean confidence / mean true accuracy / count, one row per bin.
 
     Uses the same binning as :func:`ece`; empty bins appear with count 0 so a
     density panel can be drawn from the counts.
     """
-    _require_records(records)
-    if num_bins < 1:
-        raise InputError("num_bins must be >= 1")
-    conf = _confidences(records)
-    acc = _true_accuracies(records)
-    idx = _bin_indices(conf, num_bins)
+    t = record_table(records)
+    means = _bin_means(t, num_bins)
     edges = np.linspace(0.0, 1.0, num_bins + 1)
-    rows = []
-    for b in range(num_bins):
-        members = idx == b
-        n = int(members.sum())
-        rows.append(
-            CalibrationBin(
-                bin_low=float(edges[b]),
-                bin_high=float(edges[b + 1]),
-                mean_confidence=float(conf[members].mean()) if n else None,
-                mean_true_accuracy=float(acc[members].mean()) if n else None,
-                count=n,
-            )
+    return [
+        CalibrationBin(
+            bin_low=float(edges[b]),
+            bin_high=float(edges[b + 1]),
+            mean_confidence=conf,
+            mean_true_accuracy=acc,
+            count=n,
         )
-    return rows
+        for b, (n, conf, acc) in enumerate(means)
+    ]
 
 
-def risk_coverage(
-    records: Sequence[EvalRecord],
-) -> tuple[list[tuple[float, float]], float]:
+def _risks(t: RecordTable) -> np.ndarray:
+    # records by confidence, descending, ties in input order
+    order = np.argsort(-t.confidence, kind="stable")
+    w = t.weight[order]
+    correct = t.correct[order].astype(np.float64)
+    return 1.0 - np.cumsum(w * correct) / np.cumsum(w)
+
+
+def risk_coverage(records: Records) -> tuple[list[tuple[float, float]], float]:
     """Risk-coverage points and their mean (the area under the curve).
 
     Records are ranked by confidence, descending, ties kept in input order.
@@ -278,89 +430,71 @@ def risk_coverage(
     1 - Accuracy(UW) over the n most confident records; the area is the mean
     of the N risk values.
     """
-    _require_records(records)
-    conf = _confidences(records)
-    order = np.argsort(-conf, kind="stable")
-    w = np.asarray([records[i].weight for i in order])
-    correct = np.asarray([is_correct(records[i]) for i in order])
-    cum_w = np.cumsum(w)
-    cum_wc = np.cumsum(w * correct)
-    n = len(records)
-    risks = 1.0 - cum_wc / cum_w
-    points = [((i + 1) / n, float(risks[i])) for i in range(n)]
-    return points, float(risks.mean())
+    t = record_table(records)
+    risks = _risks(t)
+    coverage = np.arange(1, len(t) + 1) / len(t)
+    return list(zip(coverage.tolist(), risks.tolist())), float(risks.mean())
 
 
-def aurc(records: Sequence[EvalRecord]) -> float:
-    return risk_coverage(records)[1]
+def aurc(records: Records) -> float:
+    return float(_risks(record_table(records)).mean())
 
 
-def brier(records: Sequence[EvalRecord]) -> float:
+def brier(records: Records) -> float:
     """Mean squared distance between predicted distribution and soft label."""
-    _require_records(records)
-    return float(
-        np.mean([np.sum((r.pred_dist.probs - r.soft.probs) ** 2) for r in records])
-    )
+    t = record_table(records)
+    return float(np.mean(((t.pred - t.soft) ** 2).sum(axis=1)))
 
 
-def cross_entropy_metric(records: Sequence[EvalRecord]) -> float:
+def cross_entropy_metric(records: Records) -> float:
     """Mean cross entropy of the predicted distribution against the soft label."""
     from .losses import ce_soft_loss
 
-    _require_records(records)
-    return float(np.mean([ce_soft_loss(r.pred_dist, r.soft) for r in records]))
+    t = record_table(records)
+    return float(np.mean(ce_soft_loss(t.pred, t.soft)))
 
 
-def coverage_error(records: Sequence[EvalRecord]) -> float:
+def coverage_error(records: Records) -> float:
     """How deep into the prediction ranking one must go to cover every rater class.
 
     Classes are ranked by predicted probability, descending, stable on ties
     (lower class first); an example's error is the worst rank among its rater
     classes. Averaged over records; 1 is perfect.
     """
-    _require_records(records)
-    total = 0.0
-    for r in records:
-        order = np.argsort(-r.pred_dist.probs, kind="stable")
-        rank_of = np.empty(order.size, dtype=np.int64)
-        rank_of[order] = np.arange(1, order.size + 1)
-        total += max(int(rank_of[c - 1]) for c in r.rater_classes)
-    return total / len(records)
+    t = record_table(records)
+    order = np.argsort(-t.pred, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(1, t.num_classes + 1)[None, :], axis=1)
+    worst = np.where(t.soft > 0.0, rank, 0).max(axis=1)
+    return int(worst.sum()) / len(t)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    last = np.append(first[1:], x.size) - 1  # each run of equal values is first..last
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = avg
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
-def auroc_macro(records: Sequence[EvalRecord]) -> Optional[float]:
+def auroc_macro(records: Records) -> Optional[float]:
     """One-vs-rest AUROC per class from the predicted probabilities, macro-averaged.
 
     Classes absent from the hard labels (or with no negatives) are skipped;
     None when no class admits a defined AUROC.
     """
-    k = _require_records(records)
-    hard = np.asarray([r.hard for r in records])
+    t = record_table(records)
     per_class = []
-    for cls in range(1, k + 1):
-        pos = hard == cls
-        n_pos = int(pos.sum())
-        n_neg = len(records) - n_pos
+    for cls in range(1, t.num_classes + 1):
+        pos = t.hard == cls
+        n_pos = int(np.count_nonzero(pos))
+        n_neg = len(t) - n_pos
         if n_pos == 0 or n_neg == 0:
             continue
-        scores = np.asarray([float(r.pred_dist.probs[cls - 1]) for r in records])
-        ranks = _average_ranks(scores)
+        ranks = _average_ranks(t.pred[:, cls - 1])
         auc = (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         per_class.append(auc)
     if not per_class:
@@ -368,14 +502,14 @@ def auroc_macro(records: Sequence[EvalRecord]) -> Optional[float]:
     return float(np.mean(per_class))
 
 
-def spearman(records: Sequence[EvalRecord]) -> Optional[float]:
+def spearman(records: Records) -> Optional[float]:
     """Rank correlation between hard predictions and hard labels (average ranks).
 
     None when either side is constant.
     """
-    _require_records(records)
-    preds = np.asarray([float(r.pred_hard) for r in records])
-    hard = np.asarray([float(r.hard) for r in records])
+    t = record_table(records)
+    preds = t.pred_hard.astype(np.float64)
+    hard = t.hard.astype(np.float64)
     if np.all(preds == preds[0]) or np.all(hard == hard[0]):
         return None
     ra = _average_ranks(preds)
@@ -386,16 +520,16 @@ def spearman(records: Sequence[EvalRecord]) -> Optional[float]:
     return float((ra * rb).sum() / denom)
 
 
-def confusion_matrix(records: Sequence[EvalRecord], row_normalize: bool = False) -> np.ndarray:
+def confusion_matrix(records: Records, row_normalize: bool = False) -> np.ndarray:
     """K x K table, rows = true hard label, columns = prediction.
 
     With ``row_normalize`` each nonzero row sums to 1; all-zero rows (classes
     absent from the records) stay zero.
     """
-    k = _require_records(records)
-    table = np.zeros((k, k))
-    for r in records:
-        table[r.hard - 1, r.pred_hard - 1] += 1.0
+    t = record_table(records)
+    k = t.num_classes
+    cells = (t.hard - 1) * k + (t.pred_hard - 1)
+    table = np.bincount(cells, minlength=k * k).reshape(k, k).astype(np.float64)
     if row_normalize:
         sums = table.sum(axis=1, keepdims=True)
         nonzero = sums[:, 0] > 0
@@ -403,11 +537,11 @@ def confusion_matrix(records: Sequence[EvalRecord], row_normalize: bool = False)
     return table
 
 
-def missing_classes(records: Sequence[EvalRecord]) -> tuple[int, ...]:
+def missing_classes(records: Records) -> tuple[int, ...]:
     """Classes with no hard label among the records (flagged in reports)."""
-    k = _require_records(records)
-    present = {r.hard for r in records}
-    return tuple(c for c in range(1, k + 1) if c not in present)
+    t = record_table(records)
+    counts = np.bincount(t.hard, minlength=t.num_classes + 1)[1:]
+    return tuple(int(c) + 1 for c in np.flatnonzero(counts == 0))
 
 
 # ===== Student-t machinery for fold-level significance tests =====
@@ -571,11 +705,9 @@ class MetricReport:
         )
 
 
-def compute_metric_report(
-    records: Sequence[EvalRecord], num_bins: int = DEFAULT_NUM_BINS
-) -> MetricReport:
-    """The full suite over one record collection."""
-    _require_records(records)
+def compute_metric_report(records: Records, num_bins: int = DEFAULT_NUM_BINS) -> MetricReport:
+    """The full suite over one record collection, stacked into one table first."""
+    records = record_table(records)
     values: dict[str, Optional[float]] = {
         "mae_uw": mae(records, use_weights=True),
         "qwk_uw": qwk(records, use_weights=True),

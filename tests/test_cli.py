@@ -255,6 +255,33 @@ def test_evaluate_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_and_curves_take_the_experiments_bin_count(ws, tmp_path, capsys):
+    results = tmp_path / "results"
+    exp = write_json(tmp_path / "exp.json",
+                     {**EXP, "data": str(ws.data), "out": str(results), "num_bins": 15})
+    assert run(["cv", "--config", exp]) == 0
+    for method in EXP["methods"]:
+        for fold in (1, 2):
+            fold_dir = results / method / f"fold_{fold}"
+            target = tmp_path / f"{method}_{fold}.json"
+            args = ["evaluate", "--data", str(fold_dir / "records.csv"), "--out", str(target)]
+            assert run(args + ["--num-bins", "15"]) == 0
+            assert target.read_bytes() == (fold_dir / "metrics.json").read_bytes()
+    curves = tmp_path / "curves"
+    assert run(["curves", "--data", str(fold_dir), "--out", str(curves), "--num-bins", "15"]) == 0
+    assert len((curves / "calibration.csv").read_text().splitlines()) == 1 + 15
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves"])
+def test_a_bin_count_below_one_exits_one(ws, tmp_path, capsys, command):
+    fold = ws.results / "ce" / "fold_1"
+    args = [command, "--data", str(fold / "records.csv"), "--out", str(tmp_path / "x"),
+            "--num-bins", "0"]
+    assert run(args) == 1
+    assert "num_bins" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---- compare ----
 
 def test_compare_prints_a_verdict_line_and_optional_json(ws, tmp_path, capsys):

@@ -324,6 +324,28 @@ def test_resampling_is_uniform_over_tied_classes():
     assert abs(freq - 0.5) < 0.035
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_tie_draws_match_one_draw_per_tied_example(k):
+    # 2-way ties everywhere, 3-way ties from K = 3, between untied examples
+    votes = [(1, 2), (k,), (1, k), (k - 1, k), (1, 1, 2)]
+    if k >= 3:
+        votes += [(1, 2, 3), (2,), (1, 2, k), (k - 2, k - 1, k)]
+    ds = make_dataset(votes, spec=ProblemSpec(k), seed=k)
+    res = resolve_ties(ds, TIE_POLICY_RESAMPLE)
+    assert len(res.tied_indices) >= 3
+    for seed in range(6):
+        batched = np.random.default_rng([seed, 42])
+        looped = np.random.default_rng([seed, 42])
+        for _ in range(4):
+            expected = ds.hard.copy()
+            for i in res.tied_indices:
+                classes = ds.tie_classes[i].classes
+                expected[i] = classes[looped.integers(len(classes))]
+            np.testing.assert_array_equal(res.sample_hard_labels(batched), expected)
+        assert batched.bit_generator.state == looped.bit_generator.state
+        assert batched.integers(1 << 40) == looped.integers(1 << 40)
+
+
 def test_tie_free_dataset_resolves_to_identity():
     ds = make_dataset([(1,), (2, 2, 3)])
     for policy in (TIE_POLICY_RESAMPLE, TIE_POLICY_LOWEST):
