@@ -81,9 +81,11 @@ from .data import (
 )
 from .harness import (
     METHODS,
+    ModelJob,
     TrainConfig,
     compare_methods,
     run_cv,
+    train_models,
     train_one,
     train_single,
 )

@@ -325,23 +325,36 @@ def _cmd_cv(args: argparse.Namespace) -> None:
         raise InputError(f"field 'folds': cv needs at least 2 folds, got {cfg['folds']}")
     dataset, dataset_doc = _load_dataset(cfg, args.seed)
     results = []
+    meta = _meta(args)
+    failure: Optional[Exception] = None
     for method in methods:
         config = _train_config(cfg, method, dataset.num_features)
-        result = run_cv(
-            dataset,
-            config,
-            k=cfg["folds"],
-            split_seed=cfg["split_seed"],
-            jobs=args.jobs,
-        )
-        write_experiment_result(cfg["out"], result)
+        try:
+            result = run_cv(
+                dataset,
+                config,
+                k=cfg["folds"],
+                split_seed=cfg["split_seed"],
+                jobs=args.jobs,
+            )
+            write_experiment_result(cfg["out"], result)
+        except Exception as err:  # keep what finished, then fail with this error
+            failure = err
+            meta["failure"] = f"{method}: {err}"
+            break
         results.append(result)
         mae_uw = result.mean.get("mae_uw")
         log.info("%s: mean UW-MAE %s", method, "n/a" if mae_uw is None else f"{mae_uw:.4f}")
-    summary = build_summary(
-        results, _config_echo(cfg, dataset.spec.num_classes), dataset_doc, _meta(args)
-    )
-    write_summary(cfg["out"], summary)
+    if results:
+        summary = build_summary(
+            results, _config_echo(cfg, dataset.spec.num_classes), dataset_doc, meta
+        )
+        write_summary(cfg["out"], summary)
+    if failure is not None:
+        if results:
+            log.warning("%s; %s keeps the %d method(s) that finished",
+                        meta["failure"], SUMMARY_FILE, len(results))
+        raise failure
     print(f"wrote {Path(cfg['out']) / SUMMARY_FILE}")
 
 
@@ -472,7 +485,8 @@ def _build_parser() -> _Parser:
                        help="tie policy: paper = exclude from eval, resample in training")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for (fold, seed) jobs")
+                           help="accepted for compatibility: every method's (fold, seed)"
+                                " models train as one stacked model in this process")
 
     p = sub.add_parser("generate", help="draw a synthetic dataset and write it as CSV")
     p.add_argument("--config", required=True, help="synthetic config JSON")

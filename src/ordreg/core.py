@@ -37,6 +37,7 @@ __all__ = [
     "DISTANCE_SE",
     "soft_label_from_votes",
     "hard_label_from_soft",
+    "modal_mask",
     "exceedance_from_soft",
     "class_distribution_from_tasks",
     "decode_count",
@@ -230,9 +231,17 @@ def soft_label_from_votes(votes: Sequence[int], spec: ProblemSpec) -> RatingDist
     return RatingDistribution(counts / len(votes))
 
 
+def modal_mask(probs: np.ndarray) -> np.ndarray:
+    """True at every class whose probability equals its row's maximum.
+
+    Exact float equality on purpose: only true ties count as ties. Works
+    along the last axis, on one vector or a (B, K) matrix of rows.
+    """
+    return probs == probs.max(axis=-1, keepdims=True)
+
+
 def _argmax_classes(probs: np.ndarray) -> np.ndarray:
-    # exact float equality on purpose: only true ties count as ties
-    return np.flatnonzero(probs == probs.max())
+    return np.flatnonzero(modal_mask(probs))
 
 
 def hard_label_from_soft(

@@ -26,8 +26,9 @@ from .core import (
     InputError,
     ProblemSpec,
     Tie,
+    check_class_index,
     exceedance_from_soft,
-    soft_label_from_votes,
+    modal_mask,
 )
 
 TIE_POLICY_RESAMPLE = "exclude_eval_resample_train"
@@ -101,12 +102,37 @@ class Dataset:
         )
 
 
-def _mode_and_tie(probs: np.ndarray) -> tuple[int, Optional[Tie]]:
-    top = np.flatnonzero(probs == probs.max())
-    if top.size == 1:
-        return int(top[0]) + 1, None
-    classes = tuple(int(i) + 1 for i in top)
-    return classes[0], Tie(classes)
+def _vote_matrix(
+    votes: Sequence[Sequence[int]], spec: ProblemSpec
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The (N, K) vote counts and the votes as int tuples.
+
+    Integer votes in range are checked as one array. Anything else goes
+    through the per-vote checks of :func:`soft_label_from_votes`, in example
+    order, so the first bad example raises that function's message.
+    """
+    lengths = np.array([len(v) for v in votes], dtype=np.int64)
+    try:
+        flat = np.array([x for v in votes for x in v])
+    except (OverflowError, TypeError, ValueError):
+        flat = np.array([], dtype=object)
+    if (
+        flat.dtype.kind not in "iu" or not lengths.all()
+        or flat.min() < 1 or flat.max() > spec.num_classes
+    ):
+        checked: list[int] = []
+        for v in votes:
+            if len(v) == 0:
+                raise InputError("votes must be non-empty")
+            checked.extend(check_class_index(x, spec) for x in v)
+        flat = np.array(checked, dtype=np.int64)
+    n, k = len(votes), spec.num_classes
+    owner = np.repeat(np.arange(n), lengths)
+    counts = np.bincount(owner * k + flat - 1, minlength=n * k).reshape(n, k)
+    values = flat.tolist()
+    ends = np.cumsum(lengths).tolist()
+    clean = tuple(tuple(values[a:b]) for a, b in zip([0, *ends[:-1]], ends))
+    return counts, clean
 
 
 def dataset_from_votes(
@@ -115,7 +141,12 @@ def dataset_from_votes(
     votes: Sequence[Sequence[int]],
     ids: Optional[Sequence[str]] = None,
 ) -> Dataset:
-    """Assemble a Dataset, deriving soft/hard/exceedance labels from the votes."""
+    """Assemble a Dataset, deriving soft/hard/exceedance labels from the votes.
+
+    The soft labels are the vote fractions. The mode is the lowest class of
+    :func:`core.modal_mask`, the rule :func:`core.hard_label_from_soft` uses,
+    and an example with more than one modal class is tied.
+    """
     feats = np.array(features, dtype=np.float64)
     if feats.ndim != 2:
         raise InputError(f"features must be a 2-d array, got shape {feats.shape}")
@@ -133,27 +164,22 @@ def dataset_from_votes(
         i = int(np.argmin(finite))
         raise InputError(f"example index {i} (id {ids[i]!r}) has a non-finite feature value")
 
-    soft = np.empty((n, spec.num_classes))
-    hard = np.empty(n, dtype=np.int64)
-    exceed = np.empty((n, spec.num_classes - 1))
-    ties: list[Optional[Tie]] = []
-    clean_votes: list[tuple[int, ...]] = []
-    for i, v in enumerate(votes):
-        dist = soft_label_from_votes(list(v), spec)  # validates votes, rejects empty
-        clean_votes.append(tuple(int(x) for x in v))
-        soft[i] = dist.probs
-        hard[i], tie = _mode_and_tie(dist.probs)
-        ties.append(tie)
-        exceed[i] = exceedance_from_soft(dist).exceed
+    counts, clean_votes = _vote_matrix(votes, spec)
+    soft = counts / counts.sum(axis=1, keepdims=True)
+    top = modal_mask(soft)
+    ties: list[Optional[Tie]] = [None] * n
+    for i in np.flatnonzero(top.sum(axis=1) > 1).tolist():
+        ties[i] = Tie(tuple((np.flatnonzero(top[i]) + 1).tolist()))
+    k = spec.num_classes
     return Dataset(
         spec=spec,
         ids=tuple(str(s) for s in ids),
         features=feats,
-        votes=tuple(clean_votes),
+        votes=clean_votes,
         soft=soft,
-        hard=hard,
+        hard=np.argmax(top, axis=1).astype(np.int64) + 1,
         tie_classes=tuple(ties),
-        exceed=exceed,
+        exceed=exceedance_from_soft(soft) if n else np.empty((0, k - 1)),
     )
 
 

@@ -14,16 +14,19 @@ the non-tied test examples. Model selection within a training run snapshots
 the epoch with the lowest validation uncertainty-weighted MAE.
 
 Determinism contract: every number in an ExperimentResult is fixed by the
-dataset, the split seed, and the config, independent of how many worker
-processes computed it. Jobs are (fold, seed) pairs; the reduce is ordered.
+dataset, the split seed, and the config. All (fold, seed) models of a method
+train as one stacked model, each with the bits it gets when trained alone;
+the reduce is ordered.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
+import re
+import time
 import warnings
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -45,7 +48,6 @@ from .core import (
 from .data import (
     ALL_TIE_POLICIES,
     Dataset,
-    Fold,
     TIE_POLICY_RESAMPLE,
     resolve_ties,
     stratified_k_fold,
@@ -66,12 +68,13 @@ from .metrics import (
     record_table,
 )
 from .model import (
+    AdamState,
     Batch,
     EncoderConfig,
     ModelParams,
+    ParamBundle,
     adam_step,
     forward,
-    init_adam_state,
     init_params,
     loss_and_gradient,
     sigmoid,
@@ -85,6 +88,8 @@ ALL_DECODES = (DECODE_COUNT, DECODE_ARGMAX)
 # per-operation RNG streams (see data.py for the dataset-side constants)
 _STREAM_SHUFFLE = 41
 _STREAM_TIE_RESAMPLE = 42
+
+log = logging.getLogger(__name__)
 
 METRICS_FILE = "metrics.json"
 RECORDS_FILE = "records.csv"
@@ -184,15 +189,20 @@ class TrainOutcome:
 
 
 def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) -> np.ndarray:
-    """Per-example predicted class distributions, one row per feature row."""
+    """Per-example predicted class distributions, one row per feature row.
+
+    Stacked params take (M, B, input_dim) features and give (M, B, K).
+    """
     spec = METHODS[method]
     logits = np.atleast_2d(forward(params, features))
     if spec.head_kind == "softmax":
         return softmax(logits)
     tasks = sigmoid(logits)
+    lead = tasks.shape[:-1]
+    tasks = tasks.reshape(-1, tasks.shape[-1])  # the rows of every model as one matrix
     if spec.loss_kind == losses_mod.LOSS_CORN:
         tasks = losses_mod.corn_unconditional(tasks)
-    return class_distribution_from_tasks(tasks)
+    return class_distribution_from_tasks(tasks).reshape(*lead, -1)
 
 
 def decode_distribution(
@@ -201,30 +211,167 @@ def decode_distribution(
     """Hard classes from predicted distributions under the given decode rule.
 
     A (B, K) matrix of distributions gives an int array with one class per
-    row; one :class:`ClassDistribution` gives an int. Argmax sends exact ties
-    to the lowest class; the count decode is 1 + #{k : P(y > k) > 0.5}.
+    row, and an (M, B, K) stack gives (M, B); one :class:`ClassDistribution`
+    gives an int. Argmax sends exact ties to the lowest class; the count
+    decode is 1 + #{k : P(y > k) > 0.5}.
     """
     if rule not in ALL_DECODES:
         raise InputError(f"decode must be one of {ALL_DECODES}, got {rule!r}")
     single = isinstance(dist, ClassDistribution)
-    probs = dist.probs[None, :] if single else dist
+    probs = dist.probs[None, :] if single else np.asarray(dist)
+    lead = probs.shape[:-1]
+    if probs.ndim == 3:
+        probs = probs.reshape(-1, probs.shape[-1])
     if rule == DECODE_ARGMAX:
         classes = decode_argmax(probs, TIE_LOWEST)
     else:
         classes = decode_count(exceedance_from_soft(probs))
-    return int(classes[0]) if single else classes
+    return int(classes[0]) if single else classes.reshape(lead)
 
 
-def _epoch_targets(
-    dataset: Dataset, config: TrainConfig, indices: np.ndarray, hard: np.ndarray
-) -> np.ndarray:
-    """The training targets of one epoch as an array, one row per index."""
-    kind = METHODS[config.method].loss_kind
-    if kind == losses_mod.LOSS_CE_SOFT:
-        return dataset.soft[indices]
-    if kind == losses_mod.LOSS_OR_SOFT:
-        return dataset.exceed[indices]
-    return hard[indices]
+@dataclass(frozen=True)
+class ModelJob:
+    """One model to train: its training rows, its validation rows and its seed."""
+
+    train: Sequence[int]
+    val: Sequence[int]
+    seed: int
+
+
+def _size_groups(sizes: np.ndarray, rows: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``rows`` split by ``sizes[rows]``, as (size, rows) pairs; models only share
+    a stacked call when their arrays have the same shape."""
+    sized = sizes[rows]
+    if sized.size and (sized == sized[0]).all():
+        return [(int(sized[0]), rows)]
+    return [(int(b), rows[sized == b]) for b in np.unique(sized)]
+
+
+def train_models(
+    dataset: Dataset, config: TrainConfig, jobs: Sequence[ModelJob]
+) -> list[Union[TrainOutcome, TrainingDiverged]]:
+    """Train one model per job, all of them as one stacked model.
+
+    Each model keeps its own init, shuffle and tie-resample streams and its
+    own Adam step count, and every loss, gradient and validation UW-MAE
+    reduces over that model's own rows; models whose current batches differ
+    in size step in separate stacked calls. Each model's outcome is
+    therefore the one it gets when trained alone.
+
+    Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
+    so ties keep the earliest epoch. A model whose loss turns non-finite
+    leaves the stack; its entry is the :class:`TrainingDiverged` error.
+    """
+    method = METHODS[config.method]
+    ties = resolve_ties(dataset, config.tie_policy)
+    mask = ties.eval_mask()
+    train_idx, val_idx = [], []
+    for job in jobs:
+        if len(job.train) == 0 or len(job.val) == 0:
+            raise InputError("train and validation sets must be non-empty")
+        keep = [i for i in job.val if mask[i]]
+        if not keep:
+            raise InputError("every validation example is tie-excluded; cannot select a model")
+        train_idx.append(np.asarray(job.train, dtype=np.int64))
+        val_idx.append(np.asarray(keep, dtype=np.int64))
+    if not jobs:
+        return []
+    seeds = [int(job.seed) for job in jobs]
+    n_models = len(jobs)
+    inits = [init_params(config.encoder, method.head_kind, dataset.spec, s) for s in seeds]
+    flat = np.stack([p.bundle.flat for p in inits])
+    mom1 = np.zeros_like(flat)
+    mom2 = np.zeros_like(flat)
+    steps = np.zeros(n_models, dtype=np.int64)
+
+    def stack(rows: np.ndarray) -> ModelParams:
+        return inits[0].with_flat(flat[rows])
+
+    resampling = method.uses_hard_targets and config.tie_policy == TIE_POLICY_RESAMPLE
+    shuffles = [np.random.default_rng([s, _STREAM_SHUFFLE]) for s in seeds]
+    tie_rngs = [np.random.default_rng([s, _STREAM_TIE_RESAMPLE]) for s in seeds]
+    labels = np.empty((n_models, len(dataset)), dtype=np.int64) if resampling else None
+    targets_of = {losses_mod.LOSS_CE_SOFT: dataset.soft,
+                  losses_mod.LOSS_OR_SOFT: dataset.exceed}.get(method.loss_kind, dataset.hard)
+    n_train = np.array([idx.size for idx in train_idx])
+    order = np.zeros((n_models, n_train.max()), dtype=np.int64)
+
+    val_groups = []
+    for _, rows in _size_groups(np.array([idx.size for idx in val_idx]), np.arange(n_models)):
+        vidx = np.stack([val_idx[i] for i in rows])
+        weight = dataset.soft[vidx].max(axis=-1)
+        val_groups.append((rows, dataset.features[vidx], weight,
+                           dataset.hard[vidx].astype(np.float64), weight.sum(axis=-1)))
+    decode_rule = config.effective_decode
+
+    alive = np.ones(n_models, dtype=bool)
+    failed: dict[int, TrainingDiverged] = {}
+    best = flat.copy()
+    best_mae = np.full(n_models, np.inf)
+    best_epoch = np.zeros(n_models, dtype=np.int64)
+    histories: list[list[EpochStats]] = [[] for _ in jobs]
+    for epoch in range(1, config.epochs + 1):
+        live = np.flatnonzero(alive)
+        if not live.size:
+            break
+        for i in live.tolist():
+            if resampling:
+                labels[i] = ties.sample_hard_labels(tie_rngs[i])
+            order[i, : n_train[i]] = train_idx[i][shuffles[i].permutation(n_train[i])]
+        loss_sum = np.zeros(n_models)
+        for start in range(0, int(n_train[live].max()), config.batch_size):
+            sizes = np.minimum(n_train - start, config.batch_size)
+            for size, rows in _size_groups(sizes, np.flatnonzero(alive & (sizes > 0))):
+                idx = order[rows, start : start + size]
+                targets = labels[rows[:, None], idx] if resampling else targets_of[idx]
+                batch = Batch(dataset.features[idx], targets)
+                loss, grad = loss_and_gradient(stack(rows), batch, method.loss_kind)
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    for i in rows[~finite].tolist():
+                        failed[i] = TrainingDiverged(
+                            f"{config.method} seed {seeds[i]}: non-finite loss at epoch {epoch}"
+                        )
+                    alive[rows[~finite]] = False
+                    rows, loss = rows[finite], loss[finite]
+                    grad = ParamBundle(grad.flat[finite], grad.layout)
+                    if not rows.size:
+                        continue
+                params, adam = adam_step(
+                    stack(rows), grad,
+                    AdamState(mom1[rows], mom2[rows], steps[rows], config.lr,
+                              config.beta1, config.beta2, config.eps),
+                )
+                flat[rows] = params.bundle.flat
+                mom1[rows], mom2[rows], steps[rows] = adam.m, adam.v, adam.step
+                loss_sum[rows] += loss * size
+        train_loss = (loss_sum / n_train).tolist()
+
+        for rows, features, weight, hard, weight_sum in val_groups:
+            keep = alive[rows]
+            if not keep.all():
+                rows, features, weight, hard, weight_sum = (
+                    a[keep] for a in (rows, features, weight, hard, weight_sum))
+            if not rows.size:
+                continue
+            probs = predict_prob_matrix(stack(rows), config.method, features)
+            preds = decode_distribution(probs, decode_rule).astype(np.float64)
+            maes = (weight * np.abs(preds - hard)).sum(axis=-1) / weight_sum
+            for i, mae in zip(rows.tolist(), maes.tolist()):
+                histories[i].append(EpochStats(epoch=epoch, train_loss=train_loss[i],
+                                               val_uw_mae=mae))
+            improved = maes < best_mae[rows]
+            better = rows[improved]
+            best[better] = flat[better]
+            best_mae[better] = maes[improved]
+            best_epoch[better] = epoch
+
+    return [
+        failed[i] if i in failed else TrainOutcome(
+            seed=seeds[i], params=inits[i].with_flat(best[i].copy()),
+            history=tuple(histories[i]), best_epoch=int(best_epoch[i]))
+        for i in range(n_models)
+    ]
 
 
 def train_one(
@@ -234,75 +381,13 @@ def train_one(
     val_indices: Sequence[int],
     seed: int,
 ) -> TrainOutcome:
-    """Train one model, snapshotting the best-validation epoch.
-
-    Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
-    so ties keep the earliest epoch. Non-finite losses abort the run with
-    :class:`TrainingDiverged`.
+    """Train one model, snapshotting the best-validation epoch: the one-model
+    case of :func:`train_models`. A non-finite loss raises :class:`TrainingDiverged`.
     """
-    if len(train_indices) == 0 or len(val_indices) == 0:
-        raise InputError("train and validation sets must be non-empty")
-    method = METHODS[config.method]
-    spec = dataset.spec
-    params = init_params(config.encoder, method.head_kind, spec, seed)
-    adam = init_adam_state(params, lr=config.lr, beta1=config.beta1,
-                           beta2=config.beta2, eps=config.eps)
-    ties = resolve_ties(dataset, config.tie_policy)
-    mask = ties.eval_mask()
-    val_keep = [i for i in val_indices if mask[i]]
-    if not val_keep:
-        raise InputError("every validation example is tie-excluded; cannot select a model")
-    val_x = dataset.features[val_keep]
-    val_w = dataset.soft[val_keep].max(axis=1)
-    val_h = dataset.hard[val_keep].astype(np.float64)
-    decode_rule = config.effective_decode
-
-    shuffle_rng = np.random.default_rng([int(seed), _STREAM_SHUFFLE])
-    tie_rng = np.random.default_rng([int(seed), _STREAM_TIE_RESAMPLE])
-    resampling = method.uses_hard_targets and config.tie_policy == TIE_POLICY_RESAMPLE
-
-    train_idx = np.asarray(train_indices, dtype=np.int64)
-    n_train = len(train_idx)
-    train_x = dataset.features[train_idx]
-    static_targets = None
-    if not resampling:
-        static_targets = _epoch_targets(dataset, config, train_idx, dataset.hard)
-
-    best_mae = np.inf
-    best_params = params
-    best_epoch = 0
-    history: list[EpochStats] = []
-    for epoch in range(1, config.epochs + 1):
-        if resampling:
-            targets = _epoch_targets(
-                dataset, config, train_idx, ties.sample_hard_labels(tie_rng)
-            )
-        else:
-            targets = static_targets
-        perm = shuffle_rng.permutation(n_train)
-        loss_sum = 0.0
-        for start in range(0, n_train, config.batch_size):
-            chunk = perm[start : start + config.batch_size]
-            batch = Batch(train_x[chunk], targets[chunk])
-            loss, grad = loss_and_gradient(params, batch, method.loss_kind)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"{config.method} seed {seed}: non-finite loss at epoch {epoch}"
-                )
-            params, adam = adam_step(params, grad, adam)
-            loss_sum += loss * len(chunk)
-        train_loss = loss_sum / n_train
-
-        probs = predict_prob_matrix(params, config.method, val_x)
-        preds = decode_distribution(probs, decode_rule).astype(np.float64)
-        val_mae = float((val_w * np.abs(preds - val_h)).sum() / val_w.sum())
-        history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_uw_mae=val_mae))
-        if val_mae < best_mae:
-            best_mae = val_mae
-            best_params = params  # adam_step allocates fresh arrays, aliasing is safe
-            best_epoch = epoch
-    return TrainOutcome(seed=int(seed), params=best_params,
-                        history=tuple(history), best_epoch=best_epoch)
+    (outcome,) = train_models(dataset, config, [ModelJob(train_indices, val_indices, seed)])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -330,12 +415,40 @@ class ExperimentResult:
         return tuple(f for f in self.folds if f.status == "ok")
 
 
-def _fold_seed_job(
-    dataset: Dataset, config: TrainConfig, fold: Fold, seed: int
-) -> tuple[int, tuple[EpochStats, ...], int, np.ndarray]:
-    outcome = train_one(dataset, config, fold.train, fold.val, seed)
-    probs = predict_prob_matrix(outcome.params, config.method, dataset.features[list(fold.test)])
-    return outcome.seed, outcome.history, outcome.best_epoch, probs
+def _test_probabilities(
+    dataset: Dataset, config: TrainConfig, tests: Sequence[np.ndarray],
+    outcomes: Sequence[TrainOutcome],
+) -> list[np.ndarray]:
+    """Each model's predicted distributions on its test rows, one stacked call per test size."""
+    probs: list[np.ndarray] = [None] * len(outcomes)
+    for _, rows in _size_groups(np.array([t.size for t in tests]), np.arange(len(outcomes))):
+        params = outcomes[rows[0]].params.with_flat(
+            np.stack([outcomes[i].params.bundle.flat for i in rows]))
+        features = dataset.features[np.stack([tests[i] for i in rows])]
+        for i, p in zip(rows.tolist(), predict_prob_matrix(params, config.method, features)):
+            probs[i] = p
+    return probs
+
+
+def _log_progress(
+    config: TrainConfig, keys: Sequence[tuple[int, int]], trained: Sequence, seconds: float
+) -> None:
+    """One info line per (fold, seed) model, in job order; ``seconds`` is the stacked run's."""
+    if not log.isEnabledFor(logging.INFO):
+        return
+    group = len(trained)
+    for (fi, seed), outcome in zip(keys, trained):
+        if isinstance(outcome, TrainingDiverged):
+            log.info("%s fold %d seed %d: diverged (%s)", config.method, fi + 1, seed, outcome)
+            continue
+        best = outcome.history[outcome.best_epoch - 1].val_uw_mae if outcome.best_epoch else None
+        log.info(
+            "%s fold %d seed %d: best epoch %d, val UW-MAE %s; stacked group of %d models,"
+            " %.3f s, %.1f epochs/s",
+            config.method, fi + 1, seed, outcome.best_epoch,
+            "n/a" if best is None else f"{best:.6f}", group, seconds,
+            config.epochs / seconds if seconds > 0 else float("inf"),
+        )
 
 
 def _aggregate(
@@ -361,33 +474,29 @@ def run_cv(
 ) -> ExperimentResult:
     """Cross-validated evaluation of one method with per-fold seed ensembling.
 
-    ``jobs`` > 1 trains (fold, seed) pairs in worker processes; results are
-    reduced in a fixed order, so the output is identical to a serial run.
+    Every (fold, seed) model trains in one stacked run in this process
+    (:func:`train_models`). ``jobs`` is accepted for compatibility and does
+    not change the work or its result: one stacked run pays the per-step
+    overhead once for all models, and worker processes, each with a shard of
+    the models, did not make the measured runs faster.
     """
     split = stratified_k_fold(dataset, k, split_seed, config.val_fraction)
     ties = resolve_ties(dataset, config.tie_policy)
     mask = ties.eval_mask()
     keys = [(fi, seed) for fi in range(k) for seed in config.seeds]
-
-    job_out: dict[tuple[int, int], tuple] = {}
-    job_err: dict[tuple[int, int], BaseException] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                key: pool.submit(_fold_seed_job, dataset, config, split.folds[key[0]], key[1])
-                for key in keys
-            }
-            for key in keys:
-                try:
-                    job_out[key] = futures[key].result()
-                except TrainingDiverged as err:
-                    job_err[key] = err
-    else:
-        for fi, seed in keys:
-            try:
-                job_out[(fi, seed)] = _fold_seed_job(dataset, config, split.folds[fi], seed)
-            except TrainingDiverged as err:
-                job_err[(fi, seed)] = err
+    start = time.perf_counter()
+    trained = train_models(
+        dataset, config,
+        [ModelJob(split.folds[fi].train, split.folds[fi].val, seed) for fi, seed in keys],
+    )
+    _log_progress(config, keys, trained, time.perf_counter() - start)
+    done = [(key, outcome) for key, outcome in zip(keys, trained)
+            if isinstance(outcome, TrainOutcome)]
+    tests = [np.asarray(split.folds[fi].test, dtype=np.int64) for (fi, _), _ in done]
+    probs = _test_probabilities(dataset, config, tests, [outcome for _, outcome in done])
+    job_out = {key: (outcome, p) for (key, outcome), p in zip(done, probs)}
+    job_err = {key: outcome for key, outcome in zip(keys, trained)
+               if isinstance(outcome, TrainingDiverged)}
 
     fold_outcomes: list[FoldOutcome] = []
     for fi in range(k):
@@ -398,9 +507,9 @@ def run_cv(
         prob_stack = []
         for s in config.seeds:
             if (fi, s) in job_out:
-                seed, history, best_epoch, probs = job_out[(fi, s)]
-                histories[seed] = history
-                best_epochs[seed] = best_epoch
+                outcome, probs = job_out[(fi, s)]
+                histories[s] = outcome.history
+                best_epochs[s] = outcome.best_epoch
                 prob_stack.append(probs)
         if failures:
             fold_outcomes.append(
@@ -459,7 +568,11 @@ def train_single(
     train, val = train_val_split(
         range(len(dataset)), dataset.hard, config.val_fraction, split_seed
     )
-    return [train_one(dataset, config, train, val, s) for s in config.seeds]
+    outcomes = train_models(dataset, config, [ModelJob(train, val, s) for s in config.seeds])
+    for outcome in outcomes:
+        if isinstance(outcome, TrainingDiverged):
+            raise outcome
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -537,6 +650,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))  # shortest round-trip decimal
 
 
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+
+
 def records_csv_text(records: Records) -> str:
     if not records:
         raise InputError("no records to export")
@@ -551,7 +672,7 @@ def records_csv_text(records: Records) -> str:
     numbers = np.column_stack([t.weight, t.soft, t.pred]).tolist()
     lines = [",".join(header)]
     lines += [
-        f"{example_id},{hard},{pred_hard}," + ",".join(map(repr, row))
+        f"{_csv_field(example_id)},{hard},{pred_hard}," + ",".join(map(repr, row))
         for example_id, hard, pred_hard, row in zip(
             t.ids, t.hard.tolist(), t.pred_hard.tolist(), numbers
         )

@@ -157,7 +157,18 @@ def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> float:
     Task k is scored only on the examples with y >= k (1-based), against the
     target 1(y > k); each task's BCE is averaged over its subset and the
     per-task means are summed. Tasks whose subset is empty contribute 0.
+
+    A stacked (M, B, K-1) array with (M, B) labels gives the (M,) losses of
+    M separate batches; each task subset stays inside its own batch.
     """
+    if isinstance(task_cond_probs, np.ndarray) and task_cond_probs.ndim == 3:
+        labels = np.asarray(ys)
+        if labels.ndim != 2 or labels.shape[0] != len(task_cond_probs):
+            raise InputError(
+                f"{len(task_cond_probs)} stacked batches need ({len(task_cond_probs)}, B)"
+                f" labels, got shape {labels.shape}"
+            )
+        return np.array([corn_loss(p, y) for p, y in zip(task_cond_probs, labels)])
     if isinstance(task_cond_probs, np.ndarray):
         p = np.atleast_2d(task_cond_probs.astype(np.float64, copy=False))
     else:

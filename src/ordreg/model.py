@@ -99,7 +99,10 @@ class ParamLayout:
         return self._bounds[-1][1]
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(flat[a:b].reshape(s) for (a, b), s in zip(self._bounds, self.shapes))
+        """Every tensor as a view: shaped ``s`` from one vector, ``(M, *s)`` from (M, P) rows."""
+        lead = flat.shape[:-1]
+        return tuple(flat[..., a:b].reshape(*lead, *s)
+                     for (a, b), s in zip(self._bounds, self.shapes))
 
 
 def _layout(config: "EncoderConfig", head_kind: str, k: int) -> ParamLayout:
@@ -122,13 +125,15 @@ class ParamBundle:
 
     Writing through a view changes ``flat`` and the other way round.
     Gradients use the same layout; Adam works on the flat vectors only.
+    A stacked bundle holds M models as the rows of an (M, P) ``flat``
+    matrix, and each view gains a leading model axis.
     """
 
     flat: np.ndarray
     layout: ParamLayout
 
     def __post_init__(self) -> None:
-        if self.flat.shape != (self.layout.size,):
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != self.layout.size:
             raise InputError(
                 f"flat vector must have {self.layout.size} entries, got {self.flat.shape}"
             )
@@ -168,6 +173,11 @@ class ModelParams:
     def num_logits(self) -> int:
         return self.num_classes if self.head_kind == HEAD_SOFTMAX else self.num_classes - 1
 
+    @property
+    def stacked(self) -> bool:
+        """True when the bundle holds M models as the rows of an (M, P) matrix."""
+        return self.bundle.flat.ndim == 2
+
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
         """The same model with its values taken from ``flat`` (no copy)."""
         return ModelParams(self.encoder, self.head_kind, self.num_classes,
@@ -176,11 +186,15 @@ class ModelParams:
 
 @dataclass
 class AdamState:
-    """First/second moment vectors (flat layout) plus step counter and hyperparameters."""
+    """First/second moment vectors (flat layout) plus step counter and hyperparameters.
+
+    For stacked params ``m`` and ``v`` are (M, P) and ``step`` is an (M,)
+    int array: each model counts its own steps.
+    """
 
     m: np.ndarray
     v: np.ndarray
-    step: int
+    step: Union[int, np.ndarray]
     lr: float
     beta1: float
     beta2: float
@@ -234,20 +248,39 @@ def _activation(kind: str, x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) if kind == ACT_RELU else np.tanh(x)
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of every matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping pre-activations for backprop. x is (B, input_dim)."""
+    """Forward pass keeping pre-activations for backprop.
+
+    x is (B, input_dim), or (M, B, input_dim) for stacked params. A stacked
+    ``@`` multiplies model by model, with the same bits as each model alone.
+    """
     acts = [x]
     pres = []
     z = x
     bundle = params.bundle
     for w, b in zip(bundle.encoder_w, bundle.encoder_b):
-        pre = z @ w.T + b
+        pre = z @ _t(w) + b[..., None, :]
         z = _activation(params.encoder.activation, pre)
         pres.append(pre)
         acts.append(z)
     # for the shared head the (B,1) slope output broadcasts against the K-1 biases
-    logits = z @ bundle.head_w.T + bundle.head_b
+    logits = z @ _t(bundle.head_w) + bundle.head_b[..., None, :]
     return logits, pres, acts
+
+
+def _check_features(params: ModelParams, x: np.ndarray, what: str) -> None:
+    """``x`` must be (B, input_dim), or (M, B, input_dim) for M stacked models."""
+    want = (params.bundle.flat.shape[0],) if params.stacked else ()
+    if x.ndim != len(want) + 2 or x.shape[:-2] != want or x.shape[-1] != params.encoder.input_dim:
+        raise InputError(
+            f"{what} of shape {x.shape} do not match input_dim {params.encoder.input_dim}"
+            + (f" for {want[0]} stacked models" if want else "")
+        )
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -255,14 +288,13 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
     Returns K-1 task logits for the two task heads, K class logits for the
     softmax head; apply :func:`sigmoid` / :func:`softmax` to interpret them.
+    Stacked params take (M, B, input_dim) features and give (M, B, n) logits.
     """
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != params.encoder.input_dim:
-        raise InputError(
-            f"feature dim {x.shape[1]} does not match input_dim {params.encoder.input_dim}"
-        )
+    if single:
+        x = x[None, :]
+    _check_features(params, x, "features")
     logits, _, _ = _forward_cached(params, x)
     return logits[0] if single else logits
 
@@ -283,14 +315,16 @@ class Batch:
 
     ``features`` is (B, input_dim). ``targets`` is a (B,) array of hard
     labels, or (B, K-1) exceedance rows for ``or_soft``, or (B, K) rating
-    rows for ``ce_soft``.
+    rows for ``ce_soft``. A stacked batch, for stacked params, puts a
+    leading model axis on both: M models with B examples each.
     """
 
     features: np.ndarray
     targets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.features)
+        """The number of examples, over every model of a stacked batch."""
+        return math.prod(np.shape(self.features)[:-1])
 
 
 def _stack(rows: list, what: str) -> np.ndarray:
@@ -321,7 +355,7 @@ def batch_from_pairs(pairs: Sequence[tuple], loss_kind: str) -> Batch:
 
 def loss_and_gradient(
     params: ModelParams, batch: Union["Batch", Sequence[tuple]], loss_kind: str
-) -> tuple[float, ParamBundle]:
+) -> tuple[Union[float, np.ndarray], ParamBundle]:
     """Mini-batch loss and its exact gradient.
 
     ``batch`` is a :class:`Batch` or a sequence of ``(features, target)``
@@ -330,9 +364,12 @@ def loss_and_gradient(
     learning-rate semantics do not depend on batch size. ``corn`` is
     inherently batch-level (per-task subset means, summed) and is returned
     as-is; duplicating a batch leaves every loss kind's value unchanged.
+
+    Stacked params take a stacked :class:`Batch` and give the (M,) losses
+    and an (M, P) gradient; every model reduces over its own B rows only,
+    so each row equals that model's unstacked result bit for bit.
     """
-    n = len(batch)
-    if n == 0:
+    if len(batch) == 0:
         raise InputError("batch must be non-empty")
     if loss_kind not in losses_mod.ALL_LOSS_KINDS:
         raise InputError(
@@ -348,10 +385,14 @@ def loss_and_gradient(
 
     k = params.num_classes
     x = np.asarray(batch.features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.encoder.input_dim:
-        raise InputError("batch features must all have length input_dim")
+    _check_features(params, x, "batch features")
+    n = x.shape[-2]
     logits, pres, acts = _forward_cached(params, x)
     probs = sigmoid(logits) if task_loss else softmax(logits)
+
+    def rows(a: np.ndarray) -> np.ndarray:
+        # the per-example losses see every model's rows as one (M*B, ...) array
+        return a.reshape(-1, *a.shape[2:]) if params.stacked else a
 
     # each loss call checks its targets (label range, shape) for the whole batch
     # before the gradient uses them
@@ -359,33 +400,33 @@ def loss_and_gradient(
         ys = np.asarray(batch.targets, dtype=np.int64)
     if loss_kind == losses_mod.LOSS_CORN:
         loss = losses_mod.corn_loss(probs, ys)
-        dlogits = np.zeros_like(logits)
-        for col in range(k - 1):
-            subset = ys >= col + 1
-            m = int(subset.sum())
-            if m == 0:
-                continue
-            tcol = (ys[subset] > col + 1).astype(np.float64)
-            dlogits[subset, col] = (probs[subset, col] - tcol) / m
+        # task k sees the examples with y >= k; each example's term is divided
+        # by its model's subset size
+        tasks = np.arange(1, k)
+        subset = ys[..., None] >= tasks
+        sizes = np.maximum(subset.sum(axis=-2, keepdims=True), 1)
+        dlogits = np.where(subset, (probs - (ys[..., None] > tasks)) / sizes, 0.0)
     else:
         if loss_kind == losses_mod.LOSS_OR_CNN:
-            per_example = losses_mod.or_cnn_loss(probs, ys)
-            targets = (ys[:, None] > np.arange(1, k)).astype(np.float64)
+            per_example = losses_mod.or_cnn_loss(rows(probs), rows(ys))
+            targets = (ys[..., None] > np.arange(1, k)).astype(np.float64)
         elif loss_kind == losses_mod.LOSS_CE:
-            per_example = losses_mod.ce_loss(probs, ys)
-            targets = (ys[:, None] == np.arange(1, k + 1)).astype(np.float64)
+            per_example = losses_mod.ce_loss(rows(probs), rows(ys))
+            targets = (ys[..., None] == np.arange(1, k + 1)).astype(np.float64)
         elif loss_kind in (losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
             distance = DISTANCE_AE if loss_kind == losses_mod.LOSS_SORD_AE else DISTANCE_SE
-            targets = sord_soft_label(ys, ProblemSpec(k), distance)
-            per_example = losses_mod.ce_soft_loss(probs, targets)
+            targets = sord_soft_label(rows(ys), ProblemSpec(k), distance)
+            per_example = losses_mod.ce_soft_loss(rows(probs), targets)
+            targets = targets.reshape(probs.shape)
         else:
             targets = np.asarray(batch.targets, dtype=np.float64)
             soft_loss = (losses_mod.or_soft_loss if loss_kind == losses_mod.LOSS_OR_SOFT
                          else losses_mod.ce_soft_loss)
-            per_example = soft_loss(probs, targets)
-        loss = float(per_example.sum()) / n
+            per_example = soft_loss(rows(probs), rows(targets))
+        loss = per_example.reshape(probs.shape[:-1]).sum(axis=-1) / n
         dlogits = (probs - targets) / n
-
+    if not params.stacked:
+        loss = float(loss)
     return loss, _backward(params, dlogits, pres, acts)
 
 
@@ -394,13 +435,13 @@ def _backward(
 ) -> ParamBundle:
     bundle = params.bundle
     z_last = acts[-1]
-    gb = dlogits.sum(axis=0)
+    gb = dlogits.sum(axis=-2)
     if params.head_kind == HEAD_SHARED_SLOPE_BIAS:
-        dshared = dlogits.sum(axis=1, keepdims=True)  # (B,1): logit_k shares one slope
-        gw = dshared.T @ z_last
+        dshared = dlogits.sum(axis=-1, keepdims=True)  # (B,1): logit_k shares one slope
+        gw = _t(dshared) @ z_last
         dz = dshared @ bundle.head_w
     else:
-        gw = dlogits.T @ z_last
+        gw = _t(dlogits) @ z_last
         dz = dlogits @ bundle.head_w
 
     n_layers = bundle.layout.n_layers
@@ -412,10 +453,11 @@ def _backward(
             dpre = dz * (pre > 0.0)
         else:
             dpre = dz * (1.0 - np.tanh(pre) ** 2)
-        genc_w[i] = dpre.T @ acts[i]
-        genc_b[i] = dpre.sum(axis=0)
+        genc_w[i] = _t(dpre) @ acts[i]
+        genc_b[i] = dpre.sum(axis=-2)
         dz = dpre @ bundle.encoder_w[i]
-    flat = np.concatenate([*genc_w, *genc_b, gw, gb], axis=None)
+    lead = bundle.flat.shape[:-1]
+    flat = np.concatenate([g.reshape(*lead, -1) for g in (*genc_w, *genc_b, gw, gb)], axis=-1)
     return ParamBundle(flat, bundle.layout)
 
 
@@ -430,17 +472,30 @@ def init_adam_state(
                      step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
+def _bias_correction(beta: float, t: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
+    """1 - beta**t in Python float arithmetic; an (M, 1) column when stacked
+    models have taken different numbers of steps."""
+    steps = t.tolist() if isinstance(t, np.ndarray) else [t]
+    if min(steps) == max(steps):
+        return 1.0 - beta ** steps[0]
+    return np.array([[1.0 - beta**s] for s in steps])
+
+
 def adam_step(
     params: ModelParams, grad: ParamBundle, state: AdamState
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update on the flat vectors; returns fresh params and state."""
+    """One bias-corrected Adam update on the flat vectors; returns fresh params and state.
+
+    Stacked params update every model's row in the same few ufunc calls,
+    each with its own step count.
+    """
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     g = grad.flat
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g * g
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = _bias_correction(b1, t)
+    bc2 = _bias_correction(b2, t)
     flat = params.bundle.flat - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     new_state = AdamState(m=m, v=v, step=t, lr=state.lr,
                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from ordreg.cli import run
+from ordreg.harness import METHODS
 
 SYNTH = {
     "n_examples": 60,
@@ -193,6 +194,111 @@ def test_rerunning_cv_reproduces_everything_but_meta(ws, tmp_path):
     sa.pop("meta"), sb.pop("meta")
     assert sa == sb
     assert ra == rb and ma == mb
+
+
+def _tree(out):
+    """Every output file's bytes, with summary.json's meta block left out."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "summary.json":
+                doc = json.loads(data)
+                doc.pop("meta")
+                data = json.dumps(doc, sort_keys=True).encode()
+            files[str(path.relative_to(out))] = data
+    return files
+
+
+@pytest.mark.parametrize("extra", [{}, {"hidden_dims": [8, 4], "activation": "tanh",
+                                        "ties": "lowest", "folds": 3}])
+def test_jobs_two_matches_serial_for_every_method(ws, tmp_path, extra):
+    trees = []
+    for name, flags in (("serial", []), ("jobs2", ["--jobs", "2"])):
+        out = tmp_path / name
+        cfg = write_json(tmp_path / f"{name}.json",
+                         {**EXP, "methods": sorted(METHODS), "data": str(ws.data), "out": str(out),
+                          **extra})
+        assert run(["cv", "--config", cfg] + flags) == 0
+        trees.append(_tree(out))
+    serial, jobs2 = trees
+    assert len(serial) == 1 + 9 * 3 * (extra.get("folds", 2))
+    assert serial == jobs2
+
+
+def test_awkward_ids_survive_cv_and_evaluate(tmp_path, capsys):
+    from ordreg.core import ProblemSpec
+    from ordreg.data import load_csv
+
+    rows = ['id,f_1,c_1,c_2,c_3']
+    for i in range(24):
+        ident = ('"ex,5"', '"say ""hi"""', '"two\nlines"')[i] if i < 3 else f"ex{i}"
+        rows.append(f"{ident},{(i % 3) + 0.1 * i},{i % 3 == 0:d},{i % 3 == 1:d},{i % 3 == 2:d}")
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n")
+    assert load_csv(data, ProblemSpec(3)).ids[:3] == ("ex,5", 'say "hi"', "two\nlines")
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["ce"], "folds": 2,
+                                             "data": str(data), "out": str(out)})
+    assert run(["cv", "--config", cfg]) == 0
+    for fold in (1, 2):
+        fold_dir = out / "ce" / f"fold_{fold}"
+        report = tmp_path / f"m{fold}.json"
+        assert run(["evaluate", "--data", str(fold_dir / "records.csv"), "--out", str(report)]) == 0
+        assert report.read_bytes() == (fold_dir / "metrics.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_a_failing_method_keeps_the_summary_of_those_that_finished(ws, tmp_path, monkeypatch,
+                                                                    capsys):
+    import ordreg.cli as cli_mod
+
+    real = cli_mod.run_cv
+
+    def second_fails(dataset, config, **kw):
+        if config.method == "ce":
+            raise RuntimeError("synthetic crash in ce")
+        return real(dataset, config, **kw)
+
+    monkeypatch.setattr(cli_mod, "run_cv", second_fails)
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["or_soft", "ce", "corn"],
+                                             "data": str(ws.data), "out": str(out)})
+    assert run(["cv", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "failure: synthetic crash in ce" in err
+    doc = json.loads((out / "summary.json").read_text())
+    assert list(doc["methods"]) == ["or_soft"]
+    assert doc["meta"]["failure"] == "ce: synthetic crash in ce"
+    assert (out / "or_soft" / "fold_1" / "metrics.json").exists()
+    assert not (out / "ce").exists() and not (out / "corn").exists()
+
+
+PROGRESS = re.compile(
+    r"INFO ordreg\.harness: (\w+) fold (\d+) seed (\d+): best epoch (\d+), "
+    r"val UW-MAE (\d+\.\d{6}); stacked group of (\d+) models, (\d+\.\d{3}) s, "
+    r"(\d+\.\d) epochs/s"
+)
+
+
+def test_info_logging_prints_one_progress_line_per_model(ws, tmp_path):
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data), "out": str(out)})
+    proc = subprocess.run(CLI + ["cv", "--config", cfg], capture_output=True, text=True,
+                          env={**os.environ, "ORDREG_LOG": "info"})
+    assert proc.returncode == 0, proc.stderr
+    lines = [m.groups() for m in map(PROGRESS.fullmatch, proc.stderr.splitlines()) if m]
+    assert [(m, int(f), int(s)) for m, f, s, *_ in lines] == [
+        (m, f, s) for m in EXP["methods"] for f in (1, 2) for s in EXP["seeds"]]
+    summary = json.loads((out / "summary.json").read_text())
+    for method, fold, seed, best, mae, group, _, _ in lines:
+        assert int(group) == 4  # 2 folds x 2 seeds, one stacked group
+        blocks = summary["methods"][method]["folds"][int(fold) - 1]
+        assert blocks["best_epochs"][seed] == int(best)
+        path = out / method / f"fold_{fold}" / "history.csv"
+        history = {(r[0], r[1]): r[3] for r in
+                   (line.split(",") for line in path.read_text().splitlines()[1:])}
+        assert f"{float(history[(seed, best)]):.6f}" == mae
 
 
 def test_counts_csv_infers_num_classes(tmp_path):

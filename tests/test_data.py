@@ -466,3 +466,70 @@ def test_soft_labels_always_sum_to_one_and_match_vote_counts():
             assert ds.hard[i] == min(
                 c for c in range(1, 5) if row.count(c) == max(row.count(x) for x in range(1, 5))
             )
+
+
+# ---- dataset_from_votes against the per-example derivation it replaced ----
+
+
+def _ref_label_views(votes, spec):
+    """The earlier per-example loop: soft, hard, ties, exceed and the int votes."""
+    from ordreg.core import exceedance_from_soft, soft_label_from_votes
+
+    n, k = len(votes), spec.num_classes
+    soft, hard, exceed = np.empty((n, k)), np.empty(n, dtype=np.int64), np.empty((n, k - 1))
+    ties, clean = [], []
+    for i, v in enumerate(votes):
+        dist = soft_label_from_votes(list(v), spec)
+        clean.append(tuple(int(x) for x in v))
+        soft[i] = dist.probs
+        top = np.flatnonzero(dist.probs == dist.probs.max())
+        hard[i] = int(top[0]) + 1
+        ties.append(Tie(tuple(int(c) + 1 for c in top)) if top.size > 1 else None)
+        exceed[i] = exceedance_from_soft(dist).exceed
+    return soft, hard, tuple(ties), exceed, tuple(clean)
+
+
+def _ref_error(votes, spec):
+    try:
+        _ref_label_views(votes, spec)
+    except Exception as err:  # the exception the per-example loop raised, if any
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_label_views_are_the_bits_of_the_per_example_derivation(k):
+    rng = np.random.default_rng(k)
+    votes = [tuple(int(v) for v in rng.integers(1, k + 1, size=int(rng.integers(1, 8))))
+             for _ in range(300)]
+    votes += [(1, k), (k, 1, 1, k), tuple(range(1, k + 1)), (2,) * 9]  # 2-way and k-way ties
+    ds = dataset_from_votes(ProblemSpec(k), np.zeros((len(votes), 1)), votes)
+    soft, hard, ties, exceed, clean = _ref_label_views(votes, ProblemSpec(k))
+    for got, want in ((ds.soft, soft), (ds.hard, hard), (ds.exceed, exceed)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert ds.tie_classes == ties and ds.votes == clean
+    assert any(t is not None and len(t.classes) == k for t in ds.tie_classes)
+
+
+@pytest.mark.parametrize("votes", [
+    [(1, 2), (5,), (0,)],             # out of range above, first
+    [(1, 2), (2, 0, 9), ()],          # out of range below, before an empty example
+    [(1,), (), (7,)],                 # empty before a bad vote
+    [(1,), (2.5,)],                   # not an integer
+    [(1,), ("3",)],                   # a string
+    [(1,), (True, False)],            # booleans: True is 1, False is 0
+    [(2.0, 3), (4, 1.0)],             # integral floats are accepted
+    [(np.int64(2),), (np.uint8(4),)],
+])
+def test_vote_errors_and_conversions_follow_the_per_example_checks(votes):
+    spec = ProblemSpec(4)
+    want = _ref_error(votes, spec)
+    try:
+        ds = dataset_from_votes(spec, np.zeros((len(votes), 1)), votes)
+    except Exception as err:
+        assert (type(err), str(err)) == want
+    else:
+        assert want is None
+        soft, hard, ties, exceed, clean = _ref_label_views(votes, spec)
+        assert np.array_equal(ds.soft, soft) and np.array_equal(ds.hard, hard)
+        assert ds.votes == clean and all(type(x) is int for v in ds.votes for x in v)

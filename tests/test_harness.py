@@ -242,16 +242,19 @@ def test_cv_ensembles_per_seed_probability_rows():
 def test_cv_marks_diverged_folds_as_failed_and_flags_partial(monkeypatch):
     import ordreg.harness as hmod
 
-    real = hmod.train_one
+    real = hmod.train_models
     split = stratified_k_fold(SMALL, 3, seed=0)
     poisoned = set(split.folds[1].test)
 
-    def flaky(dataset, config, train_idx, val_idx, seed):
-        if set(train_idx) & poisoned == set() and seed == 0:
-            raise TrainingDiverged("synthetic blowup")
-        return real(dataset, config, train_idx, val_idx, seed)
+    def flaky(dataset, config, jobs):
+        # the stacked trainer reports a diverged model as its entry, not by raising
+        return [
+            TrainingDiverged("synthetic blowup")
+            if set(job.train) & poisoned == set() and job.seed == 0 else outcome
+            for job, outcome in zip(jobs, real(dataset, config, jobs))
+        ]
 
-    monkeypatch.setattr(hmod, "train_one", flaky)
+    monkeypatch.setattr(hmod, "train_models", flaky)
     with pytest.warns(UserWarning, match="failed"):
         result = run_cv(SMALL, small_config(epochs=2), k=3, split_seed=0)
     statuses = [f.status for f in result.folds]
@@ -372,6 +375,27 @@ def test_records_csv_round_trips_bit_exact(tmp_path):
     a = compute_metric_report(list(records)).to_dict()
     b = compute_metric_report(back).to_dict()
     assert a == b
+
+
+AWKWARD_IDS = ("ex,5", 'say "hi"', "two\nlines", "cr\rlf", 'all ,"\n of them', "plain")
+
+
+def test_ids_needing_quotes_round_trip_through_records_csv(tmp_path):
+    from ordreg.metrics import eval_record
+
+    rng = np.random.default_rng(0)
+    soft = rng.dirichlet(np.ones(3), size=len(AWKWARD_IDS))
+    pred = rng.dirichlet(np.ones(3), size=len(AWKWARD_IDS))
+    table = eval_record(soft=soft, pred_dist=pred, example_id=AWKWARD_IDS)
+    text = records_csv_text(table)
+    # only the ids that need it are quoted; a plain id keeps its bytes
+    assert '\n"ex,5",' in text and '\n"say ""hi""",' in text and "\nplain," in text
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode("utf-8"))
+    back = read_records_csv(path)
+    assert back.ids == AWKWARD_IDS
+    assert records_csv_text(back) == text
+    assert np.array_equal(back.soft, table.soft) and np.array_equal(back.pred, table.pred)
 
 
 def test_read_records_csv_reports_line_numbers(tmp_path):
