@@ -58,7 +58,6 @@ from .model import (
     EncoderConfig,
     ModelParams,
     adam_step,
-    ensemble_average,
     forward,
     init_adam_state,
     init_params,

@@ -19,7 +19,6 @@ configured length (and the generator seed for ``generate``).
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -41,10 +40,14 @@ from .data import (
 from .harness import (
     ALL_DECODES,
     METHODS,
+    METRICS_FILE,
     SUMMARY_FILE,
+    ExperimentResult,
+    FoldOutcome,
     TrainConfig,
     build_summary,
-    paired_t_test_one_sided,
+    compare_methods,
+    history_csv_text,
     read_records_csv,
     run_cv,
     train_single,
@@ -53,10 +56,10 @@ from .harness import (
 )
 from .ioutil import atomic_write_text, canonical_json, read_json
 from .metrics import (
-    ALPHA,
     DEFAULT_NUM_BINS,
     DIRECTION_HIGHER,
     DIRECTION_LOWER,
+    MetricReport,
     calibration_curve,
     compute_metric_report,
     confusion_matrix,
@@ -122,7 +125,7 @@ _INT_LIST_FIELDS = ("seeds", "hidden_dims")
 def _converted(name: str, value, kind: type):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise InputError(f"field {name!r}: expected {what}, got {value!r}") from None
 
@@ -138,6 +141,13 @@ def _typed_config(cfg: dict) -> dict:
         cfg[name] = [_converted(name, v, int) for v in cfg[name]]
     if cfg["num_classes"] is not None:
         cfg["num_classes"] = _converted("num_classes", cfg["num_classes"], int)
+    for name in ("data", "out", "activation", "decode", "ties"):
+        if cfg[name] is not None and not isinstance(cfg[name], str):
+            raise InputError(f"field {name!r}: expected a string, got {cfg[name]!r}")
+    if cfg["methods"] is not None and not (
+        isinstance(cfg["methods"], list) and all(isinstance(m, str) for m in cfg["methods"])
+    ):
+        raise InputError(f"field 'methods': expected a list of names, got {cfg['methods']!r}")
     return cfg
 
 
@@ -171,42 +181,11 @@ def _check_methods(names: Sequence[str]) -> list[str]:
     return list(names)
 
 
-def _infer_num_classes(path: str) -> int:
-    """Number of classes implied by a data CSV: count columns if present, else max vote."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        c_cols = [name for name in header if name.strip().startswith("c_")]
-        if c_cols:
-            try:
-                return max(int(name.strip()[2:]) for name in c_cols)
-            except ValueError:
-                raise InputError(f"{path}: malformed count column name") from None
-        r_cols = [i for i, name in enumerate(header) if name.strip().startswith("r_")]
-        if not r_cols:
-            raise InputError(f"{path}: no vote (r_) or count (c_) columns in header")
-        top = 0
-        for row in reader:
-            for i in r_cols:
-                field = row[i].strip() if i < len(row) else ""
-                if field:
-                    try:
-                        top = max(top, int(field))
-                    except ValueError:
-                        continue  # load_csv reports the precise line later
-    if top < 2:
-        raise InputError(f"{path}: could not infer at least two classes from votes")
-    return top
-
-
 def _load_dataset(cfg: dict, seed_override: Optional[int]) -> tuple[Dataset, dict]:
     """Dataset plus a summary block describing its source."""
     if cfg["data"] is not None:
-        k = cfg["num_classes"] or _infer_num_classes(cfg["data"])
-        dataset = load_csv(cfg["data"], ProblemSpec(k))
+        k = cfg["num_classes"]
+        dataset = load_csv(cfg["data"], ProblemSpec(k) if k else None)
         source = str(cfg["data"])
     elif cfg["synthetic"] is not None:
         synth = SyntheticConfig.from_dict(cfg["synthetic"])
@@ -250,22 +229,8 @@ def _train_config(cfg: dict, method: str, input_dim: int) -> TrainConfig:
 
 def _config_echo(cfg: dict, num_classes: int) -> dict:
     # everything that shapes the numbers; nothing volatile (out, jobs, argv)
-    return {
-        "methods": list(cfg["methods"]),
-        "num_classes": num_classes,
-        "folds": cfg["folds"],
-        "split_seed": cfg["split_seed"],
-        "seeds": list(cfg["seeds"]),
-        "epochs": cfg["epochs"],
-        "batch_size": cfg["batch_size"],
-        "lr": cfg["lr"],
-        "hidden_dims": list(cfg["hidden_dims"]),
-        "activation": cfg["activation"],
-        "val_fraction": cfg["val_fraction"],
-        "decode": cfg["decode"],
-        "ties": cfg["ties"],
-        "num_bins": cfg["num_bins"],
-    }
+    echo = {key: cfg[key] for key in _CONFIG_DEFAULTS if key not in ("data", "synthetic", "out")}
+    return {**echo, "num_classes": num_classes}
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -302,8 +267,6 @@ def _cmd_train(args: argparse.Namespace) -> None:
     outcomes = train_single(dataset, config, split_seed=cfg["split_seed"])
     out = Path(cfg["out"]) / methods[0]
     out.mkdir(parents=True, exist_ok=True)
-    from .harness import history_csv_text
-
     histories = {o.seed: o.history for o in outcomes}
     atomic_write_text(out / "history.csv", history_csv_text(histories))
     for outcome in outcomes:
@@ -376,60 +339,36 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _fold_metric_values(result_dir: Path, metric: str) -> dict[int, float]:
-    from .metrics import MetricReport
-
-    values: dict[int, float] = {}
-    for fold_dir in sorted(result_dir.glob("fold_*")):
-        metrics_path = fold_dir / "metrics.json"
-        if not metrics_path.is_file():
+def _read_result(result_dir: Path) -> ExperimentResult:
+    """The completed folds of a result directory: each ``fold_<i>/metrics.json``."""
+    folds = []
+    for path in sorted(result_dir.glob(f"fold_*/{METRICS_FILE}")):
+        number = path.parent.name[len("fold_"):]
+        if not number.isdecimal():
             continue
+        doc = read_json(path)
         try:
-            fold = int(fold_dir.name.split("_", 1)[1])
-        except ValueError:
-            continue
-        report = MetricReport.from_dict(read_json(metrics_path))
-        if metric not in report.values:
-            raise InputError(f"unknown metric {metric!r}; valid: {', '.join(report.values)}")
-        value = report[metric]
-        if value is None:
-            raise InputError(f"metric {metric!r} is undefined on fold {fold} of {result_dir}")
-        values[fold] = value
-    if not values:
-        raise InputError(f"{result_dir}: no fold_*/metrics.json files")
-    return values
+            report = MetricReport.from_dict(doc)
+        except InputError as err:
+            raise InputError(f"{path}: {err}") from None
+        folds.append(FoldOutcome(fold=int(number), status="ok", error="", report=report,
+                                 records=(), best_epochs={}, histories={}))
+    if not folds:
+        raise InputError(f"{result_dir}: no fold_*/{METRICS_FILE} files")
+    return ExperimentResult(method=result_dir.name, folds=tuple(folds), mean={}, std={},
+                            partial=False)
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
-    dir_a, dir_b = Path(args.result_dirs[0]), Path(args.result_dirs[1])
-    values_a = _fold_metric_values(dir_a, args.metric)
-    values_b = _fold_metric_values(dir_b, args.metric)
-    if set(values_a) != set(values_b):
-        raise InputError("result directories do not share an identical set of folds")
-    order = sorted(values_a)
-    a = [values_a[f] for f in order]
-    b = [values_b[f] for f in order]
-    p = paired_t_test_one_sided(a, b, args.direction)
-    significant = p < ALPHA
-    doc = {
-        "method_a": dir_a.name,
-        "method_b": dir_b.name,
-        "metric": args.metric,
-        "direction": args.direction,
-        "folds": order,
-        "per_fold_a": a,
-        "per_fold_b": b,
-        "p_value": p,
-        "alpha": ALPHA,
-        "significant": significant,
-    }
-    verdict = "significant" if significant else "not significant"
+    dir_a, dir_b = (Path(d) for d in args.result_dirs)
+    cmp = compare_methods(_read_result(dir_a), _read_result(dir_b), args.metric, args.direction)
+    verdict = "significant" if cmp.significant else "not significant"
     print(
-        f"{dir_a.name} vs {dir_b.name} on {args.metric} ({args.direction}): "
-        f"p = {p:.6g} ({verdict} at alpha = {ALPHA})"
+        f"{cmp.method_a} vs {cmp.method_b} on {cmp.metric} ({cmp.direction}): "
+        f"p = {cmp.p_value:.6g} ({verdict} at alpha = {cmp.alpha})"
     )
     if args.out:
-        atomic_write_text(args.out, canonical_json(doc))
+        atomic_write_text(args.out, canonical_json(cmp.to_dict()))
 
 
 def _cmd_curves(args: argparse.Namespace) -> None:

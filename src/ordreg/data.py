@@ -13,11 +13,9 @@ call order or global state.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +28,7 @@ from .core import (
     exceedance_from_soft,
     modal_mask,
 )
+from .ioutil import atomic_write_text, csv_rows
 
 TIE_POLICY_RESAMPLE = "exclude_eval_resample_train"
 TIE_POLICY_LOWEST = "lowest_class"
@@ -87,19 +86,6 @@ class Dataset:
     @property
     def tied_mask(self) -> np.ndarray:
         return np.asarray([t is not None for t in self.tie_classes])
-
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        idx = [int(i) for i in indices]
-        return Dataset(
-            spec=self.spec,
-            ids=tuple(self.ids[i] for i in idx),
-            features=self.features[idx].copy(),
-            votes=tuple(self.votes[i] for i in idx),
-            soft=self.soft[idx].copy(),
-            hard=self.hard[idx].copy(),
-            tie_classes=tuple(self.tie_classes[i] for i in idx),
-            exceed=self.exceed[idx].copy(),
-        )
 
 
 def _vote_matrix(
@@ -217,45 +203,39 @@ class SyntheticConfig:
             raise InputError("thresholds must be strictly increasing")
         if self.feature_noise_sd < 0 or self.rater_noise_sd < 0:
             raise InputError("noise standard deviations must be >= 0")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "thresholds", th)
 
     def to_dict(self) -> dict:
-        return {
-            "n_examples": self.n_examples,
-            "n_features": self.n_features,
-            "num_classes": self.num_classes,
-            "n_raters": self.n_raters,
-            "thresholds": list(self.thresholds),
-            "feature_noise_sd": self.feature_noise_sd,
-            "rater_noise_sd": self.rater_noise_sd,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "thresholds": list(self.thresholds)}
 
     @staticmethod
     def from_dict(doc: dict) -> "SyntheticConfig":
-        try:
-            return SyntheticConfig(
-                n_examples=int(doc["n_examples"]),
-                n_features=int(doc["n_features"]),
-                num_classes=int(doc["num_classes"]),
-                n_raters=int(doc["n_raters"]),
-                thresholds=tuple(float(t) for t in doc["thresholds"]),
-                feature_noise_sd=float(doc["feature_noise_sd"]),
-                rater_noise_sd=float(doc["rater_noise_sd"]),
-                seed=int(doc["seed"]),
-            )
-        except KeyError as missing:
-            raise InputError(f"synthetic config is missing field {missing}") from None
+        """A config from a parsed JSON object; a missing or mistyped field is named."""
+        if not isinstance(doc, dict):
+            raise InputError("synthetic config must be a JSON object")
+        fields = {}
+        for name, kind in _SYNTHETIC_FIELDS.items():
+            if name not in doc:
+                raise InputError(f"synthetic config is missing field {name!r}")
+            try:
+                fields[name] = kind(doc[name])
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(
+                    f"synthetic config field {name!r}: malformed value {doc[name]!r}"
+                ) from None
+        return SyntheticConfig(**fields)
 
 
-def load_synthetic_config(path) -> SyntheticConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SyntheticConfig.from_dict(json.load(fh))
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
-def _classes_from_latent(latent: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    # class = 1 + number of thresholds strictly below the latent
-    return 1 + (thresholds[None, :] < latent[:, None]).sum(axis=1)
+_SYNTHETIC_FIELDS = {
+    "n_examples": int, "n_features": int, "num_classes": int, "n_raters": int,
+    "thresholds": _floats, "feature_noise_sd": float, "rater_noise_sd": float, "seed": int,
+}
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
@@ -288,7 +268,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
 # columns `c_1`..`c_K`. Line numbers in errors are 1-based including the header.
 
 
-def _split_header(header: list[str], spec: ProblemSpec) -> tuple[Optional[int], list[int], list[int], list[int]]:
+def _split_header(header: list[str], num_classes: Optional[int]) -> tuple[Optional[int], list[int], list[int], list[int]]:
     id_col: Optional[int] = None
     f_cols: list[int] = []
     r_cols: list[int] = []
@@ -317,25 +297,28 @@ def _split_header(header: list[str], spec: ProblemSpec) -> tuple[Optional[int], 
         raise InputError("line 1: need vote columns (r_) or count columns (c_), not both or neither")
     if c_cols:
         classes = sorted(cls for cls, _ in c_cols)
-        if classes != list(range(1, spec.num_classes + 1)):
-            raise InputError(
-                f"line 1: count columns must be exactly c_1..c_{spec.num_classes}"
-            )
+        k = num_classes or classes[-1]
+        if classes != list(range(1, k + 1)):
+            raise InputError(f"line 1: count columns must be exactly c_1..c_{k}")
         c_positions = [pos for _, pos in sorted(c_cols)]
     else:
         c_positions = []
     return id_col, f_cols, r_cols, c_positions
 
 
-def load_csv(path, spec: ProblemSpec) -> Dataset:
-    """Parse a votes CSV into a Dataset. Errors carry 1-based line numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def load_csv(path, spec: Optional[ProblemSpec] = None) -> Dataset:
+    """Parse a votes CSV into a Dataset. Errors carry 1-based line numbers.
+
+    Without ``spec``, the same pass infers the number of classes K: the count
+    columns ``c_1..c_K`` give it, or else the highest vote does.
+    """
+    top = spec.num_classes if spec is not None else None
+    with csv_rows(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
             raise InputError("line 1: empty file") from None
-        id_col, f_cols, r_cols, c_cols = _split_header(header, spec)
+        id_col, f_cols, r_cols, c_cols = _split_header(header, top)
         ids: list[str] = []
         features: list[list[float]] = []
         votes: list[tuple[int, ...]] = []
@@ -369,10 +352,8 @@ def load_csv(path, spec: ProblemSpec) -> Dataset:
                         raise InputError(
                             f"line {line_no}: malformed vote {field!r}"
                         ) from None
-                    if not 1 <= v <= spec.num_classes:
-                        raise InputError(
-                            f"line {line_no}: vote {v} outside 1..{spec.num_classes}"
-                        )
+                    if v < 1 or (top is not None and v > top):
+                        raise InputError(f"line {line_no}: vote {v} outside 1..{top or 'K'}")
                     row_votes.append(v)
             else:
                 for cls, p in enumerate(c_cols, start=1):
@@ -392,6 +373,11 @@ def load_csv(path, spec: ProblemSpec) -> Dataset:
                 raise InputError(f"line {line_no}: example has no votes")
             votes.append(tuple(row_votes))
             ids.append(row[id_col].strip() if id_col is not None else str(len(ids) + 1))
+    if spec is None:
+        k = len(c_cols) or max(map(max, votes), default=0)
+        if k < 2:
+            raise InputError(f"{path}: could not infer at least two classes")
+        spec = ProblemSpec(k)
     try:
         return dataset_from_votes(spec, features, votes, ids)
     except InputError as err:
@@ -400,8 +386,6 @@ def load_csv(path, spec: ProblemSpec) -> Dataset:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset as an id / f_* / r_* CSV that load_csv round-trips."""
-    from .ioutil import atomic_write_text
-
     d = dataset.num_features
     max_votes = max(len(v) for v in dataset.votes)
     header = ["id"] + [f"f_{j + 1}" for j in range(d)] + [f"r_{j + 1}" for j in range(max_votes)]
@@ -499,10 +483,6 @@ class Fold:
 @dataclass(frozen=True)
 class FoldSplit:
     folds: tuple[Fold, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
 
 
 def _stratified_split(

@@ -21,7 +21,6 @@ the reduce is ordered.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 import time
@@ -53,7 +52,7 @@ from .data import (
     stratified_k_fold,
     train_val_split,
 )
-from .ioutil import atomic_write_text, canonical_json
+from .ioutil import atomic_write_text, canonical_json, csv_rows
 from .metrics import (
     ALPHA,
     DEFAULT_NUM_BINS,
@@ -62,6 +61,7 @@ from .metrics import (
     RecordRowError,
     Records,
     RecordTable,
+    _METRIC_NAMES,
     compute_metric_report,
     eval_record,
     paired_t_test_one_sided,
@@ -107,21 +107,20 @@ class MethodSpec:
     loss_kind: str
     head_kind: str
     default_decode: str
-    uses_hard_targets: bool
 
 
 METHODS: dict[str, MethodSpec] = {
     m.name: m
     for m in (
-        MethodSpec("ce", losses_mod.LOSS_CE, "softmax", DECODE_ARGMAX, True),
-        MethodSpec("ce_soft", losses_mod.LOSS_CE_SOFT, "softmax", DECODE_ARGMAX, False),
-        MethodSpec("or_cnn", losses_mod.LOSS_OR_CNN, "independent", DECODE_COUNT, True),
-        MethodSpec("or_soft", losses_mod.LOSS_OR_SOFT, "independent", DECODE_COUNT, False),
-        MethodSpec("coral", losses_mod.LOSS_OR_CNN, "shared-slope-bias", DECODE_COUNT, True),
-        MethodSpec("coral_soft", losses_mod.LOSS_OR_SOFT, "shared-slope-bias", DECODE_COUNT, False),
-        MethodSpec("corn", losses_mod.LOSS_CORN, "independent", DECODE_COUNT, True),
-        MethodSpec("sord_ae", losses_mod.LOSS_SORD_AE, "softmax", DECODE_ARGMAX, True),
-        MethodSpec("sord_se", losses_mod.LOSS_SORD_SE, "softmax", DECODE_ARGMAX, True),
+        MethodSpec("ce", losses_mod.LOSS_CE, "softmax", DECODE_ARGMAX),
+        MethodSpec("ce_soft", losses_mod.LOSS_CE_SOFT, "softmax", DECODE_ARGMAX),
+        MethodSpec("or_cnn", losses_mod.LOSS_OR_CNN, "independent", DECODE_COUNT),
+        MethodSpec("or_soft", losses_mod.LOSS_OR_SOFT, "independent", DECODE_COUNT),
+        MethodSpec("coral", losses_mod.LOSS_OR_CNN, "shared-slope-bias", DECODE_COUNT),
+        MethodSpec("coral_soft", losses_mod.LOSS_OR_SOFT, "shared-slope-bias", DECODE_COUNT),
+        MethodSpec("corn", losses_mod.LOSS_CORN, "independent", DECODE_COUNT),
+        MethodSpec("sord_ae", losses_mod.LOSS_SORD_AE, "softmax", DECODE_ARGMAX),
+        MethodSpec("sord_se", losses_mod.LOSS_SORD_SE, "softmax", DECODE_ARGMAX),
     )
 }
 
@@ -287,7 +286,8 @@ def train_models(
     def stack(rows: np.ndarray) -> ModelParams:
         return inits[0].with_flat(flat[rows])
 
-    resampling = method.uses_hard_targets and config.tie_policy == TIE_POLICY_RESAMPLE
+    resampling = (method.loss_kind in losses_mod.HARD_TARGET_LOSSES
+                  and config.tie_policy == TIE_POLICY_RESAMPLE)
     shuffles = [np.random.default_rng([s, _STREAM_SHUFFLE]) for s in seeds]
     tie_rngs = [np.random.default_rng([s, _STREAM_TIE_RESAMPLE]) for s in seeds]
     labels = np.empty((n_models, len(dataset)), dtype=np.int64) if resampling else None
@@ -454,8 +454,6 @@ def _log_progress(
 def _aggregate(
     reports: Sequence[MetricReport],
 ) -> tuple[dict[str, Optional[float]], dict[str, Optional[float]]]:
-    from .metrics import _METRIC_NAMES  # same fixed ordering as the reports
-
     mean: dict[str, Optional[float]] = {}
     std: dict[str, Optional[float]] = {}
     for name in _METRIC_NAMES:
@@ -583,6 +581,7 @@ class Comparison:
     method_b: str
     metric: str
     direction: str
+    folds: tuple[int, ...]
     per_fold_a: tuple[float, ...]
     per_fold_b: tuple[float, ...]
     p_value: float
@@ -595,6 +594,7 @@ class Comparison:
             "method_b": self.method_b,
             "metric": self.metric,
             "direction": self.direction,
+            "folds": list(self.folds),
             "per_fold_a": list(self.per_fold_a),
             "per_fold_b": list(self.per_fold_b),
             "p_value": self.p_value,
@@ -610,7 +610,11 @@ def compare_methods(
     direction: str,
     alpha: float = ALPHA,
 ) -> Comparison:
-    """Significance of method a vs b, paired across the shared test folds."""
+    """Significance of method a vs b, paired across the folds both completed.
+
+    An unknown metric, or one undefined on a fold, raises InputError."""
+    if metric not in _METRIC_NAMES:
+        raise InputError(f"unknown metric {metric!r}; valid: {', '.join(_METRIC_NAMES)}")
     folds_a = {f.fold: f for f in result_a.completed_folds()}
     folds_b = {f.fold: f for f in result_b.completed_folds()}
     if set(folds_a) != set(folds_b) or not folds_a:
@@ -630,6 +634,7 @@ def compare_methods(
         method_b=result_b.method,
         metric=metric,
         direction=direction,
+        folds=tuple(order),
         per_fold_a=tuple(values_a),
         per_fold_b=tuple(values_b),
         p_value=p,
@@ -742,8 +747,7 @@ def read_records_csv(path) -> RecordTable:
     ids: list[str] = []
     lines = array("q")
     unparsed = None  # (line, row) of the first row whose fields do not parse
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

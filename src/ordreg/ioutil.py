@@ -1,12 +1,16 @@
-"""Atomic file writes and canonical JSON used by checkpoints and result exports."""
+"""Atomic file writes, canonical JSON, and the readers of JSON and CSV inputs."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
+
+from .core import InputError
 
 
 def canonical_json(obj: Any) -> str:
@@ -40,5 +44,23 @@ def atomic_write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The parsed document; text that is not UTF-8 JSON raises InputError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise InputError(f"{path}: malformed JSON: {err}") from None
+
+
+@contextmanager
+def csv_rows(path: str | Path) -> Iterator:
+    """A ``csv.reader`` over a UTF-8 file. Bytes that are not UTF-8, and rows the csv
+    module rejects (a field over its size limit), raise InputError naming the file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
+        except csv.Error as err:
+            raise InputError(f"{path} line {reader.line_num}: {err}") from None

@@ -60,6 +60,9 @@ ALL_LOSS_KINDS = (
     LOSS_SORD_SE,
 )
 
+# loss kinds whose targets are hard labels; or_soft and ce_soft take soft rows
+HARD_TARGET_LOSSES = (LOSS_CE, LOSS_OR_CNN, LOSS_CORN, LOSS_SORD_AE, LOSS_SORD_SE)
+
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
 

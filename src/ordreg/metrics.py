@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -267,17 +267,6 @@ def _weighted_mean(values: np.ndarray, weight: np.ndarray, use_weights: bool) ->
     if not use_weights:
         return float(values.sum() / values.size)
     return float((weight * values).sum() / weight.sum())
-
-
-def weighted_metric_mean(
-    records: Records,
-    per_example_metric: Callable[[EvalRecord], float],
-    use_weights: bool,
-) -> float:
-    """Agreement-weighted mean of a per-example metric: sum(w m) / sum(w)."""
-    table = record_table(records)
-    values = np.asarray([per_example_metric(r) for r in records])
-    return _weighted_mean(values, table.weight, use_weights)
 
 
 def mae(records: Records, use_weights: bool = True) -> float:
@@ -698,11 +687,19 @@ class MetricReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "MetricReport":
-        return MetricReport(
-            values={name: doc["metrics"][name] for name in _METRIC_NAMES},
-            num_records=int(doc["num_records"]),
-            missing_classes=tuple(doc.get("missing_classes", ())),
-        )
+        """The report of a parsed metrics JSON; a missing or mistyped metric is named."""
+        try:
+            values = {name: doc["metrics"][name] for name in _METRIC_NAMES}
+            num_records = int(doc["num_records"])
+            missing = tuple(doc.get("missing_classes", ()))
+        except KeyError as err:
+            raise InputError(f"metric report is missing field {err}") from None
+        except (TypeError, ValueError, AttributeError):
+            raise InputError("malformed metric report") from None
+        for name, value in values.items():
+            if not (value is None or type(value) in (int, float)):
+                raise InputError(f"metric {name!r}: expected a number or null, got {value!r}")
+        return MetricReport(values=values, num_records=num_records, missing_classes=missing)
 
 
 def compute_metric_report(records: Records, num_bins: int = DEFAULT_NUM_BINS) -> MetricReport:

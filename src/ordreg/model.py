@@ -30,7 +30,6 @@ from . import losses as losses_mod
 from .core import (
     DISTANCE_AE,
     DISTANCE_SE,
-    ClassDistribution,
     InputError,
     ProblemSpec,
     sord_soft_label,
@@ -170,10 +169,6 @@ class ModelParams:
     bundle: ParamBundle
 
     @property
-    def num_logits(self) -> int:
-        return self.num_classes if self.head_kind == HEAD_SOFTMAX else self.num_classes - 1
-
-    @property
     def stacked(self) -> bool:
         """True when the bundle holds M models as the rows of an (M, P) matrix."""
         return self.bundle.flat.ndim == 2
@@ -299,16 +294,6 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
-# loss kinds whose targets are hard labels; or_soft and ce_soft take soft rows
-_HARD_TARGET_LOSSES = (
-    losses_mod.LOSS_CE,
-    losses_mod.LOSS_OR_CNN,
-    losses_mod.LOSS_CORN,
-    losses_mod.LOSS_SORD_AE,
-    losses_mod.LOSS_SORD_SE,
-)
-
-
 @dataclass(frozen=True)
 class Batch:
     """One mini-batch as arrays.
@@ -341,7 +326,7 @@ def batch_from_pairs(pairs: Sequence[tuple], loss_kind: str) -> Batch:
     K-1 vectors; ``ce_soft`` targets are RatingDistributions or K vectors.
     """
     features = _stack([np.asarray(f, dtype=np.float64) for f, _ in pairs], "features")
-    if loss_kind in _HARD_TARGET_LOSSES:
+    if loss_kind in losses_mod.HARD_TARGET_LOSSES:
         try:
             targets = np.asarray([int(t) for _, t in pairs], dtype=np.int64)
         except (TypeError, ValueError):
@@ -396,7 +381,7 @@ def loss_and_gradient(
 
     # each loss call checks its targets (label range, shape) for the whole batch
     # before the gradient uses them
-    if loss_kind in _HARD_TARGET_LOSSES:
+    if loss_kind in losses_mod.HARD_TARGET_LOSSES:
         ys = np.asarray(batch.targets, dtype=np.int64)
     if loss_kind == losses_mod.LOSS_CORN:
         loss = losses_mod.corn_loss(probs, ys)
@@ -500,17 +485,6 @@ def adam_step(
     new_state = AdamState(m=m, v=v, step=t, lr=state.lr,
                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return params.with_flat(flat), new_state
-
-
-def ensemble_average(dists: Sequence[ClassDistribution]) -> ClassDistribution:
-    """Elementwise mean of class distributions (seed-ensemble prediction)."""
-    if len(dists) == 0:
-        raise InputError("ensemble_average needs at least one distribution")
-    k = dists[0].num_classes
-    if any(d.num_classes != k for d in dists):
-        raise InputError("ensemble members must share the same number of classes")
-    stacked = np.asarray([d.probs for d in dists])
-    return ClassDistribution(stacked.mean(axis=0))
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:

@@ -137,12 +137,100 @@ def test_folds_flag_zero_is_not_ignored(ws, tmp_path, capsys):
     ("lr", "fast"),             # float field
     ("seeds", [0, "one"]),      # list-of-int field
     ("hidden_dims", 4),         # list-of-int field given a scalar
+    ("epochs", float("inf")),   # JSON Infinity overflows int()
+    ("methods", "ce"),          # list-of-name field given a string
+    ("ties", ["paper"]),        # string field given a list
 ])
 def test_config_type_errors_exit_one_naming_the_field(ws, tmp_path, capsys, field, value):
     cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data),
                                              "out": str(tmp_path / "r"), field: value})
     assert run(["cv", "--config", cfg]) == 1
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+def _bad_config_json(ws, tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text('{"methods": ["ce"],')
+    return ["cv", "--config", str(path)], str(path)
+
+
+def _generate_with(doc):
+    def case(ws, tmp_path):
+        return ["generate", "--config", write_json(tmp_path / "synth.json", doc),
+                "--out", str(tmp_path / "x.csv")], None
+    return case
+
+
+def _cv_on_data(content: bytes):
+    def case(ws, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes(content)
+        cfg = write_json(tmp_path / "exp.json",
+                         {**EXP, "data": str(data), "out": str(tmp_path / "r")})
+        return ["cv", "--config", cfg], str(data)
+    return case
+
+
+def _thresholds_not_a_list(ws, tmp_path):
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "out": str(tmp_path / "r"),
+                                             "synthetic": {**SYNTH, "thresholds": 5}})
+    return ["cv", "--config", cfg], None
+
+
+def _records_field_over_the_limit(ws, tmp_path):
+    lines = (ws.results / "ce" / "fold_1" / "records.csv").read_text().splitlines()
+    lines[1] = '"' + "x" * 140_000 + '"' + lines[1][lines[1].index(","):]
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return ["evaluate", "--data", str(path)], str(path)
+
+
+def _compare_with_metrics(text: str):
+    def case(ws, tmp_path):
+        broken = tmp_path / "ce"
+        for fold in (1, 2):
+            (broken / f"fold_{fold}").mkdir(parents=True)
+            src = ws.results / "ce" / f"fold_{fold}" / "metrics.json"
+            (broken / f"fold_{fold}" / "metrics.json").write_bytes(src.read_bytes())
+        path = broken / "fold_2" / "metrics.json"
+        path.write_text(text(path.read_text()))
+        return ["compare", str(ws.results / "or_soft"), str(broken),
+                "--metric", "mae_uw", "--direction", "lower"], str(path)
+    return case
+
+
+_ROW = b"a,0.5,1,2\n"
+
+
+@pytest.mark.parametrize("case,named", [
+    (_bad_config_json, "malformed JSON"),
+    (_generate_with({**SYNTH, "n_examples": "abc"}), "'n_examples'"),
+    (_generate_with([SYNTH]), "JSON object"),
+    (_thresholds_not_a_list, "'thresholds'"),
+    (_cv_on_data(b"id,f_1,r_1,r_2\n" + _ROW + b"b\xe9,1.0,2,2\n"), "not UTF-8"),
+    (_cv_on_data(b"id,f_1,r_1,r_2\n" + _ROW + b"b," + b"1" * 140_000 + b",1,2\n"),
+     "line 3: field larger than field limit"),
+    (_records_field_over_the_limit, "line 2: field larger than field limit"),
+    (_compare_with_metrics(lambda text: text[:-5]), "malformed JSON"),
+    (_compare_with_metrics(lambda text: text.replace('"mae_uw"', '"mae_w"')), "'mae_uw'"),
+], ids=["config-json", "generate-field-type", "generate-json-list", "thresholds-scalar",
+        "data-not-utf8", "data-field-limit", "records-field-limit", "metrics-json",
+        "metrics-missing-metric"])
+def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys, case, named):
+    args, path = case(ws, tmp_path)
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    if path is not None:
+        assert path in err
+
+
+def test_a_gap_in_the_count_columns_exits_one_naming_line_one(tmp_path, capsys):
+    data = tmp_path / "gap.csv"
+    data.write_text("f_1,c_1,c_3\n0.0,1,1\n1.0,2,0\n")
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(data), "out": str(tmp_path / "r")})
+    assert run(["cv", "--config", cfg]) == 1
+    assert "line 1: count columns must be exactly c_1..c_3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("placement", ["test", "train"])

@@ -13,13 +13,13 @@ from ordreg.data import (
     dataset_from_votes,
     generate_synthetic,
     load_csv,
-    load_synthetic_config,
     mean_pairwise_rater_qwk,
     resolve_ties,
     save_csv,
     stratified_k_fold,
     train_val_split,
 )
+from ordreg.ioutil import read_json
 
 SPEC4 = ProblemSpec(num_classes=4)
 
@@ -75,15 +75,6 @@ def test_duplicate_ids_rejected():
 def test_vote_outside_class_range_rejected():
     with pytest.raises(InputError):
         make_dataset([(1, 5)])
-
-
-def test_subset_keeps_rows_aligned():
-    ds = make_dataset([(1,), (2, 3), (4, 4), (2,)])
-    sub = ds.subset([2, 0])
-    assert sub.ids == (ds.ids[2], ds.ids[0])
-    np.testing.assert_array_equal(sub.hard, [4, 1])
-    np.testing.assert_array_equal(sub.features, ds.features[[2, 0]])
-    assert sub.votes == (ds.votes[2], ds.votes[0])
 
 
 def test_arrays_are_read_only():
@@ -150,7 +141,7 @@ def test_rater_agreement_decreases_with_rater_noise():
 def test_config_round_trips_through_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(NOISELESS.to_dict()))
-    assert load_synthetic_config(path) == NOISELESS
+    assert SyntheticConfig.from_dict(read_json(path)) == NOISELESS
 
 
 def test_config_validation():
@@ -230,6 +221,37 @@ def test_load_csv_malformed_fields(tmp_path):
         load_csv(write_csv(tmp_path, "f_1,r_1\n0.0,1\n0.0,x\n", "badv.csv"), SPEC4)
     with pytest.raises(InputError, match="line 2"):
         load_csv(write_csv(tmp_path, "f_1,r_1\n0.0\n", "width.csv"), SPEC4)
+
+
+def test_load_csv_infers_the_class_count_from_count_columns(tmp_path):
+    path = write_csv(tmp_path, "f_1,c_1,c_2,c_3,c_4,c_5\n0.0,0,2,1,0,0\n1.0,3,,,,\n")
+    ds = load_csv(path)
+    assert ds.spec.num_classes == 5  # from the columns, though no vote is above 3
+    assert ds.votes == ((2, 2, 3), (1, 1, 1))
+
+
+def test_load_csv_infers_the_class_count_from_the_highest_vote(tmp_path):
+    path = write_csv(tmp_path, "id,f_1,r_1,r_2,r_3\na,0.5,2,,3\nb,1.5,,1,\nc,0.0,,,2\n")
+    ds = load_csv(path)
+    assert ds.spec.num_classes == 3
+    assert ds.votes == ((2, 3), (1,), (2,))
+    assert load_csv(path, SPEC4).spec.num_classes == 4  # a given spec wins
+
+
+def test_load_csv_without_a_spec_rejects_a_single_class(tmp_path):
+    for text, name in (("f_1,r_1,r_2\n0.0,1,1\n1.0,1,\n", "votes.csv"),
+                       ("f_1,c_1\n0.0,2\n", "counts.csv")):
+        path = write_csv(tmp_path, text, name)
+        with pytest.raises(InputError, match="at least two classes") as err:
+            load_csv(path)
+        assert str(path) in str(err.value)
+
+
+def test_load_csv_without_a_spec_still_checks_each_line(tmp_path):
+    with pytest.raises(InputError, match="line 3.*vote 0"):
+        load_csv(write_csv(tmp_path, "f_1,r_1\n0.0,2\n1.0,0\n", "zero.csv"))
+    with pytest.raises(InputError, match="line 1.*c_1..c_3"):
+        load_csv(write_csv(tmp_path, "f_1,c_1,c_3\n0.0,1,1\n", "gap.csv"))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -373,7 +395,7 @@ def _labels_dataset(counts):
 def test_k_fold_balances_each_class_across_folds():
     ds = _labels_dataset([10, 10, 5])
     split = stratified_k_fold(ds, k=5, seed=3)
-    assert split.k == 5
+    assert len(split.folds) == 5
     for fold in split.folds:
         test_labels = ds.hard[list(fold.test)]
         assert (test_labels == 1).sum() == 2

@@ -34,6 +34,7 @@ from ordreg.harness import (
     train_single,
     write_experiment_result,
 )
+from ordreg.losses import HARD_TARGET_LOSSES
 from ordreg.metrics import MetricReport, _METRIC_NAMES, compute_metric_report
 from ordreg.model import EncoderConfig, flatten_params
 
@@ -68,7 +69,7 @@ def small_config(method="or_soft", **kw):
 
 
 def test_soft_target_methods_are_flagged():
-    soft = {name for name, m in METHODS.items() if not m.uses_hard_targets}
+    soft = {name for name, m in METHODS.items() if m.loss_kind not in HARD_TARGET_LOSSES}
     assert soft == {"ce_soft", "or_soft", "coral_soft"}
 
 
@@ -360,6 +361,26 @@ def test_comparison_serializes_to_plain_json():
     assert doc["method_a"] == "or_soft"
     assert doc["significant"] is True
     assert doc["per_fold_a"] == [0.2, 0.3, 0.25]
+
+
+def test_compare_rejects_an_unknown_metric_naming_the_valid_ones():
+    a = _fake_result("or_soft", [0.2, 0.3, 0.25])
+    b = _fake_result("ce", [0.3, 0.4, 0.35])
+    with pytest.raises(InputError, match="unknown metric 'mae_w'; valid: mae_uw, qwk_uw, "):
+        compare_methods(a, b, "mae_w", "lower")
+
+
+def test_comparison_lists_the_completed_folds_it_paired():
+    a = _fake_result("or_soft", [0.2, 0.3, 0.25, 0.3])
+    b = _fake_result("ce", [0.3, 0.4, 0.35, 0.5])
+    failed = FoldOutcome(fold=2, status="failed", error="diverged", report=None, records=(),
+                         best_epochs={}, histories={})
+    a, b = (ExperimentResult(method=r.method, folds=r.folds[:2] + (failed,) + r.folds[3:],
+                             mean={}, std={}, partial=True) for r in (a, b))
+    doc = compare_methods(a, b, "mae_uw", "lower").to_dict()
+    assert doc["folds"] == [0, 1, 3]
+    assert doc["per_fold_a"] == [0.2, 0.3, 0.3]
+    assert doc["per_fold_b"] == [0.3, 0.4, 0.5]
 
 
 # ---- result files ----

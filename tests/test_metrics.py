@@ -32,7 +32,6 @@ from ordreg.metrics import (
     risk_coverage,
     spearman,
     student_t_cdf,
-    weighted_metric_mean,
 )
 
 
@@ -124,7 +123,7 @@ def test_accuracy_is_one_when_all_predictions_match_regardless_of_weights():
 
 def test_empty_records_rejected():
     with pytest.raises(InputError):
-        weighted_metric_mean([], lambda r: 0.0, True)
+        mae([], use_weights=True)
 
 
 # ---- qwk ----

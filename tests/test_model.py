@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ordreg.core import InputError, ProblemSpec, RatingDistribution, ClassDistribution, exceedance_from_soft
+from ordreg.core import InputError, ProblemSpec, RatingDistribution, exceedance_from_soft
 from ordreg.losses import (
     ALL_LOSS_KINDS,
     LOSS_CE,
@@ -22,7 +22,6 @@ from ordreg.model import (
     ModelParams,
     ParamBundle,
     adam_step,
-    ensemble_average,
     flatten_params,
     forward,
     init_adam_state,
@@ -311,36 +310,6 @@ def test_two_adam_steps_match_the_recurrence_written_out_by_hand():
     params, state = adam_step(params, g2, state)
     np.testing.assert_allclose(flatten_params(params), p, atol=1e-12)
     assert state.step == 2
-
-
-# ---- ensembling ----
-
-
-def test_ensemble_average_of_opposite_one_hots_is_uniform():
-    a = ClassDistribution(np.array([1.0, 0.0]))
-    b = ClassDistribution(np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(ensemble_average([a, b]).probs, [0.5, 0.5])
-
-
-def test_ensemble_average_single_member_is_identity():
-    d = ClassDistribution(np.array([0.2, 0.3, 0.5]))
-    np.testing.assert_array_equal(ensemble_average([d]).probs, d.probs)
-
-
-def test_ensemble_average_of_copies_is_the_same_distribution():
-    d = ClassDistribution(np.array([0.2, 0.3, 0.5]))
-    got = ensemble_average([d, d, d])
-    np.testing.assert_allclose(got.probs, d.probs, atol=1e-15)
-    assert got.probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_ensemble_average_rejects_empty_and_mismatched_inputs():
-    with pytest.raises(InputError):
-        ensemble_average([])
-    with pytest.raises(InputError):
-        ensemble_average(
-            [ClassDistribution(np.array([0.5, 0.5])), ClassDistribution(np.array([1 / 3] * 3))]
-        )
 
 
 # ---- checkpoints and determinism ----

@@ -33,7 +33,7 @@ from ordreg.harness import (
     train_models,
     train_one,
 )
-from ordreg.losses import LOSS_CE_SOFT, LOSS_OR_SOFT
+from ordreg.losses import HARD_TARGET_LOSSES, LOSS_CE_SOFT, LOSS_OR_SOFT
 from ordreg.model import (
     Batch,
     EncoderConfig,
@@ -73,7 +73,8 @@ def _ref_train_one(dataset, config, train_indices, val_indices, seed):
     val_h = dataset.hard[val_keep].astype(np.float64)
     shuffle_rng = np.random.default_rng([int(seed), _STREAM_SHUFFLE])
     tie_rng = np.random.default_rng([int(seed), _STREAM_TIE_RESAMPLE])
-    resampling = method.uses_hard_targets and config.tie_policy == TIE_POLICY_RESAMPLE
+    resampling = (method.loss_kind in HARD_TARGET_LOSSES
+                  and config.tie_policy == TIE_POLICY_RESAMPLE)
     train_idx = np.asarray(train_indices, dtype=np.int64)
     n_train = len(train_idx)
     train_x = dataset.features[train_idx]
