@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 from . import __version__
 from .core import InputError, ProblemSpec
 from .data import (
+    ALL_TIE_POLICIES,
     Dataset,
     SyntheticConfig,
-    TIE_POLICY_LOWEST,
     TIE_POLICY_RESAMPLE,
     generate_synthetic,
     load_csv,
@@ -69,10 +69,6 @@ from .model import EncoderConfig, save_params
 
 log = logging.getLogger("ordreg")
 
-TIES_PAPER = "paper"
-TIES_LOWEST = "lowest"
-_TIE_VOCAB = {TIES_PAPER: TIE_POLICY_RESAMPLE, TIES_LOWEST: TIE_POLICY_LOWEST}
-
 # experiment-config defaults; any key a config file may set must appear here
 _CONFIG_DEFAULTS: dict = {
     "data": None,
@@ -90,7 +86,7 @@ _CONFIG_DEFAULTS: dict = {
     "activation": "relu",
     "val_fraction": 0.8,
     "decode": None,
-    "ties": TIES_PAPER,
+    "ties": TIE_POLICY_RESAMPLE,
     "num_bins": DEFAULT_NUM_BINS,
 }
 
@@ -139,6 +135,10 @@ def _typed_config(cfg: dict) -> dict:
         if not isinstance(cfg[name], list):
             raise InputError(f"field {name!r}: expected a list of integers, got {cfg[name]!r}")
         cfg[name] = [_converted(name, v, int) for v in cfg[name]]
+    # seeds feed numpy.random.default_rng, which takes non-negative integers only
+    for name, values in (("split_seed", [cfg["split_seed"]]), ("seeds", cfg["seeds"])):
+        if any(v < 0 for v in values):
+            raise InputError(f"field {name!r}: seeds must be >= 0, got {cfg[name]!r}")
     if cfg["num_classes"] is not None:
         cfg["num_classes"] = _converted("num_classes", cfg["num_classes"], int)
     for name in ("data", "out", "activation", "decode", "ties"):
@@ -206,7 +206,7 @@ def _load_dataset(cfg: dict, seed_override: Optional[int]) -> tuple[Dataset, dic
 
 
 def _train_config(cfg: dict, method: str, input_dim: int) -> TrainConfig:
-    if cfg["ties"] not in _TIE_VOCAB:
+    if cfg["ties"] not in ALL_TIE_POLICIES:
         raise InputError(f"field 'ties': must be 'paper' or 'lowest', got {cfg['ties']!r}")
     encoder = EncoderConfig(
         input_dim=input_dim,
@@ -222,7 +222,7 @@ def _train_config(cfg: dict, method: str, input_dim: int) -> TrainConfig:
         seeds=tuple(cfg["seeds"]),
         val_fraction=cfg["val_fraction"],
         decode=cfg["decode"],
-        tie_policy=_TIE_VOCAB[cfg["ties"]],
+        tie_policy=cfg["ties"],
         num_bins=cfg["num_bins"],
     )
 
@@ -355,8 +355,7 @@ def _read_result(result_dir: Path) -> ExperimentResult:
                                  records=(), best_epochs={}, histories={}))
     if not folds:
         raise InputError(f"{result_dir}: no fold_*/{METRICS_FILE} files")
-    return ExperimentResult(method=result_dir.name, folds=tuple(folds), mean={}, std={},
-                            partial=False)
+    return ExperimentResult(method=result_dir.name, folds=tuple(folds))
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
@@ -420,7 +419,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="override all configured seeds")
         p.add_argument("--folds", type=int, help="number of cross-validation folds")
         p.add_argument("--decode", choices=ALL_DECODES, help="decode rule override")
-        p.add_argument("--ties", choices=(TIES_PAPER, TIES_LOWEST),
+        p.add_argument("--ties", choices=ALL_TIE_POLICIES,
                        help="tie policy: paper = exclude from eval, resample in training")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,

@@ -31,8 +31,6 @@ __all__ = [
     "ExceedanceLabel",
     "TaskProbabilities",
     "ClassDistribution",
-    "TIE_LOWEST",
-    "TIE_REPORT",
     "DISTANCE_AE",
     "DISTANCE_SE",
     "soft_label_from_votes",
@@ -47,12 +45,6 @@ __all__ = [
 
 PROB_SUM_TOL = 1e-9
 
-# Tie policies for argmax-style decodes. "lowest-class" is the deterministic
-# default (never over-reports severity on an exact tie); "report-tie" returns
-# the tied class set so callers can treat ties specially.
-TIE_LOWEST = "lowest-class"
-TIE_REPORT = "report-tie"
-
 # Distance kinds for distance-smoothed soft labels.
 DISTANCE_AE = "ae"
 DISTANCE_SE = "se"
@@ -64,26 +56,18 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Number of ordered classes, optionally with display names."""
+    """Number of ordered classes."""
 
     num_classes: int
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.num_classes, int) or self.num_classes < 2:
             raise InputError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
-        if self.class_names is not None:
-            names = tuple(self.class_names)
-            if len(names) != self.num_classes:
-                raise InputError(
-                    f"class_names has {len(names)} entries for {self.num_classes} classes"
-                )
-            object.__setattr__(self, "class_names", names)
 
 
 @dataclass(frozen=True)
 class Tie:
-    """An exact tie between two or more classes, as reported by tie-aware decodes."""
+    """An exact tie between two or more modal classes of a rating distribution."""
 
     classes: tuple[int, ...]
 
@@ -240,20 +224,14 @@ def modal_mask(probs: np.ndarray) -> np.ndarray:
     return probs == probs.max(axis=-1, keepdims=True)
 
 
-def _argmax_classes(probs: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(modal_mask(probs))
+def _argmax_rows(p: np.ndarray) -> np.ndarray:
+    # np.argmax returns the first maximum: the lowest class on an exact tie
+    return np.argmax(p, axis=-1) + 1
 
 
-def hard_label_from_soft(
-    dist: RatingDistribution, tie_policy: str = TIE_LOWEST
-) -> Union[int, Tie]:
-    """Mode of a rating distribution; exact ties resolved per ``tie_policy``."""
-    top = _argmax_classes(dist.probs)
-    if len(top) == 1 or tie_policy == TIE_LOWEST:
-        return int(top[0]) + 1
-    if tie_policy == TIE_REPORT:
-        return Tie(tuple(int(i) + 1 for i in top))
-    raise InputError(f"unknown tie policy {tie_policy!r}")
+def hard_label_from_soft(dist: RatingDistribution) -> int:
+    """Mode of a rating distribution; an exact tie goes to the lowest class."""
+    return int(_argmax_rows(dist.probs))
 
 
 def _checked_rows(name: str, values, min_width: int, sums_to_one: bool = False) -> np.ndarray:
@@ -299,7 +277,12 @@ def exceedance_from_soft(
     matrix of distributions gives the (B, K-1) matrix of their tail masses.
     """
     if isinstance(dist, (RatingDistribution, ClassDistribution)):
-        return ExceedanceLabel(_tail_rows(dist.probs))
+        # tail sums of a checked distribution already pass the label's checks
+        exceed = _tail_rows(dist.probs)
+        exceed.setflags(write=False)
+        label = object.__new__(ExceedanceLabel)
+        object.__setattr__(label, "exceed", exceed)
+        return label
     return _tail_rows(_checked_rows("rating probabilities", dist, 2, sums_to_one=True))
 
 
@@ -346,32 +329,15 @@ def decode_count(tasks: Union[TaskProbabilities, np.ndarray]) -> Union[int, np.n
     return _count_rows(_checked_rows("task probabilities", tasks, 1))
 
 
-def _argmax_rows(p: np.ndarray) -> np.ndarray:
-    # np.argmax returns the first maximum: the lowest class on an exact tie
-    return np.argmax(p, axis=-1) + 1
+def decode_argmax(dist: Union[ClassDistribution, np.ndarray]) -> Union[int, np.ndarray]:
+    """Argmax decode of a predicted class distribution; an exact tie goes to the lowest class.
 
-
-def decode_argmax(
-    dist: Union[ClassDistribution, np.ndarray], tie_policy: str = TIE_LOWEST
-) -> Union[int, Tie, np.ndarray]:
-    """Argmax decode of a predicted class distribution; ties per ``tie_policy``.
-
-    A :class:`ClassDistribution` gives an int, or a :class:`Tie` under
-    ``report-tie``. A (B, K) matrix of distributions gives an int array with
-    one class per row; its exact ties go to the lowest class, the only policy
-    a matrix takes.
+    A :class:`ClassDistribution` gives an int. A (B, K) matrix of
+    distributions gives an int array with one class per row.
     """
-    if not isinstance(dist, ClassDistribution):
-        if tie_policy != TIE_LOWEST:
-            raise InputError(f"a matrix of distributions decodes with {TIE_LOWEST!r} only")
-        return _argmax_rows(_checked_rows("class probabilities", dist, 2, sums_to_one=True))
-    if tie_policy != TIE_LOWEST:
-        top = _argmax_classes(dist.probs)
-        if len(top) > 1:
-            if tie_policy == TIE_REPORT:
-                return Tie(tuple(int(i) + 1 for i in top))
-            raise InputError(f"unknown tie policy {tie_policy!r}")
-    return int(_argmax_rows(dist.probs))
+    if isinstance(dist, ClassDistribution):
+        return int(_argmax_rows(dist.probs))
+    return _argmax_rows(_checked_rows("class probabilities", dist, 2, sums_to_one=True))
 
 
 def check_class_indices(labels, spec: ProblemSpec) -> np.ndarray:

@@ -30,9 +30,15 @@ from .core import (
 )
 from .ioutil import atomic_write_text, csv_rows
 
-TIE_POLICY_RESAMPLE = "exclude_eval_resample_train"
-TIE_POLICY_LOWEST = "lowest_class"
+TIE_POLICY_RESAMPLE = "paper"
+TIE_POLICY_LOWEST = "lowest"
 ALL_TIE_POLICIES = (TIE_POLICY_RESAMPLE, TIE_POLICY_LOWEST)
+
+# load_csv caps, checked before a cell is expanded: the votes one count cell
+# may hold, and the number of classes the highest vote may imply without an
+# explicit num_classes
+MAX_CELL_COUNT = 1000
+MAX_INFERRED_CLASSES = 100
 
 # RNG stream constants; each seeded operation owns one
 _STREAM_LATENT = 21
@@ -130,8 +136,8 @@ def dataset_from_votes(
     """Assemble a Dataset, deriving soft/hard/exceedance labels from the votes.
 
     The soft labels are the vote fractions. The mode is the lowest class of
-    :func:`core.modal_mask`, the rule :func:`core.hard_label_from_soft` uses,
-    and an example with more than one modal class is tied.
+    :func:`core.modal_mask`, as in :func:`core.hard_label_from_soft`, and an
+    example with more than one modal class is tied.
     """
     feats = np.array(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -313,6 +319,7 @@ def load_csv(path, spec: Optional[ProblemSpec] = None) -> Dataset:
     columns ``c_1..c_K`` give it, or else the highest vote does.
     """
     top = spec.num_classes if spec is not None else None
+    high = top or MAX_INFERRED_CLASSES  # the highest vote accepted
     with csv_rows(path) as reader:
         try:
             header = next(reader)
@@ -352,8 +359,11 @@ def load_csv(path, spec: Optional[ProblemSpec] = None) -> Dataset:
                         raise InputError(
                             f"line {line_no}: malformed vote {field!r}"
                         ) from None
-                    if v < 1 or (top is not None and v > top):
-                        raise InputError(f"line {line_no}: vote {v} outside 1..{top or 'K'}")
+                    if not 1 <= v <= high:
+                        raise InputError(
+                            f"{path} line {line_no}: vote {v} outside 1..{high}"
+                            + ("" if top else " (set num_classes to allow more classes)")
+                        )
                     row_votes.append(v)
             else:
                 for cls, p in enumerate(c_cols, start=1):
@@ -366,8 +376,9 @@ def load_csv(path, spec: Optional[ProblemSpec] = None) -> Dataset:
                             raise InputError(
                                 f"line {line_no}: malformed count {field!r}"
                             ) from None
-                    if count < 0:
-                        raise InputError(f"line {line_no}: negative count {count}")
+                    if not 0 <= count <= MAX_CELL_COUNT:
+                        raise InputError(f"{path} line {line_no}: count {count} in column"
+                                         f" {header[p].strip()!r} outside 0..{MAX_CELL_COUNT}")
                     row_votes.extend([cls] * count)
             if not row_votes:
                 raise InputError(f"line {line_no}: example has no votes")
@@ -423,10 +434,10 @@ def combine_rater_sets(
 class TieResolution:
     """Per-example tie handling bound to one dataset.
 
-    Under ``exclude_eval_resample_train`` tied examples are dropped from
-    evaluation and, for hard-label training, get a fresh uniform draw among
-    their tied classes each epoch. Under ``lowest_class`` ties resolve to the
-    lowest tied class everywhere and nothing is excluded.
+    Under ``paper`` tied examples are dropped from evaluation and, for
+    hard-label training, get a fresh uniform draw among their tied classes
+    each epoch. Under ``lowest`` ties resolve to the lowest tied class
+    everywhere and nothing is excluded.
     """
 
     policy: str
@@ -510,6 +521,8 @@ def train_val_split(
     """
     if not 0.0 < fraction < 1.0:
         raise InputError(f"fraction must lie strictly between 0 and 1, got {fraction}")
+    if seed < 0:  # numpy.random.default_rng takes non-negative integers only
+        raise InputError(f"split seed must be >= 0, got {seed}")
     idx = np.asarray([int(i) for i in indices], dtype=np.int64)
     if idx.size == 0:
         raise InputError("cannot split an empty index set")
@@ -532,6 +545,8 @@ def stratified_k_fold(
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
+    if seed < 0:
+        raise InputError(f"split seed must be >= 0, got {seed}")
     n = len(dataset)
     if k > n:
         raise InputError(f"k={k} exceeds the {n} available examples")

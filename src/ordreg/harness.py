@@ -22,11 +22,12 @@ the reduce is ordered.
 from __future__ import annotations
 
 import logging
+import math
 import re
 import time
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -38,7 +39,6 @@ from .core import (
     ClassDistribution,
     InputError,
     RatingDistribution,
-    TIE_LOWEST,
     class_distribution_from_tasks,
     decode_argmax,
     decode_count,
@@ -139,9 +139,6 @@ class TrainConfig:
     decode: Optional[str] = None
     tie_policy: str = TIE_POLICY_RESAMPLE
     num_bins: int = DEFAULT_NUM_BINS
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -150,11 +147,11 @@ class TrainConfig:
             )
         if self.epochs < 1 or self.batch_size < 1:
             raise InputError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise InputError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InputError(f"lr must be a finite number > 0, got {self.lr}")
         seeds = tuple(int(s) for s in self.seeds)
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise InputError("seeds must be a non-empty list of distinct integers")
+        if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+            raise InputError("seeds must be a non-empty list of distinct integers >= 0")
         object.__setattr__(self, "seeds", seeds)
         if not 0.0 < self.val_fraction < 1.0:
             raise InputError("val_fraction must lie strictly between 0 and 1")
@@ -222,7 +219,7 @@ def decode_distribution(
     if probs.ndim == 3:
         probs = probs.reshape(-1, probs.shape[-1])
     if rule == DECODE_ARGMAX:
-        classes = decode_argmax(probs, TIE_LOWEST)
+        classes = decode_argmax(probs)
     else:
         classes = decode_count(exceedance_from_soft(probs))
     return int(classes[0]) if single else classes.reshape(lead)
@@ -339,8 +336,7 @@ def train_models(
                         continue
                 params, adam = adam_step(
                     stack(rows), grad,
-                    AdamState(mom1[rows], mom2[rows], steps[rows], config.lr,
-                              config.beta1, config.beta2, config.eps),
+                    AdamState(mom1[rows], mom2[rows], steps[rows], config.lr),
                 )
                 flat[rows] = params.bundle.flat
                 mom1[rows], mom2[rows], steps[rows] = adam.m, adam.v, adam.step
@@ -405,14 +401,32 @@ class FoldOutcome:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One method's folds; the aggregates cover the completed folds only."""
+
     method: str
     folds: tuple[FoldOutcome, ...]
-    mean: dict[str, Optional[float]]
-    std: dict[str, Optional[float]]
-    partial: bool
 
     def completed_folds(self) -> tuple[FoldOutcome, ...]:
         return tuple(f for f in self.folds if f.status == "ok")
+
+    @property
+    def partial(self) -> bool:
+        """True when some fold failed."""
+        return len(self.completed_folds()) < len(self.folds)
+
+    @property
+    def mean(self) -> dict[str, Optional[float]]:
+        """Per metric, the mean over the completed folds where it is defined."""
+        return self._aggregates()[0]
+
+    @property
+    def std(self) -> dict[str, Optional[float]]:
+        """Per metric, the sample standard deviation; None below two defined folds."""
+        return self._aggregates()[1]
+
+    def _aggregates(self) -> tuple[dict[str, Optional[float]], dict[str, Optional[float]]]:
+        reports = [f.report for f in self.completed_folds()]
+        return _aggregate(reports) if reports else ({}, {})
 
 
 def _test_probabilities(
@@ -509,54 +523,36 @@ def run_cv(
                 histories[s] = outcome.history
                 best_epochs[s] = outcome.best_epoch
                 prob_stack.append(probs)
-        if failures:
-            fold_outcomes.append(
-                FoldOutcome(fold=fi + 1, status="failed", error=str(failures[0]),
-                            report=None, records=(), best_epochs=best_epochs,
-                            histories=histories)
-            )
-            continue
-        ens = np.mean(np.asarray(prob_stack), axis=0)
         keep = mask[list(fold.test)]  # tie-excluded examples leave evaluation
-        if not keep.any():
-            fold_outcomes.append(
-                FoldOutcome(fold=fi + 1, status="failed",
-                            error="no evaluable test examples after tie exclusion",
-                            report=None, records=(), best_epochs=best_epochs,
-                            histories=histories)
+        error, report, records = "", None, ()
+        if failures:
+            error = str(failures[0])
+        elif not keep.any():
+            error = "no evaluable test examples after tie exclusion"
+        else:
+            kept = np.mean(np.asarray(prob_stack), axis=0)[keep]
+            test_kept = np.asarray(fold.test)[keep]
+            records = eval_record(
+                soft=dataset.soft[test_kept],
+                pred_dist=kept,
+                pred_hard=decode_distribution(kept, config.effective_decode),
+                example_id=[dataset.ids[i] for i in test_kept],
             )
-            continue
-        kept = ens[keep]
-        test_kept = np.asarray(fold.test)[keep]
-        records = eval_record(
-            soft=dataset.soft[test_kept],
-            pred_dist=kept,
-            pred_hard=decode_distribution(kept, config.effective_decode),
-            example_id=[dataset.ids[i] for i in test_kept],
-        )
-        report = compute_metric_report(records, config.num_bins)
+            report = compute_metric_report(records, config.num_bins)
         fold_outcomes.append(
-            FoldOutcome(fold=fi + 1, status="ok", error="", report=report,
-                        records=records, best_epochs=best_epochs,
+            FoldOutcome(fold=fi + 1, status="failed" if error else "ok", error=error,
+                        report=report, records=records, best_epochs=best_epochs,
                         histories=histories)
         )
 
-    completed = [f.report for f in fold_outcomes if f.status == "ok"]
-    partial = len(completed) < k
-    if partial:
+    result = ExperimentResult(method=config.method, folds=tuple(fold_outcomes))
+    if result.partial:
         warnings.warn(
-            f"{config.method}: {k - len(completed)} of {k} folds failed; "
+            f"{config.method}: {k - len(result.completed_folds())} of {k} folds failed; "
             "aggregates cover completed folds only",
             stacklevel=2,
         )
-    mean, std = _aggregate(completed) if completed else ({}, {})
-    return ExperimentResult(
-        method=config.method,
-        folds=tuple(fold_outcomes),
-        mean=mean,
-        std=std,
-        partial=partial,
-    )
+    return result
 
 
 def train_single(
@@ -589,18 +585,8 @@ class Comparison:
     significant: bool
 
     def to_dict(self) -> dict:
-        return {
-            "method_a": self.method_a,
-            "method_b": self.method_b,
-            "metric": self.metric,
-            "direction": self.direction,
-            "folds": list(self.folds),
-            "per_fold_a": list(self.per_fold_a),
-            "per_fold_b": list(self.per_fold_b),
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "significant": self.significant,
-        }
+        return {**asdict(self), "folds": list(self.folds),
+                "per_fold_a": list(self.per_fold_a), "per_fold_b": list(self.per_fold_b)}
 
 
 def compare_methods(
@@ -608,9 +594,9 @@ def compare_methods(
     result_b: ExperimentResult,
     metric: str,
     direction: str,
-    alpha: float = ALPHA,
 ) -> Comparison:
-    """Significance of method a vs b, paired across the folds both completed.
+    """Significance of method a vs b at level ``metrics.ALPHA``, paired across
+    the folds both completed.
 
     An unknown metric, or one undefined on a fold, raises InputError."""
     if metric not in _METRIC_NAMES:
@@ -638,8 +624,8 @@ def compare_methods(
         per_fold_a=tuple(values_a),
         per_fold_b=tuple(values_b),
         p_value=p,
-        alpha=alpha,
-        significant=p < alpha,
+        alpha=ALPHA,
+        significant=p < ALPHA,
     )
 
 
@@ -712,7 +698,6 @@ class _RecordColumns:
                 pred_dist=ClassDistribution(pred),
                 pred_hard=int(row[self.pred_hard]),
                 weight=float(row[self.weight]),
-                rater_classes=frozenset(int(i) + 1 for i in np.flatnonzero(soft > 0.0)),
                 example_id=row[self.id],
             )
         except IndexError:

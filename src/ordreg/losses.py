@@ -41,6 +41,7 @@ from .core import (
 )
 
 LOG_EPS = 1e-12
+_LOG_HIGH = 1.0 - LOG_EPS
 
 LOSS_CE = "ce"
 LOSS_CE_SOFT = "ce_soft"
@@ -66,7 +67,12 @@ HARD_TARGET_LOSSES = (LOSS_CE, LOSS_OR_CNN, LOSS_CORN, LOSS_SORD_AE, LOSS_SORD_S
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _probs(x, name: str) -> np.ndarray:
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64:
+        return x  # one float64 vector, the per-example case: nothing to convert
     arr = x.probs if hasattr(x, "probs") else np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise InputError(f"{name} must be a 1-d probability vector or a (B, n) matrix of them")
@@ -94,7 +100,7 @@ def _row_sums(terms: np.ndarray):
 
 def _log(p: np.ndarray) -> np.ndarray:
     # same bits as np.clip(p, LOG_EPS, 1 - LOG_EPS), without np.clip's dispatch cost
-    return np.log(np.minimum(np.maximum(p, LOG_EPS), 1.0 - LOG_EPS))
+    return np.log(np.minimum(np.maximum(p, LOG_EPS), _LOG_HIGH))
 
 
 def _bce(p: np.ndarray, target: np.ndarray) -> np.ndarray:

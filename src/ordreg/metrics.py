@@ -36,7 +36,6 @@ import numpy as np
 
 from .core import (
     PROB_SUM_TOL,
-    TIE_LOWEST,
     ClassDistribution,
     InputError,
     RatingDistribution,
@@ -56,8 +55,7 @@ _WEIGHT_TOL = 1e-9
 class EvalRecord:
     """One evaluated example.
 
-    ``rater_classes`` is the set of classes any rater chose (nonzero soft
-    mass); ``weight`` is the soft-label maximum. ``example_id`` is optional
+    ``weight`` is the soft-label maximum. ``example_id`` is optional
     plumbing for traceable exports and does not affect any metric.
     """
 
@@ -66,7 +64,6 @@ class EvalRecord:
     pred_dist: ClassDistribution
     pred_hard: int
     weight: float
-    rater_classes: frozenset[int]
     example_id: str = ""
 
     def __post_init__(self) -> None:
@@ -79,16 +76,13 @@ class EvalRecord:
             raise InputError("weight must equal the soft label's maximum entry")
         if not 0.0 < self.weight <= 1.0:
             raise InputError("weight must lie in (0, 1]")
-        rater_classes = frozenset(int(c) for c in self.rater_classes)
-        object.__setattr__(self, "rater_classes", rater_classes)
-        if self.hard not in rater_classes:
+        if self.hard not in self.rater_classes:
             raise InputError("the mode class must be one of the rater classes")
-        if rater_classes != _rater_classes(self.soft.probs):
-            raise InputError("rater_classes must be the classes with nonzero soft mass")
 
-
-def _rater_classes(soft: np.ndarray) -> frozenset[int]:
-    return frozenset(int(c) + 1 for c in np.flatnonzero(soft > 0.0))
+    @property
+    def rater_classes(self) -> frozenset[int]:
+        """The classes any rater chose: those with nonzero soft mass."""
+        return frozenset(int(c) + 1 for c in np.flatnonzero(self.soft.probs > 0.0))
 
 
 class RecordRowError(InputError):
@@ -179,14 +173,12 @@ class RecordTable:
 
     def record(self, i: int) -> EvalRecord:
         """Row ``i`` as an EvalRecord."""
-        soft = self.soft[i]
         return EvalRecord(
-            soft=RatingDistribution(soft),
+            soft=RatingDistribution(self.soft[i]),
             hard=int(self.hard[i]),
             pred_dist=ClassDistribution(self.pred[i]),
             pred_hard=int(self.pred_hard[i]),
             weight=float(self.weight[i]),
-            rater_classes=_rater_classes(soft),
             example_id=self.ids[i],
         )
 
@@ -255,9 +247,9 @@ def eval_record(
         pred = np.asarray(pred_dist, dtype=np.float64)
         n = soft.shape[0] if soft.ndim == 2 else 0
         ids = (example_id,) * n if isinstance(example_id, str) else tuple(example_id)
-    hard = decode_argmax(soft, TIE_LOWEST)
+    hard = decode_argmax(soft)
     if pred_hard is None:
-        pred_hard = decode_argmax(pred, TIE_LOWEST)
+        pred_hard = decode_argmax(pred)
     table = RecordTable(ids=ids, soft=soft, pred=pred, hard=hard, pred_hard=pred_hard,
                         weight=soft.max(axis=1))
     return table.record(0) if single else table

@@ -53,6 +53,11 @@ _CHECKPOINT_VERSION = 1
 
 _INIT_STREAM = 11
 
+# Adam's moment decay rates and denominator guard: the defaults of Kingma & Ba
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -181,7 +186,7 @@ class ModelParams:
 
 @dataclass
 class AdamState:
-    """First/second moment vectors (flat layout) plus step counter and hyperparameters.
+    """First/second moment vectors (flat layout), step counter and learning rate.
 
     For stacked params ``m`` and ``v`` are (M, P) and ``step`` is an (M,)
     int array: each model counts its own steps.
@@ -191,9 +196,6 @@ class AdamState:
     v: np.ndarray
     step: Union[int, np.ndarray]
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
 def _head_shapes(config: EncoderConfig, head_kind: str, k: int) -> tuple[tuple[int, int], int]:
@@ -446,15 +448,9 @@ def _backward(
     return ParamBundle(flat, bundle.layout)
 
 
-def init_adam_state(
-    params: ModelParams,
-    lr: float = 1e-5,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def init_adam_state(params: ModelParams, lr: float = 1e-5) -> AdamState:
     return AdamState(m=np.zeros_like(params.bundle.flat), v=np.zeros_like(params.bundle.flat),
-                     step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                     step=0, lr=lr)
 
 
 def _bias_correction(beta: float, t: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
@@ -475,16 +471,14 @@ def adam_step(
     each with its own step count.
     """
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     g = grad.flat
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g * g
     bc1 = _bias_correction(b1, t)
     bc2 = _bias_correction(b2, t)
-    flat = params.bundle.flat - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    new_state = AdamState(m=m, v=v, step=t, lr=state.lr,
-                          beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return params.with_flat(flat), new_state
+    flat = params.bundle.flat - state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    return params.with_flat(flat), AdamState(m=m, v=v, step=t, lr=state.lr)
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:

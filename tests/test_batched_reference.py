@@ -303,7 +303,7 @@ def test_an_epoch_of_steps_with_a_ragged_final_batch(loss_kind, head_kind):
     targets = batch_from_pairs(pairs, loss_kind).targets
     params = init_params(EncoderConfig(d, (6,)), head_kind, ProblemSpec(k), 1)
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    state = init_adam_state(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = init_adam_state(params, lr=lr)
     ref = [a.copy() for a in params.bundle.arrays()]
     ref_m = [np.zeros_like(a) for a in ref]
     ref_v = [np.zeros_like(a) for a in ref]

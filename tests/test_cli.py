@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from ordreg.cli import run
+from ordreg.data import MAX_CELL_COUNT, MAX_INFERRED_CLASSES
 from ordreg.harness import METHODS
 
 SYNTH = {
@@ -140,12 +141,24 @@ def test_folds_flag_zero_is_not_ignored(ws, tmp_path, capsys):
     ("epochs", float("inf")),   # JSON Infinity overflows int()
     ("methods", "ce"),          # list-of-name field given a string
     ("ties", ["paper"]),        # string field given a list
+    ("seeds", [-2]),            # numpy seeds must be non-negative
+    ("split_seed", -1),
 ])
 def test_config_type_errors_exit_one_naming_the_field(ws, tmp_path, capsys, field, value):
     cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data),
                                              "out": str(tmp_path / "r"), field: value})
     assert run(["cv", "--config", cfg]) == 1
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_a_non_finite_lr_exits_one_naming_lr_before_any_training(ws, tmp_path, capsys, lr):
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data), "out": str(out),
+                                             "lr": lr})
+    assert run(["cv", "--config", cfg]) == 1
+    assert "error: lr must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _bad_config_json(ws, tmp_path):
@@ -211,10 +224,15 @@ _ROW = b"a,0.5,1,2\n"
     (_cv_on_data(b"id,f_1,r_1,r_2\n" + _ROW + b"b," + b"1" * 140_000 + b",1,2\n"),
      "line 3: field larger than field limit"),
     (_records_field_over_the_limit, "line 2: field larger than field limit"),
+    (_cv_on_data(b"id,f_1,c_1,c_2\na,0.5,1,2\nb,1.0,%d,0\n" % (MAX_CELL_COUNT + 1)),
+     f"line 3: count {MAX_CELL_COUNT + 1}"),
+    (_cv_on_data(b"id,f_1,r_1,r_2\n" + _ROW + b"b,1.0,%d,2\n" % (MAX_INFERRED_CLASSES + 1)),
+     f"line 3: vote {MAX_INFERRED_CLASSES + 1}"),
     (_compare_with_metrics(lambda text: text[:-5]), "malformed JSON"),
     (_compare_with_metrics(lambda text: text.replace('"mae_uw"', '"mae_w"')), "'mae_uw'"),
 ], ids=["config-json", "generate-field-type", "generate-json-list", "thresholds-scalar",
-        "data-not-utf8", "data-field-limit", "records-field-limit", "metrics-json",
+        "data-not-utf8", "data-field-limit", "records-field-limit", "count-over-cap",
+        "vote-over-inferred-class-cap", "metrics-json",
         "metrics-missing-metric"])
 def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys, case, named):
     args, path = case(ws, tmp_path)

@@ -11,8 +11,6 @@ from ordreg.core import (
     InputError,
     ProblemSpec,
     RatingDistribution,
-    TIE_LOWEST,
-    TIE_REPORT,
     TaskProbabilities,
     Tie,
     class_distribution_from_tasks,
@@ -38,12 +36,6 @@ def test_problem_spec_requires_two_classes():
     with pytest.raises(InputError):
         ProblemSpec(num_classes=1)
     assert ProblemSpec(num_classes=2).num_classes == 2
-
-
-def test_problem_spec_class_names_must_match_count():
-    assert ProblemSpec(3, class_names=("a", "b", "c")).class_names == ("a", "b", "c")
-    with pytest.raises(InputError):
-        ProblemSpec(3, class_names=("a", "b"))
 
 
 def test_rating_distribution_must_sum_to_one():
@@ -163,13 +155,7 @@ def test_mode_of_distribution():
     assert hard_label_from_soft(dist(0, 2 / 3, 1 / 3, 0)) == 2
 
 
-def test_exact_tie_reported_when_asked():
-    got = hard_label_from_soft(dist(0.5, 0.5, 0, 0), TIE_REPORT)
-    assert got == Tie((1, 2))
-
-
 def test_exact_tie_resolves_to_lowest_class_by_default():
-    assert hard_label_from_soft(dist(0.5, 0.5, 0, 0), TIE_LOWEST) == 1
     assert hard_label_from_soft(dist(0.5, 0.5, 0, 0)) == 1
 
 
@@ -282,8 +268,7 @@ def test_decode_rules_can_disagree_on_inconsistent_tasks():
 
 def test_argmax_decode_uniform_tie_follows_policy():
     uniform = ClassDistribution(np.array([0.25] * 4))
-    assert decode_argmax(uniform, TIE_LOWEST) == 1
-    assert decode_argmax(uniform, TIE_REPORT) == Tie((1, 2, 3, 4))
+    assert decode_argmax(uniform) == 1
 
 
 @given(st.integers(min_value=2, max_value=7), st.data())
@@ -367,8 +352,6 @@ def test_matrix_transforms_check_the_whole_array():
         decode_argmax(np.array([[0.5, 0.5], [0.5, 0.6]]))
     with pytest.raises(InputError, match="sum"):
         exceedance_from_soft(np.array([[0.2, 0.2, 0.2]]))
-    with pytest.raises(InputError):
-        decode_argmax(np.array([[0.5, 0.5]]), TIE_REPORT)  # ties are reported one row at a time
 
 
 def test_sord_matrix_checks_every_class_index():

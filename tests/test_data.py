@@ -5,6 +5,8 @@ import pytest
 
 from ordreg.core import InputError, ProblemSpec, Tie
 from ordreg.data import (
+    MAX_CELL_COUNT,
+    MAX_INFERRED_CLASSES,
     TIE_POLICY_LOWEST,
     TIE_POLICY_RESAMPLE,
     Dataset,
@@ -254,6 +256,25 @@ def test_load_csv_without_a_spec_still_checks_each_line(tmp_path):
         load_csv(write_csv(tmp_path, "f_1,c_1,c_3\n0.0,1,1\n", "gap.csv"))
 
 
+def test_load_csv_caps_a_count_cell_and_an_inferred_class_count(tmp_path):
+    at_cap = load_csv(write_csv(tmp_path, f"f_1,c_1,c_2\n0.0,{MAX_CELL_COUNT},1\n", "c.csv"))
+    assert len(at_cap.votes[0]) == MAX_CELL_COUNT + 1
+    top = load_csv(write_csv(tmp_path, f"f_1,r_1\n0.0,1\n1.0,{MAX_INFERRED_CLASSES}\n", "v.csv"))
+    assert top.spec.num_classes == MAX_INFERRED_CLASSES
+    for text, match in (
+        (f"f_1,c_1,c_2\n0.0,1,1\n1.0,1,{MAX_CELL_COUNT + 1}\n", f"count {MAX_CELL_COUNT + 1}"),
+        (f"f_1,r_1\n0.0,1\n1.0,{MAX_INFERRED_CLASSES + 1}\n", "num_classes"),
+    ):
+        path = write_csv(tmp_path, text, "over.csv")
+        with pytest.raises(InputError, match=f"line 3: .*{match}") as err:
+            load_csv(path)
+        assert str(path) in str(err.value)
+    # an explicit class count lifts the vote cap
+    above = MAX_INFERRED_CLASSES + 1
+    wide = write_csv(tmp_path, f"f_1,r_1\n0.0,1\n1.0,{above}\n", "wide.csv")
+    assert load_csv(wide, ProblemSpec(above)).votes[1] == (above,)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
 def test_load_csv_rejects_non_finite_feature_naming_file_and_line(tmp_path, bad):
     path = write_csv(tmp_path, f"id,f_1,f_2,r_1\na,0.0,1.0,1\nb,0.5,{bad},2\nc,1.0,0.0,3\n")
@@ -435,6 +456,14 @@ def test_k_fold_rejects_degenerate_k():
         stratified_k_fold(ds, 1, seed=0)
     with pytest.raises(InputError, match="exceeds"):
         stratified_k_fold(ds, 9, seed=0)
+
+
+def test_splits_reject_a_negative_seed():
+    ds = _labels_dataset([4, 4])
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        stratified_k_fold(ds, 2, seed=-1)
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        train_val_split(range(len(ds)), ds.hard, seed=-1)
 
 
 def test_k_fold_warns_when_a_class_is_rarer_than_k():

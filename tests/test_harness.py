@@ -115,6 +115,13 @@ def test_config_rejects_bad_fields():
         small_config(tie_policy="drop")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seeds", (0, -2)), ("lr", float("nan")), ("lr", float("inf"))])
+def test_config_rejects_negative_seeds_and_a_non_finite_lr(field, value):
+    with pytest.raises(InputError, match=field):
+        small_config(**{field: value})
+
+
 def test_decode_override_beats_the_method_default():
     assert small_config("or_soft").effective_decode == DECODE_COUNT
     assert small_config("or_soft", decode=DECODE_ARGMAX).effective_decode == DECODE_ARGMAX
@@ -317,7 +324,7 @@ def _fake_result(method, fold_values, metric="mae_uw"):
                 histories={0: ()},
             )
         )
-    return ExperimentResult(method=method, folds=tuple(folds), mean={}, std={}, partial=False)
+    return ExperimentResult(method=method, folds=tuple(folds))
 
 
 def test_identical_methods_compare_at_p_half():
@@ -375,8 +382,8 @@ def test_comparison_lists_the_completed_folds_it_paired():
     b = _fake_result("ce", [0.3, 0.4, 0.35, 0.5])
     failed = FoldOutcome(fold=2, status="failed", error="diverged", report=None, records=(),
                          best_epochs={}, histories={})
-    a, b = (ExperimentResult(method=r.method, folds=r.folds[:2] + (failed,) + r.folds[3:],
-                             mean={}, std={}, partial=True) for r in (a, b))
+    a, b = (ExperimentResult(method=r.method, folds=r.folds[:2] + (failed,) + r.folds[3:])
+            for r in (a, b))
     doc = compare_methods(a, b, "mae_uw", "lower").to_dict()
     assert doc["folds"] == [0, 1, 3]
     assert doc["per_fold_a"] == [0.2, 0.3, 0.3]

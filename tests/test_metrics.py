@@ -78,19 +78,17 @@ def test_record_rejects_weight_not_matching_the_soft_maximum():
             pred_dist=ClassDistribution(np.array([0.5, 0.5])),
             pred_hard=1,
             weight=0.9,
-            rater_classes=frozenset({1, 2}),
         )
 
 
 def test_record_rejects_mode_outside_rater_classes():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="rater classes"):
         EvalRecord(
-            soft=RatingDistribution(np.array([0.6, 0.4])),
-            hard=2,
+            soft=RatingDistribution(np.array([1.0, 0.0])),
+            hard=2,  # no rater chose class 2
             pred_dist=ClassDistribution(np.array([0.5, 0.5])),
             pred_hard=1,
-            weight=0.6,
-            rater_classes=frozenset({1}),
+            weight=1.0,
         )
 
 

@@ -291,7 +291,7 @@ def test_two_adam_steps_match_the_recurrence_written_out_by_hand():
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
     rng = np.random.default_rng(7)
     params = init_params(EncoderConfig(3, (4,)), HEAD_SOFTMAX, ProblemSpec(3), 5)
-    state = init_adam_state(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = init_adam_state(params, lr=lr)
     g1 = ParamBundle(rng.normal(size=params.bundle.flat.shape), params.bundle.layout)
     g2 = ParamBundle(rng.normal(size=params.bundle.flat.shape), params.bundle.layout)
 

@@ -287,7 +287,6 @@ def _ref_read_records_csv(path):
                         pred_dist=ClassDistribution(pred),
                         pred_hard=int(row[pred_hard_col]),
                         weight=float(row[weight_col]),
-                        rater_classes=frozenset(int(i) + 1 for i in np.flatnonzero(soft > 0.0)),
                         example_id=row[id_col],
                     )
                 )

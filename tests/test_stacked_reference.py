@@ -63,8 +63,7 @@ def _ref_train_one(dataset, config, train_indices, val_indices, seed):
     """(params flat, history, best epoch), or the TrainingDiverged it raised."""
     method = METHODS[config.method]
     params = init_params(config.encoder, method.head_kind, dataset.spec, seed)
-    adam = init_adam_state(params, lr=config.lr, beta1=config.beta1,
-                           beta2=config.beta2, eps=config.eps)
+    adam = init_adam_state(params, lr=config.lr)
     ties = resolve_ties(dataset, config.tie_policy)
     mask = ties.eval_mask()
     val_keep = [i for i in val_indices if mask[i]]
