@@ -19,7 +19,6 @@ from .core import (
     ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
-    Tie,
     class_distribution_from_tasks,
     decode_argmax,
     decode_count,

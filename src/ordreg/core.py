@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "InputError",
     "ProblemSpec",
-    "Tie",
     "RatingDistribution",
     "ExceedanceLabel",
     "TaskProbabilities",
@@ -35,7 +34,6 @@ __all__ = [
     "DISTANCE_SE",
     "soft_label_from_votes",
     "hard_label_from_soft",
-    "modal_mask",
     "exceedance_from_soft",
     "class_distribution_from_tasks",
     "decode_count",
@@ -63,18 +61,6 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.num_classes, int) or self.num_classes < 2:
             raise InputError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
-
-
-@dataclass(frozen=True)
-class Tie:
-    """An exact tie between two or more modal classes of a rating distribution."""
-
-    classes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
-        if len(self.classes) < 2:
-            raise InputError("a Tie needs at least two classes")
 
 
 def _frozen_vector(name: str, values) -> tuple[np.ndarray, list[float]]:
@@ -213,15 +199,6 @@ def soft_label_from_votes(votes: Sequence[int], spec: ProblemSpec) -> RatingDist
     for v in votes:
         counts[check_class_index(v, spec) - 1] += 1.0
     return RatingDistribution(counts / len(votes))
-
-
-def modal_mask(probs: np.ndarray) -> np.ndarray:
-    """True at every class whose probability equals its row's maximum.
-
-    Exact float equality on purpose: only true ties count as ties. Works
-    along the last axis, on one vector or a (B, K) matrix of rows.
-    """
-    return probs == probs.max(axis=-1, keepdims=True)
 
 
 def _argmax_rows(p: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Datasets for multi-rater ordinal labels: synthetic generation, CSV I/O, splits.
 
-A :class:`Dataset` stores features plus the raw per-rater votes and keeps the
-derived label views (soft distribution, mode, exceedance vector, tie flag)
-precomputed and consistent with the votes. Examples whose vote distribution
-has no unique mode are "tied"; policy for ties lives in :func:`resolve_ties`.
+A :class:`Dataset` stores features, the raw per-rater votes and their vote
+fractions, and derives the other label views (modal classes, mode, exceedance
+vector, tie flag) from the fractions. Examples whose vote distribution has no
+unique mode are "tied"; policy for ties lives in :func:`resolve_ties`.
 
 Every operation that draws randomness builds its own generator from
 ``numpy.random.default_rng([seed, stream])`` with a fixed per-operation
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,12 +24,11 @@ import numpy as np
 from .core import (
     InputError,
     ProblemSpec,
-    Tie,
     check_class_index,
     exceedance_from_soft,
-    modal_mask,
 )
 from .ioutil import atomic_write_text, csv_rows
+from .metrics import _frozen, qwk_from_pairs
 
 TIE_POLICY_RESAMPLE = "paper"
 TIE_POLICY_LOWEST = "lowest"
@@ -51,12 +51,12 @@ _STREAM_TRAIN_VAL = 32
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature/vote table with derived label views.
+    """Immutable feature/vote table; the label views derive from ``soft``.
 
-    ``hard`` holds each example's mode class, lowest class first on tied
-    modes; ``tie_classes`` is None for untied examples and the Tie otherwise.
-    Construct through :func:`dataset_from_votes`, which derives and checks
-    the label views.
+    ``soft`` holds the vote fractions. The read-only views ``modal`` (the
+    (N, K) mask of each example's modal classes), ``hard`` (the lowest modal
+    class), ``exceed`` and ``tied_mask`` (more than one modal class) are
+    computed from it on first use. Construct through :func:`dataset_from_votes`.
     """
 
     spec: ProblemSpec
@@ -64,23 +64,10 @@ class Dataset:
     features: np.ndarray
     votes: tuple[tuple[int, ...], ...]
     soft: np.ndarray
-    hard: np.ndarray
-    tie_classes: tuple[Optional[Tie], ...]
-    exceed: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.ids)
-        if not (
-            len(self.votes) == n
-            and self.features.shape[0] == n
-            and self.soft.shape == (n, self.spec.num_classes)
-            and self.hard.shape == (n,)
-            and len(self.tie_classes) == n
-            and self.exceed.shape == (n, self.spec.num_classes - 1)
-        ):
-            raise InputError("dataset arrays disagree on the number of examples")
-        for arr in (self.features, self.soft, self.hard, self.exceed):
-            arr.setflags(write=False)
+        self.features.setflags(write=False)
+        self.soft.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -89,9 +76,24 @@ class Dataset:
     def num_features(self) -> int:
         return int(self.features.shape[1])
 
-    @property
+    @cached_property
+    def modal(self) -> np.ndarray:
+        # exact float equality on purpose: only true ties count as ties
+        return _frozen(self.soft == self.soft.max(axis=1, keepdims=True), bool)
+
+    @cached_property
+    def hard(self) -> np.ndarray:
+        return _frozen(np.argmax(self.modal, axis=1) + 1, np.int64)
+
+    @cached_property
+    def exceed(self) -> np.ndarray:
+        k = self.spec.num_classes
+        return _frozen(exceedance_from_soft(self.soft) if len(self) else np.empty((0, k - 1)),
+                       np.float64)
+
+    @cached_property
     def tied_mask(self) -> np.ndarray:
-        return np.asarray([t is not None for t in self.tie_classes])
+        return _frozen(self.modal.sum(axis=1) > 1, bool)
 
 
 def _vote_matrix(
@@ -133,11 +135,10 @@ def dataset_from_votes(
     votes: Sequence[Sequence[int]],
     ids: Optional[Sequence[str]] = None,
 ) -> Dataset:
-    """Assemble a Dataset, deriving soft/hard/exceedance labels from the votes.
+    """Assemble a Dataset whose soft labels are the vote fractions.
 
-    The soft labels are the vote fractions. The mode is the lowest class of
-    :func:`core.modal_mask`, as in :func:`core.hard_label_from_soft`, and an
-    example with more than one modal class is tied.
+    The mode is the lowest modal class, as in :func:`core.hard_label_from_soft`,
+    and an example with more than one modal class is tied.
     """
     feats = np.array(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -157,21 +158,12 @@ def dataset_from_votes(
         raise InputError(f"example index {i} (id {ids[i]!r}) has a non-finite feature value")
 
     counts, clean_votes = _vote_matrix(votes, spec)
-    soft = counts / counts.sum(axis=1, keepdims=True)
-    top = modal_mask(soft)
-    ties: list[Optional[Tie]] = [None] * n
-    for i in np.flatnonzero(top.sum(axis=1) > 1).tolist():
-        ties[i] = Tie(tuple((np.flatnonzero(top[i]) + 1).tolist()))
-    k = spec.num_classes
     return Dataset(
         spec=spec,
         ids=tuple(str(s) for s in ids),
         features=feats,
         votes=clean_votes,
-        soft=soft,
-        hard=np.argmax(top, axis=1).astype(np.int64) + 1,
-        tie_classes=tuple(ties),
-        exceed=exceedance_from_soft(soft) if n else np.empty((0, k - 1)),
+        soft=counts / counts.sum(axis=1, keepdims=True),
     )
 
 
@@ -313,86 +305,90 @@ def _split_header(header: list[str], num_classes: Optional[int]) -> tuple[Option
 
 
 def load_csv(path, spec: Optional[ProblemSpec] = None) -> Dataset:
-    """Parse a votes CSV into a Dataset. Errors carry 1-based line numbers.
+    """Parse a votes CSV into a Dataset. Errors start with the path; row errors name the line.
 
     Without ``spec``, the same pass infers the number of classes K: the count
     columns ``c_1..c_K`` give it, or else the highest vote does.
     """
-    top = spec.num_classes if spec is not None else None
-    high = top or MAX_INFERRED_CLASSES  # the highest vote accepted
     with csv_rows(path) as reader:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("line 1: empty file") from None
-        id_col, f_cols, r_cols, c_cols = _split_header(header, top)
-        ids: list[str] = []
-        features: list[list[float]] = []
-        votes: list[tuple[int, ...]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(row[p]) for p in f_cols]
-            except ValueError:
-                raise InputError(f"line {line_no}: malformed feature value") from None
-            if not all(map(math.isfinite, values)):
-                p = next(p for p, x in zip(f_cols, values) if not math.isfinite(x))
-                raise InputError(
-                    f"{path} line {line_no}: non-finite feature value {row[p].strip()!r}"
-                    f" in column {header[p].strip()!r}"
-                )
-            features.append(values)
-            row_votes: list[int] = []
-            if r_cols:
-                for p in r_cols:
-                    field = row[p].strip()
-                    if not field:
-                        continue  # blank = missing rater
+            return _dataset_from_rows(reader, spec)
+        except InputError as err:
+            raise InputError(f"{path}: {err}") from None
+
+
+def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
+    top = spec.num_classes if spec is not None else None
+    high = top or MAX_INFERRED_CLASSES  # the highest vote accepted
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("line 1: empty file") from None
+    id_col, f_cols, r_cols, c_cols = _split_header(header, top)
+    ids: list[str] = []
+    features: list[list[float]] = []
+    votes: list[tuple[int, ...]] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(
+                f"line {line_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            values = [float(row[p]) for p in f_cols]
+        except ValueError:
+            raise InputError(f"line {line_no}: malformed feature value") from None
+        if not all(map(math.isfinite, values)):
+            p = next(p for p, x in zip(f_cols, values) if not math.isfinite(x))
+            raise InputError(
+                f"line {line_no}: non-finite feature value {row[p].strip()!r}"
+                f" in column {header[p].strip()!r}"
+            )
+        features.append(values)
+        row_votes: list[int] = []
+        if r_cols:
+            for p in r_cols:
+                field = row[p].strip()
+                if not field:
+                    continue  # blank = missing rater
+                try:
+                    v = int(field)
+                except ValueError:
+                    raise InputError(
+                        f"line {line_no}: malformed vote {field!r}"
+                    ) from None
+                if not 1 <= v <= high:
+                    raise InputError(
+                        f"line {line_no}: vote {v} outside 1..{high}"
+                        + ("" if top else " (set num_classes to allow more classes)")
+                    )
+                row_votes.append(v)
+        else:
+            for cls, p in enumerate(c_cols, start=1):
+                field = row[p].strip()
+                count = 0
+                if field:
                     try:
-                        v = int(field)
+                        count = int(field)
                     except ValueError:
                         raise InputError(
-                            f"line {line_no}: malformed vote {field!r}"
+                            f"line {line_no}: malformed count {field!r}"
                         ) from None
-                    if not 1 <= v <= high:
-                        raise InputError(
-                            f"{path} line {line_no}: vote {v} outside 1..{high}"
-                            + ("" if top else " (set num_classes to allow more classes)")
-                        )
-                    row_votes.append(v)
-            else:
-                for cls, p in enumerate(c_cols, start=1):
-                    field = row[p].strip()
-                    count = 0
-                    if field:
-                        try:
-                            count = int(field)
-                        except ValueError:
-                            raise InputError(
-                                f"line {line_no}: malformed count {field!r}"
-                            ) from None
-                    if not 0 <= count <= MAX_CELL_COUNT:
-                        raise InputError(f"{path} line {line_no}: count {count} in column"
-                                         f" {header[p].strip()!r} outside 0..{MAX_CELL_COUNT}")
-                    row_votes.extend([cls] * count)
-            if not row_votes:
-                raise InputError(f"line {line_no}: example has no votes")
-            votes.append(tuple(row_votes))
-            ids.append(row[id_col].strip() if id_col is not None else str(len(ids) + 1))
+                if not 0 <= count <= MAX_CELL_COUNT:
+                    raise InputError(f"line {line_no}: count {count} in column"
+                                     f" {header[p].strip()!r} outside 0..{MAX_CELL_COUNT}")
+                row_votes.extend([cls] * count)
+        if not row_votes:
+            raise InputError(f"line {line_no}: example has no votes")
+        votes.append(tuple(row_votes))
+        ids.append(row[id_col].strip() if id_col is not None else str(len(ids) + 1))
     if spec is None:
         k = len(c_cols) or max(map(max, votes), default=0)
         if k < 2:
-            raise InputError(f"{path}: could not infer at least two classes")
+            raise InputError("could not infer at least two classes")
         spec = ProblemSpec(k)
-    try:
-        return dataset_from_votes(spec, features, votes, ids)
-    except InputError as err:
-        raise InputError(f"{path}: {err}") from None
+    return dataset_from_votes(spec, features, votes, ids)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -432,53 +428,44 @@ def combine_rater_sets(
 
 @dataclass(frozen=True)
 class TieResolution:
-    """Per-example tie handling bound to one dataset.
+    """Tie handling bound to one dataset.
 
     Under ``paper`` tied examples are dropped from evaluation and, for
-    hard-label training, get a fresh uniform draw among their tied classes
-    each epoch. Under ``lowest`` ties resolve to the lowest tied class
+    hard-label training, get a fresh uniform draw among their modal classes
+    each epoch. Under ``lowest`` ties resolve to the lowest modal class
     everywhere and nothing is excluded.
     """
 
     policy: str
-    tied_indices: tuple[int, ...]
-    hard: np.ndarray
-    tie_classes: tuple[Optional[Tie], ...]
+    dataset: Dataset
 
     def eval_mask(self) -> np.ndarray:
         """True for examples that evaluation should keep."""
-        mask = np.ones(self.hard.shape[0], dtype=bool)
         if self.policy == TIE_POLICY_RESAMPLE:
-            mask[list(self.tied_indices)] = False
-        return mask
+            return ~self.dataset.tied_mask
+        return np.ones(len(self.dataset), dtype=bool)
 
     def sample_hard_labels(self, rng: np.random.Generator) -> np.ndarray:
         """One epoch's hard labels; tied examples drawn uniformly when resampling.
 
-        One ``rng.integers`` call draws for every tied example, in index order.
+        One ``rng.integers`` call draws a position p among each tied example's
+        modal classes, in index order, and the label is its p-th modal class.
         It takes the same draws from ``rng``, and leaves it in the same state,
         as one call per tied example.
         """
-        labels = self.hard.copy()
-        if self.policy == TIE_POLICY_RESAMPLE and self.tied_indices:
-            choices = [self.tie_classes[i].classes for i in self.tied_indices]
-            picks = rng.integers([len(classes) for classes in choices])
-            labels[list(self.tied_indices)] = [
-                classes[p] for classes, p in zip(choices, picks.tolist())
-            ]
+        labels = self.dataset.hard.copy()
+        tied = np.flatnonzero(self.dataset.tied_mask)
+        if self.policy == TIE_POLICY_RESAMPLE and tied.size:
+            rank = np.cumsum(self.dataset.modal[tied], axis=1)  # running count of modal classes
+            picks = rng.integers(rank[:, -1])
+            labels[tied] = np.argmax(rank > picks[:, None], axis=1) + 1
         return labels
 
 
 def resolve_ties(dataset: Dataset, policy: str) -> TieResolution:
     if policy not in ALL_TIE_POLICIES:
         raise InputError(f"tie policy must be one of {ALL_TIE_POLICIES}, got {policy!r}")
-    tied = tuple(int(i) for i, t in enumerate(dataset.tie_classes) if t is not None)
-    return TieResolution(
-        policy=policy,
-        tied_indices=tied,
-        hard=dataset.hard.copy(),
-        tie_classes=dataset.tie_classes,
-    )
+    return TieResolution(policy=policy, dataset=dataset)
 
 
 # ===== splits =====
@@ -583,8 +570,6 @@ def mean_pairwise_rater_qwk(dataset: Dataset) -> Optional[float]:
     A pair contributes when both positions voted on at least one shared
     example and its kappa is defined.
     """
-    from .metrics import qwk_from_pairs
-
     max_votes = max(len(v) for v in dataset.votes)
     if max_votes < 2:
         return None

@@ -98,7 +98,7 @@ SUMMARY_FILE = "summary.json"
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training run produces a non-finite loss."""
+    """Raised when a training run produces a non-finite loss or validation prediction."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,8 @@ class TrainOutcome:
 def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) -> np.ndarray:
     """Per-example predicted class distributions, one row per feature row.
 
-    Stacked params take (M, B, input_dim) features and give (M, B, K).
+    Stacked params take (M, B, input_dim) features and give (M, B, K). A
+    non-finite output, the sign of a diverged model, makes its row NaN.
     """
     spec = METHODS[method]
     logits = np.atleast_2d(forward(params, features))
@@ -198,7 +199,9 @@ def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) 
     tasks = tasks.reshape(-1, tasks.shape[-1])  # the rows of every model as one matrix
     if spec.loss_kind == losses_mod.LOSS_CORN:
         tasks = losses_mod.corn_unconditional(tasks)
-    return class_distribution_from_tasks(tasks).reshape(*lead, -1)
+    bad = ~np.isfinite(tasks).all(axis=-1, keepdims=True)
+    probs = class_distribution_from_tasks(np.where(bad, 0.5, tasks))
+    return np.where(bad, np.nan, probs).reshape(*lead, -1)
 
 
 def decode_distribution(
@@ -255,8 +258,8 @@ def train_models(
     therefore the one it gets when trained alone.
 
     Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
-    so ties keep the earliest epoch. A model whose loss turns non-finite
-    leaves the stack; its entry is the :class:`TrainingDiverged` error.
+    so ties keep the earliest epoch. A model with a non-finite loss or
+    validation prediction leaves the stack as a :class:`TrainingDiverged`.
     """
     method = METHODS[config.method]
     ties = resolve_ties(dataset, config.tie_policy)
@@ -307,6 +310,13 @@ def train_models(
     best_mae = np.full(n_models, np.inf)
     best_epoch = np.zeros(n_models, dtype=np.int64)
     histories: list[list[EpochStats]] = [[] for _ in jobs]
+
+    def diverge(rows: np.ndarray, what: str) -> None:
+        for i in rows.tolist():
+            failed[i] = TrainingDiverged(
+                f"{config.method} seed {seeds[i]}: non-finite {what} at epoch {epoch}")
+        alive[rows] = False
+
     for epoch in range(1, config.epochs + 1):
         live = np.flatnonzero(alive)
         if not live.size:
@@ -325,11 +335,7 @@ def train_models(
                 loss, grad = loss_and_gradient(stack(rows), batch, method.loss_kind)
                 finite = np.isfinite(loss)
                 if not finite.all():
-                    for i in rows[~finite].tolist():
-                        failed[i] = TrainingDiverged(
-                            f"{config.method} seed {seeds[i]}: non-finite loss at epoch {epoch}"
-                        )
-                    alive[rows[~finite]] = False
+                    diverge(rows[~finite], "loss")
                     rows, loss = rows[finite], loss[finite]
                     grad = ParamBundle(grad.flat[finite], grad.layout)
                     if not rows.size:
@@ -351,6 +357,13 @@ def train_models(
             if not rows.size:
                 continue
             probs = predict_prob_matrix(stack(rows), config.method, features)
+            finite = np.isfinite(probs).all(axis=(1, 2))
+            if not finite.all():
+                diverge(rows[~finite], "validation prediction")
+                rows, probs, weight, hard, weight_sum = (
+                    a[finite] for a in (rows, probs, weight, hard, weight_sum))
+                if not rows.size:
+                    continue
             preds = decode_distribution(probs, decode_rule).astype(np.float64)
             maes = (weight * np.abs(preds - hard)).sum(axis=-1) / weight_sum
             for i, mae in zip(rows.tolist(), maes.tolist()):
@@ -378,7 +391,7 @@ def train_one(
     seed: int,
 ) -> TrainOutcome:
     """Train one model, snapshotting the best-validation epoch: the one-model
-    case of :func:`train_models`. A non-finite loss raises :class:`TrainingDiverged`.
+    case of :func:`train_models`. A diverged model raises :class:`TrainingDiverged`.
     """
     (outcome,) = train_models(dataset, config, [ModelJob(train_indices, val_indices, seed)])
     if isinstance(outcome, TrainingDiverged):
@@ -529,8 +542,9 @@ def run_cv(
             error = str(failures[0])
         elif not keep.any():
             error = "no evaluable test examples after tie exclusion"
+        elif not np.isfinite(kept := np.mean(np.asarray(prob_stack), axis=0)[keep]).all():
+            error = f"{config.method}: non-finite ensemble test prediction"
         else:
-            kept = np.mean(np.asarray(prob_stack), axis=0)[keep]
             test_kept = np.asarray(fold.test)[keep]
             records = eval_record(
                 soft=dataset.soft[test_kept],

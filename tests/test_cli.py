@@ -7,10 +7,12 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ordreg.cli import run
-from ordreg.data import MAX_CELL_COUNT, MAX_INFERRED_CLASSES
+from ordreg.core import ProblemSpec
+from ordreg.data import MAX_CELL_COUNT, MAX_INFERRED_CLASSES, dataset_from_votes, save_csv
 from ordreg.harness import METHODS
 
 SYNTH = {
@@ -241,6 +243,31 @@ def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys,
     assert err.startswith("error: ") and named in err
     if path is not None:
         assert path in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value", "ignore:.*folds failed")
+def test_non_finite_predictions_fail_their_folds_and_cv_exits_zero(tmp_path):
+    # forty ordinary rows and one with features of 1e10: at lr 1e150 the large
+    # row's outputs overflow in training, validation or test, fold by fold
+    rng = np.random.default_rng(2)
+    features = np.vstack([rng.normal(size=(40, 3)), np.full((1, 3), 1e10)])
+    votes = [(int(c),) for c in rng.integers(1, 4, size=40)] + [(2,)]
+    data = tmp_path / "data.csv"
+    save_csv(dataset_from_votes(ProblemSpec(3), features, votes), data)
+    out = tmp_path / "results"
+    cfg = write_json(tmp_path / "exp.json", {
+        "data": str(data), "out": str(out), "methods": ["or_soft", "ce"], "folds": 2,
+        "seeds": [0], "epochs": 5, "lr": 1e150, "hidden_dims": [16]})
+    assert run(["cv", "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    folds = {method: [(f["status"], f.get("error")) for f in block["folds"]]
+             for method, block in summary["methods"].items()}
+    assert folds == {
+        "or_soft": [("failed", "or_soft seed 0: non-finite validation prediction at epoch 4"),
+                    ("ok", None)],
+        "ce": [("failed", "ce seed 0: non-finite loss at epoch 2"),
+               ("failed", "ce: non-finite ensemble test prediction")],
+    }
 
 
 def test_a_gap_in_the_count_columns_exits_one_naming_line_one(tmp_path, capsys):

@@ -12,7 +12,6 @@ from ordreg.core import (
     ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
-    Tie,
     class_distribution_from_tasks,
     decode_argmax,
     decode_count,
@@ -113,12 +112,6 @@ def test_task_probabilities_allow_saturated_endpoints():
     TaskProbabilities(np.array([1.0, 0.5, 0.0]))
     with pytest.raises(InputError):
         TaskProbabilities(np.array([1.5, 0.5]))
-
-
-def test_tie_needs_at_least_two_classes():
-    assert Tie((1, 2)).classes == (1, 2)
-    with pytest.raises(InputError):
-        Tie((2,))
 
 
 # ---- soft_label_from_votes ----

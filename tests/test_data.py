@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ordreg.core import InputError, ProblemSpec, Tie
+from ordreg.core import InputError, ProblemSpec
 from ordreg.data import (
     MAX_CELL_COUNT,
     MAX_INFERRED_CLASSES,
@@ -51,14 +51,15 @@ def test_vote_counts_become_soft_label_fractions():
     ds = make_dataset([(2, 2, 3)])
     np.testing.assert_allclose(ds.soft[0], [0.0, 2 / 3, 1 / 3, 0.0])
     assert ds.hard[0] == 2
-    assert ds.tie_classes[0] is None
+    np.testing.assert_array_equal(ds.modal, [[False, True, False, False]])
+    assert not ds.tied_mask[0]
 
 
 def test_split_vote_yields_tie_metadata():
     ds = make_dataset([(1, 3), (2, 2)])
-    assert ds.tie_classes[0] == Tie((1, 3))
+    np.testing.assert_array_equal(ds.modal, [[True, False, True, False],
+                                             [False, True, False, False]])
     assert ds.hard[0] == 1  # stored mode defaults to the lowest tied class
-    assert ds.tie_classes[1] is None
     np.testing.assert_array_equal(ds.tied_mask, [True, False])
 
 
@@ -85,6 +86,14 @@ def test_arrays_are_read_only():
         ds.features[0, 0] = 9.0
     with pytest.raises(ValueError):
         ds.soft[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        ds.modal[0, 0] = False
+    with pytest.raises(ValueError):
+        ds.hard[0] = 3
+    with pytest.raises(ValueError):
+        ds.exceed[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        ds.tied_mask[0] = True
 
 
 # ---- synthetic generation ----
@@ -225,6 +234,36 @@ def test_load_csv_malformed_fields(tmp_path):
         load_csv(write_csv(tmp_path, "f_1,r_1\n0.0\n", "width.csv"), SPEC4)
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param(b"", id="empty-file"),
+    pytest.param(b"id,id,f_1,r_1\n", id="duplicate-id-column"),
+    pytest.param(b"f_1,c_x\n", id="malformed-count-column"),
+    pytest.param(b"f_1,z_1\n", id="unrecognized-column"),
+    pytest.param(b"r_1\n1\n", id="no-feature-columns"),
+    pytest.param(b"f_1,r_1,c_1\n0,1,1\n", id="votes-and-counts"),
+    pytest.param(b"f_1,c_1,c_3\n0,1,1\n", id="count-column-gap"),
+    pytest.param(b"f_1,r_1\nabc,1\n", id="malformed-feature"),
+    pytest.param(b"f_1,r_1\ninf,1\n", id="non-finite-feature"),
+    pytest.param(b"f_1,r_1\n0.0,1\n0.0\n", id="field-count"),
+    pytest.param(b"f_1,r_1\n0.0,1\n0.0,x\n", id="malformed-vote"),
+    pytest.param(b"f_1,r_1\n0.0,1\n0.0,%d\n" % (MAX_INFERRED_CLASSES + 1), id="vote-cap"),
+    pytest.param(b"f_1,c_1,c_2\n0.0,x,1\n", id="malformed-count"),
+    pytest.param(b"f_1,c_1,c_2\n0.0,%d,1\n" % (MAX_CELL_COUNT + 1), id="count-cap"),
+    pytest.param(b"f_1,r_1,r_2\n0.0,1,\n0.0,,\n", id="no-votes"),
+    pytest.param(b"f_1,r_1\n0.0,1\n1.0,1\n", id="one-class"),
+    pytest.param(b"id,f_1,r_1\na,0.0,1\na,1.0,2\n", id="duplicate-ids"),
+    pytest.param(b"f_1,r_1\n0.0,\xe9\n", id="not-utf8"),
+    pytest.param(b"f_1,r_1\n" + b"1" * 140_000 + b",1\n", id="field-limit"),
+])
+def test_every_load_csv_error_starts_with_the_path_once(tmp_path, data):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with pytest.raises(InputError) as err:
+        load_csv(path)
+    message = str(err.value)
+    assert message.startswith(str(path)) and message.count(str(path)) == 1
+
+
 def test_load_csv_infers_the_class_count_from_count_columns(tmp_path):
     path = write_csv(tmp_path, "f_1,c_1,c_2,c_3,c_4,c_5\n0.0,0,2,1,0,0\n1.0,3,,,,\n")
     ds = load_csv(path)
@@ -336,7 +375,6 @@ def test_resample_policy_excludes_ties_from_evaluation():
     ds = make_dataset([(1, 3), (2, 2), (4,)])
     res = resolve_ties(ds, TIE_POLICY_RESAMPLE)
     np.testing.assert_array_equal(res.eval_mask(), [False, True, True])
-    assert res.tied_indices == (0,)
 
 
 def test_lowest_policy_keeps_everything_with_lowest_class_mode():
@@ -375,14 +413,15 @@ def test_tie_draws_match_one_draw_per_tied_example(k):
         votes += [(1, 2, 3), (2,), (1, 2, k), (k - 2, k - 1, k)]
     ds = make_dataset(votes, spec=ProblemSpec(k), seed=k)
     res = resolve_ties(ds, TIE_POLICY_RESAMPLE)
-    assert len(res.tied_indices) >= 3
+    tied = np.flatnonzero(ds.tied_mask).tolist()
+    assert len(tied) >= 3
     for seed in range(6):
         batched = np.random.default_rng([seed, 42])
         looped = np.random.default_rng([seed, 42])
         for _ in range(4):
             expected = ds.hard.copy()
-            for i in res.tied_indices:
-                classes = ds.tie_classes[i].classes
+            for i in tied:
+                classes = np.flatnonzero(ds.modal[i]) + 1
                 expected[i] = classes[looped.integers(len(classes))]
             np.testing.assert_array_equal(res.sample_hard_labels(batched), expected)
         assert batched.bit_generator.state == looped.bit_generator.state
@@ -393,7 +432,7 @@ def test_tie_free_dataset_resolves_to_identity():
     ds = make_dataset([(1,), (2, 2, 3)])
     for policy in (TIE_POLICY_RESAMPLE, TIE_POLICY_LOWEST):
         res = resolve_ties(ds, policy)
-        assert res.tied_indices == ()
+        assert not ds.tied_mask.any()
         np.testing.assert_array_equal(res.sample_hard_labels(np.random.default_rng(0)), ds.hard)
         assert res.eval_mask().all()
 
@@ -523,21 +562,21 @@ def test_soft_labels_always_sum_to_one_and_match_vote_counts():
 
 
 def _ref_label_views(votes, spec):
-    """The earlier per-example loop: soft, hard, ties, exceed and the int votes."""
+    """The earlier per-example loop: soft, hard, modal classes, exceed and the int votes."""
     from ordreg.core import exceedance_from_soft, soft_label_from_votes
 
     n, k = len(votes), spec.num_classes
     soft, hard, exceed = np.empty((n, k)), np.empty(n, dtype=np.int64), np.empty((n, k - 1))
-    ties, clean = [], []
+    modal, clean = [], []
     for i, v in enumerate(votes):
         dist = soft_label_from_votes(list(v), spec)
         clean.append(tuple(int(x) for x in v))
         soft[i] = dist.probs
         top = np.flatnonzero(dist.probs == dist.probs.max())
         hard[i] = int(top[0]) + 1
-        ties.append(Tie(tuple(int(c) + 1 for c in top)) if top.size > 1 else None)
+        modal.append(tuple(int(c) + 1 for c in top))
         exceed[i] = exceedance_from_soft(dist).exceed
-    return soft, hard, tuple(ties), exceed, tuple(clean)
+    return soft, hard, tuple(modal), exceed, tuple(clean)
 
 
 def _ref_error(votes, spec):
@@ -555,11 +594,14 @@ def test_label_views_are_the_bits_of_the_per_example_derivation(k):
              for _ in range(300)]
     votes += [(1, k), (k, 1, 1, k), tuple(range(1, k + 1)), (2,) * 9]  # 2-way and k-way ties
     ds = dataset_from_votes(ProblemSpec(k), np.zeros((len(votes), 1)), votes)
-    soft, hard, ties, exceed, clean = _ref_label_views(votes, ProblemSpec(k))
+    soft, hard, modal, exceed, clean = _ref_label_views(votes, ProblemSpec(k))
     for got, want in ((ds.soft, soft), (ds.hard, hard), (ds.exceed, exceed)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert ds.tie_classes == ties and ds.votes == clean
-    assert any(t is not None and len(t.classes) == k for t in ds.tie_classes)
+    assert ds.modal.dtype == bool
+    assert [tuple((np.flatnonzero(row) + 1).tolist()) for row in ds.modal] == list(modal)
+    np.testing.assert_array_equal(ds.tied_mask, [len(m) > 1 for m in modal])
+    assert ds.votes == clean
+    assert any(len(m) == k for m in modal)
 
 
 @pytest.mark.parametrize("votes", [
@@ -581,6 +623,6 @@ def test_vote_errors_and_conversions_follow_the_per_example_checks(votes):
         assert (type(err), str(err)) == want
     else:
         assert want is None
-        soft, hard, ties, exceed, clean = _ref_label_views(votes, spec)
+        soft, hard, modal, exceed, clean = _ref_label_views(votes, spec)
         assert np.array_equal(ds.soft, soft) and np.array_equal(ds.hard, hard)
         assert ds.votes == clean and all(type(x) is int for v in ds.votes for x in v)

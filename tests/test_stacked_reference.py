@@ -222,3 +222,54 @@ def test_a_diverging_model_leaves_its_group_and_the_others_do_not_change(method)
     assert str(got[2]).startswith(f"{method} seed 2: non-finite loss at epoch ")
     with pytest.raises(TrainingDiverged, match="non-finite loss"):
         train_one(ds, cfg, jobs[2].train, jobs[2].val, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("method", ["ce", "coral", "sord_se"])  # heads whose outputs turn NaN
+def test_a_non_finite_validation_prediction_is_a_divergence(method):
+    ds = _poisoned()
+    rng = np.random.default_rng(5)
+    jobs = []
+    for j in range(4):
+        rows = rng.permutation(40)
+        val = sorted(rows[30:].tolist())
+        if j == 2:
+            val[0] = 40  # only this model validates on the large example
+        jobs.append(ModelJob(sorted(rows[:30].tolist()), val, seed=j))
+    cfg = TrainConfig(method=method, encoder=EncoderConfig(3, (16,)), epochs=3, batch_size=8,
+                      lr=1e150, seeds=(0,))
+    got = train_models(ds, cfg, jobs)
+    assert str(got[2]).startswith(f"{method} seed 2: non-finite validation prediction at epoch ")
+    others = [jobs[j] for j in (0, 1, 3)]
+    for g, alone in zip([got[j] for j in (0, 1, 3)], train_models(ds, cfg, others)):
+        _assert_outcome(g, (alone.params, alone.history, alone.best_epoch))
+    with pytest.raises(TrainingDiverged, match="non-finite validation prediction"):
+        train_one(ds, cfg, jobs[2].train, jobs[2].val, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_a_non_finite_test_prediction_fails_its_fold_only():
+    # one epoch in one batch: a model that trains on the large example steps
+    # from a finite loss, and only predicting on it overflows
+    ds = _poisoned()
+    cfg = TrainConfig(method="ce", encoder=EncoderConfig(3, (16,)), epochs=1, batch_size=64,
+                      lr=1e150, seeds=(0, 1))
+    split = stratified_k_fold(ds, 5, seed=0)
+    with pytest.warns(UserWarning, match="2 of 5 folds failed"):
+        result = run_cv(ds, cfg, k=5, split_seed=0)
+    where = ["test" if 40 in f.test else "val" if 40 in f.val else "train" for f in split.folds]
+    assert sorted(where) == ["test", "train", "train", "train", "val"]
+    for fold, place, outcome in zip(split.folds, where, result.folds):
+        if place == "test":
+            assert (outcome.status, outcome.error) == ("failed", "ce: non-finite ensemble test prediction")
+            continue
+        if place == "val":
+            assert outcome.status == "failed"
+            assert outcome.error == "ce seed 0: non-finite validation prediction at epoch 1"
+            continue
+        refs = [_ref_train_one(ds, cfg, fold.train, fold.val, s) for s in cfg.seeds]
+        assert outcome.status == "ok"
+        assert outcome.histories == {s: r[1] for s, r in zip(cfg.seeds, refs)}
+        test = np.asarray(fold.test)
+        stack = [predict_prob_matrix(r[0], "ce", ds.features[test]) for r in refs]
+        assert np.array_equal(outcome.records.pred, np.mean(np.asarray(stack), axis=0))
