@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, harness
 from .core import InputError, ProblemSpec
 from .data import (
     ALL_TIE_POLICIES,
@@ -287,19 +287,16 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     if cfg["folds"] < 2:
         raise InputError(f"field 'folds': cv needs at least 2 folds, got {cfg['folds']}")
     dataset, dataset_doc = _load_dataset(cfg, args.seed)
+    configs = [_train_config(cfg, method, dataset.num_features) for method in methods]
+    # one split for every method, called by the name run_cv uses, which traces count
+    split = harness.stratified_k_fold(dataset, cfg["folds"], cfg["split_seed"],
+                                      configs[0].val_fraction)
     results = []
     meta = _meta(args)
     failure: Optional[Exception] = None
-    for method in methods:
-        config = _train_config(cfg, method, dataset.num_features)
+    for method, config in zip(methods, configs):
         try:
-            result = run_cv(
-                dataset,
-                config,
-                k=cfg["folds"],
-                split_seed=cfg["split_seed"],
-                jobs=args.jobs,
-            )
+            result = run_cv(dataset, config, jobs=args.jobs, split=split)
             write_experiment_result(cfg["out"], result)
         except Exception as err:  # keep what finished, then fail with this error
             failure = err

@@ -383,6 +383,8 @@ def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
             raise InputError(f"line {line_no}: example has no votes")
         votes.append(tuple(row_votes))
         ids.append(row[id_col].strip() if id_col is not None else str(len(ids) + 1))
+    if not votes:
+        raise InputError("no examples")
     if spec is None:
         k = len(c_cols) or max(map(max, votes), default=0)
         if k < 2:
@@ -454,12 +456,17 @@ class TieResolution:
         as one call per tied example.
         """
         labels = self.dataset.hard.copy()
-        tied = np.flatnonzero(self.dataset.tied_mask)
+        tied, rank = self._tied_ranks
         if self.policy == TIE_POLICY_RESAMPLE and tied.size:
-            rank = np.cumsum(self.dataset.modal[tied], axis=1)  # running count of modal classes
             picks = rng.integers(rank[:, -1])
             labels[tied] = np.argmax(rank > picks[:, None], axis=1) + 1
         return labels
+
+    @cached_property
+    def _tied_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tied examples, and each one's running count of modal classes."""
+        tied = np.flatnonzero(self.dataset.tied_mask)
+        return tied, np.cumsum(self.dataset.modal[tied], axis=1)
 
 
 def resolve_ties(dataset: Dataset, policy: str) -> TieResolution:

@@ -28,6 +28,7 @@ import time
 import warnings
 from array import array
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -47,6 +48,7 @@ from .core import (
 from .data import (
     ALL_TIE_POLICIES,
     Dataset,
+    FoldSplit,
     TIE_POLICY_RESAMPLE,
     resolve_ties,
     stratified_k_fold,
@@ -241,9 +243,27 @@ def _size_groups(sizes: np.ndarray, rows: np.ndarray) -> list[tuple[int, np.ndar
     """``rows`` split by ``sizes[rows]``, as (size, rows) pairs; models only share
     a stacked call when their arrays have the same shape."""
     sized = sizes[rows]
-    if sized.size and (sized == sized[0]).all():
-        return [(int(sized[0]), rows)]
     return [(int(b), rows[sized == b]) for b in np.unique(sized)]
+
+
+class _Stack:
+    """The models still training, as one stacked model updated in place. Row j of
+    the parameters, Adam state and gradient (views made once) is model ``ids[j]``."""
+
+    def __init__(self, ids: np.ndarray, params: ModelParams, adam: AdamState) -> None:
+        self.ids, self.params, self.adam = ids, params, adam
+        self.grad = ParamBundle(np.empty(params.bundle.flat.shape), params.bundle.layout)
+
+    def gather(self, models: np.ndarray) -> tuple[ModelParams, AdamState]:
+        """Copies of the parameters and Adam state of ``models``, sorted ids in the stack."""
+        at, a = np.searchsorted(self.ids, models), self.adam
+        return self.params.with_flat(self.params.bundle.flat[at]), AdamState(
+            a.m[at], a.v[at], a.step[at], a.lr)
+
+    def scatter(self, models: np.ndarray, params: ModelParams, adam: AdamState) -> None:
+        at = np.searchsorted(self.ids, models)
+        self.params.bundle.flat[at] = params.bundle.flat
+        self.adam.m[at], self.adam.v[at], self.adam.step[at] = adam.m, adam.v, adam.step
 
 
 def train_models(
@@ -254,8 +274,9 @@ def train_models(
     Each model keeps its own init, shuffle and tie-resample streams and its
     own Adam step count, and every loss, gradient and validation UW-MAE
     reduces over that model's own rows; models whose current batches differ
-    in size step in separate stacked calls. Each model's outcome is
-    therefore the one it gets when trained alone.
+    in size step in separate stacked calls, on gathered rows, and a step of
+    every model still training updates the :class:`_Stack` in place. Each
+    model's outcome is therefore the one it gets when trained alone.
 
     Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
     so ties keep the earliest epoch. A model with a non-finite loss or
@@ -279,12 +300,9 @@ def train_models(
     n_models = len(jobs)
     inits = [init_params(config.encoder, method.head_kind, dataset.spec, s) for s in seeds]
     flat = np.stack([p.bundle.flat for p in inits])
-    mom1 = np.zeros_like(flat)
-    mom2 = np.zeros_like(flat)
-    steps = np.zeros(n_models, dtype=np.int64)
-
-    def stack(rows: np.ndarray) -> ModelParams:
-        return inits[0].with_flat(flat[rows])
+    stack = _Stack(np.arange(n_models), inits[0].with_flat(flat),
+                   AdamState(np.zeros_like(flat), np.zeros_like(flat),
+                             np.zeros(n_models, dtype=np.int64), config.lr))
 
     resampling = (method.loss_kind in losses_mod.HARD_TARGET_LOSSES
                   and config.tie_policy == TIE_POLICY_RESAMPLE)
@@ -312,10 +330,12 @@ def train_models(
     histories: list[list[EpochStats]] = [[] for _ in jobs]
 
     def diverge(rows: np.ndarray, what: str) -> None:
+        nonlocal stack
         for i in rows.tolist():
             failed[i] = TrainingDiverged(
                 f"{config.method} seed {seeds[i]}: non-finite {what} at epoch {epoch}")
         alive[rows] = False
+        stack = _Stack(np.flatnonzero(alive), *stack.gather(np.flatnonzero(alive)))
 
     for epoch in range(1, config.epochs + 1):
         live = np.flatnonzero(alive)
@@ -326,26 +346,33 @@ def train_models(
                 labels[i] = ties.sample_hard_labels(tie_rngs[i])
             order[i, : n_train[i]] = train_idx[i][shuffles[i].permutation(n_train[i])]
         loss_sum = np.zeros(n_models)
+        shortest = int(n_train[live].min())
         for start in range(0, int(n_train[live].max()), config.batch_size):
-            sizes = np.minimum(n_train - start, config.batch_size)
-            for size, rows in _size_groups(sizes, np.flatnonzero(alive & (sizes > 0))):
+            if stack.ids.size and start + config.batch_size <= shortest:
+                groups = [(config.batch_size, stack.ids)]  # a full batch for every model
+            else:
+                sizes = np.minimum(n_train - start, config.batch_size)
+                groups = _size_groups(sizes, np.flatnonzero(alive & (sizes > 0)))
+            for size, rows in groups:
                 idx = order[rows, start : start + size]
                 targets = labels[rows[:, None], idx] if resampling else targets_of[idx]
                 batch = Batch(dataset.features[idx], targets)
-                loss, grad = loss_and_gradient(stack(rows), batch, method.loss_kind)
+                whole = rows.size == stack.ids.size
+                params, adam = (stack.params, stack.adam) if whole else stack.gather(rows)
+                loss, grad = loss_and_gradient(params, batch, method.loss_kind,
+                                               out=stack.grad if whole else None)
                 finite = np.isfinite(loss)
                 if not finite.all():
                     diverge(rows[~finite], "loss")
                     rows, loss = rows[finite], loss[finite]
-                    grad = ParamBundle(grad.flat[finite], grad.layout)
                     if not rows.size:
                         continue
-                params, adam = adam_step(
-                    stack(rows), grad,
-                    AdamState(mom1[rows], mom2[rows], steps[rows], config.lr),
-                )
-                flat[rows] = params.bundle.flat
-                mom1[rows], mom2[rows], steps[rows] = adam.m, adam.v, adam.step
+                    whole = False
+                    params, adam = stack.gather(rows)
+                    grad = ParamBundle(grad.flat[finite], grad.layout)
+                adam_step(params, grad, adam, out=(params, adam))
+                if not whole:
+                    stack.scatter(rows, params, adam)
                 loss_sum[rows] += loss * size
         train_loss = (loss_sum / n_train).tolist()
 
@@ -356,7 +383,8 @@ def train_models(
                     a[keep] for a in (rows, features, weight, hard, weight_sum))
             if not rows.size:
                 continue
-            probs = predict_prob_matrix(stack(rows), config.method, features)
+            params = stack.params if rows.size == stack.ids.size else stack.gather(rows)[0]
+            probs = predict_prob_matrix(params, config.method, features)
             finite = np.isfinite(probs).all(axis=(1, 2))
             if not finite.all():
                 diverge(rows[~finite], "validation prediction")
@@ -371,7 +399,7 @@ def train_models(
                                                val_uw_mae=mae))
             improved = maes < best_mae[rows]
             better = rows[improved]
-            best[better] = flat[better]
+            best[better] = stack.params.bundle.flat[np.searchsorted(stack.ids, better)]
             best_mae[better] = maes[improved]
             best_epoch[better] = epoch
 
@@ -430,13 +458,14 @@ class ExperimentResult:
     @property
     def mean(self) -> dict[str, Optional[float]]:
         """Per metric, the mean over the completed folds where it is defined."""
-        return self._aggregates()[0]
+        return dict(self._aggregates[0])
 
     @property
     def std(self) -> dict[str, Optional[float]]:
         """Per metric, the sample standard deviation; None below two defined folds."""
-        return self._aggregates()[1]
+        return dict(self._aggregates[1])
 
+    @cached_property
     def _aggregates(self) -> tuple[dict[str, Optional[float]], dict[str, Optional[float]]]:
         reports = [f.report for f in self.completed_folds()]
         return _aggregate(reports) if reports else ({}, {})
@@ -496,18 +525,22 @@ def run_cv(
     k: int = 5,
     split_seed: int = 0,
     jobs: int = 1,
+    split: Optional[FoldSplit] = None,
 ) -> ExperimentResult:
     """Cross-validated evaluation of one method with per-fold seed ensembling.
 
+    The folds are ``split``, which a run of several methods makes once, or
+    else ``stratified_k_fold(dataset, k, split_seed, config.val_fraction)``.
     Every (fold, seed) model trains in one stacked run in this process
     (:func:`train_models`). ``jobs`` is accepted for compatibility and does
     not change the work or its result: one stacked run pays the per-step
     overhead once for all models, and worker processes, each with a shard of
     the models, did not make the measured runs faster.
     """
-    split = stratified_k_fold(dataset, k, split_seed, config.val_fraction)
-    ties = resolve_ties(dataset, config.tie_policy)
-    mask = ties.eval_mask()
+    if split is None:
+        split = stratified_k_fold(dataset, k, split_seed, config.val_fraction)
+    k = len(split.folds)
+    mask = resolve_ties(dataset, config.tie_policy).eval_mask()
     keys = [(fi, seed) for fi in range(k) for seed in config.seeds]
     start = time.perf_counter()
     trained = train_models(
@@ -524,8 +557,7 @@ def run_cv(
                if isinstance(outcome, TrainingDiverged)}
 
     fold_outcomes: list[FoldOutcome] = []
-    for fi in range(k):
-        fold = split.folds[fi]
+    for fi, fold in enumerate(split.folds):
         failures = [job_err[(fi, s)] for s in config.seeds if (fi, s) in job_err]
         histories = {}
         best_epochs = {}

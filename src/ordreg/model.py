@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -227,16 +227,15 @@ def init_params(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # the row maxima from a class-major copy: a max is exact in any order, and a
+    # reduce along the short class axis makes one inner-loop call per row
+    shifted = logits - np.maximum.reduce(logits.T.copy(), axis=0).T[..., None]
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -247,7 +246,7 @@ def _activation(kind: str, x: np.ndarray) -> np.ndarray:
 
 def _t(a: np.ndarray) -> np.ndarray:
     """The transpose of a matrix, or of every matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
@@ -341,7 +340,8 @@ def batch_from_pairs(pairs: Sequence[tuple], loss_kind: str) -> Batch:
 
 
 def loss_and_gradient(
-    params: ModelParams, batch: Union["Batch", Sequence[tuple]], loss_kind: str
+    params: ModelParams, batch: Union["Batch", Sequence[tuple]], loss_kind: str,
+    *, out: Optional[ParamBundle] = None,
 ) -> tuple[Union[float, np.ndarray], ParamBundle]:
     """Mini-batch loss and its exact gradient.
 
@@ -355,27 +355,31 @@ def loss_and_gradient(
     Stacked params take a stacked :class:`Batch` and give the (M,) losses
     and an (M, P) gradient; every model reduces over its own B rows only,
     so each row equals that model's unstacked result bit for bit.
+
+    The gradient fills a fresh bundle, or ``out`` (shaped like ``params.bundle``),
+    whose caller vouches for a non-empty :class:`Batch` and a loss kind fitting the head.
     """
-    if len(batch) == 0:
-        raise InputError("batch must be non-empty")
-    if loss_kind not in losses_mod.ALL_LOSS_KINDS:
-        raise InputError(
-            f"unknown loss kind {loss_kind!r}; valid: {', '.join(losses_mod.ALL_LOSS_KINDS)}"
-        )
-    task_loss = loss_kind in _TASK_LOSSES
-    if task_loss and params.head_kind == HEAD_SOFTMAX:
-        raise InputError(f"loss {loss_kind!r} needs a task head, not softmax")
-    if not task_loss and params.head_kind != HEAD_SOFTMAX:
-        raise InputError(f"loss {loss_kind!r} needs the softmax head")
-    if not isinstance(batch, Batch):
-        batch = batch_from_pairs(batch, loss_kind)
+    if out is None:
+        if len(batch) == 0:
+            raise InputError("batch must be non-empty")
+        if loss_kind not in losses_mod.ALL_LOSS_KINDS:
+            raise InputError(
+                f"unknown loss kind {loss_kind!r}; valid: {', '.join(losses_mod.ALL_LOSS_KINDS)}"
+            )
+        task_head = params.head_kind != HEAD_SOFTMAX
+        if task_head != (loss_kind in _TASK_LOSSES):
+            raise InputError(f"loss {loss_kind!r} needs "
+                             + ("the softmax head" if task_head else "a task head, not softmax"))
+        if not isinstance(batch, Batch):
+            batch = batch_from_pairs(batch, loss_kind)
+        out = ParamBundle(np.empty(params.bundle.flat.shape), params.bundle.layout)
 
     k = params.num_classes
     x = np.asarray(batch.features, dtype=np.float64)
     _check_features(params, x, "batch features")
     n = x.shape[-2]
     logits, pres, acts = _forward_cached(params, x)
-    probs = sigmoid(logits) if task_loss else softmax(logits)
+    probs = sigmoid(logits) if loss_kind in _TASK_LOSSES else softmax(logits)
 
     def rows(a: np.ndarray) -> np.ndarray:
         # the per-example losses see every model's rows as one (M*B, ...) array
@@ -414,38 +418,33 @@ def loss_and_gradient(
         dlogits = (probs - targets) / n
     if not params.stacked:
         loss = float(loss)
-    return loss, _backward(params, dlogits, pres, acts)
+    return loss, _backward(params, dlogits, pres, acts, out)
 
 
 def _backward(
-    params: ModelParams, dlogits: np.ndarray, pres: list, acts: list
+    params: ModelParams, dlogits: np.ndarray, pres: list, acts: list, out: ParamBundle
 ) -> ParamBundle:
+    """Backprop from the logit gradient, writing every tensor's gradient into ``out``."""
     bundle = params.bundle
-    z_last = acts[-1]
-    gb = dlogits.sum(axis=-2)
+    np.add.reduce(dlogits, axis=-2, out=out.head_b)
     if params.head_kind == HEAD_SHARED_SLOPE_BIAS:
         dshared = dlogits.sum(axis=-1, keepdims=True)  # (B,1): logit_k shares one slope
-        gw = _t(dshared) @ z_last
+        np.matmul(_t(dshared), acts[-1], out=out.head_w)
         dz = dshared @ bundle.head_w
     else:
-        gw = _t(dlogits) @ z_last
+        np.matmul(_t(dlogits), acts[-1], out=out.head_w)
         dz = dlogits @ bundle.head_w
 
-    n_layers = bundle.layout.n_layers
-    genc_w: list[np.ndarray] = [None] * n_layers
-    genc_b: list[np.ndarray] = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        pre = pres[i]
+    for i in range(bundle.layout.n_layers - 1, -1, -1):
         if params.encoder.activation == ACT_RELU:
-            dpre = dz * (pre > 0.0)
+            dpre = dz * (pres[i] > 0.0)
         else:
-            dpre = dz * (1.0 - np.tanh(pre) ** 2)
-        genc_w[i] = _t(dpre) @ acts[i]
-        genc_b[i] = dpre.sum(axis=-2)
-        dz = dpre @ bundle.encoder_w[i]
-    lead = bundle.flat.shape[:-1]
-    flat = np.concatenate([g.reshape(*lead, -1) for g in (*genc_w, *genc_b, gw, gb)], axis=-1)
-    return ParamBundle(flat, bundle.layout)
+            dpre = dz * (1.0 - np.tanh(pres[i]) ** 2)
+        np.matmul(_t(dpre), acts[i], out=out.encoder_w[i])
+        np.add.reduce(dpre, axis=-2, out=out.encoder_b[i])
+        if i:  # the input features need no gradient
+            dz = dpre @ bundle.encoder_w[i]
+    return out
 
 
 def init_adam_state(params: ModelParams, lr: float = 1e-5) -> AdamState:
@@ -454,31 +453,36 @@ def init_adam_state(params: ModelParams, lr: float = 1e-5) -> AdamState:
 
 
 def _bias_correction(beta: float, t: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
-    """1 - beta**t in Python float arithmetic; an (M, 1) column when stacked
-    models have taken different numbers of steps."""
-    steps = t.tolist() if isinstance(t, np.ndarray) else [t]
-    if min(steps) == max(steps):
-        return 1.0 - beta ** steps[0]
-    return np.array([[1.0 - beta**s] for s in steps])
+    """1 - beta**t, the power in Python floats; an (M, 1) column for stacked models."""
+    if isinstance(t, np.ndarray):
+        return (1.0 - np.array([beta**s for s in t.tolist()]))[:, None]
+    return 1.0 - beta**t
 
 
 def adam_step(
-    params: ModelParams, grad: ParamBundle, state: AdamState
+    params: ModelParams, grad: ParamBundle, state: AdamState,
+    *, out: Optional[tuple[ModelParams, AdamState]] = None,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update on the flat vectors; returns fresh params and state.
+    """One bias-corrected Adam update on the flat vectors.
 
     Stacked params update every model's row in the same few ufunc calls,
-    each with its own step count.
+    each with its own step count. The results are fresh arrays, or written
+    into ``out``: ``out=(params, state)`` updates them in place, same bits.
     """
     t = state.step + 1
+    new_params, new_state = out or (
+        params.with_flat(np.empty(params.bundle.flat.shape)),
+        AdamState(np.empty(state.m.shape), np.empty(state.v.shape), t, state.lr))
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     g = grad.flat
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g * g
-    bc1 = _bias_correction(b1, t)
-    bc2 = _bias_correction(b2, t)
-    flat = params.bundle.flat - state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return params.with_flat(flat), AdamState(m=m, v=v, step=t, lr=state.lr)
+    m = np.multiply(b1, state.m, out=new_state.m)
+    m += (1.0 - b1) * g
+    v = np.multiply(b2, state.v, out=new_state.v)
+    v += (1.0 - b2) * g * g
+    update = state.lr * (m / _bias_correction(b1, t)) / (np.sqrt(v / _bias_correction(b2, t)) + ADAM_EPS)
+    np.subtract(params.bundle.flat, update, out=new_params.bundle.flat)
+    new_state.step = t
+    return new_params, new_state
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:

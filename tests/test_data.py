@@ -225,6 +225,14 @@ def test_load_csv_empty_file_and_empty_example(tmp_path):
         load_csv(write_csv(tmp_path, "f_1,r_1,r_2\n0.0,,\n", "novote.csv"), SPEC4)
 
 
+@pytest.mark.parametrize("spec", [None, ProblemSpec(3)])
+def test_load_csv_of_a_header_alone_has_no_examples(tmp_path, spec):
+    path = write_csv(tmp_path, "f_1,r_1\n", "header.csv")
+    with pytest.raises(InputError) as err:
+        load_csv(path, spec)
+    assert str(err.value) == f"{path}: no examples"
+
+
 def test_load_csv_malformed_fields(tmp_path):
     with pytest.raises(InputError, match="line 2.*feature"):
         load_csv(write_csv(tmp_path, "f_1,r_1\nabc,1\n", "badf.csv"), SPEC4)
@@ -250,6 +258,7 @@ def test_load_csv_malformed_fields(tmp_path):
     pytest.param(b"f_1,c_1,c_2\n0.0,x,1\n", id="malformed-count"),
     pytest.param(b"f_1,c_1,c_2\n0.0,%d,1\n" % (MAX_CELL_COUNT + 1), id="count-cap"),
     pytest.param(b"f_1,r_1,r_2\n0.0,1,\n0.0,,\n", id="no-votes"),
+    pytest.param(b"f_1,r_1\n", id="header-only"),
     pytest.param(b"f_1,r_1\n0.0,1\n1.0,1\n", id="one-class"),
     pytest.param(b"id,f_1,r_1\na,0.0,1\na,1.0,2\n", id="duplicate-ids"),
     pytest.param(b"f_1,r_1\n0.0,\xe9\n", id="not-utf8"),

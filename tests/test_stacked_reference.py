@@ -35,6 +35,7 @@ from ordreg.harness import (
 )
 from ordreg.losses import HARD_TARGET_LOSSES, LOSS_CE_SOFT, LOSS_OR_SOFT
 from ordreg.model import (
+    AdamState,
     Batch,
     EncoderConfig,
     adam_step,
@@ -222,6 +223,57 @@ def test_a_diverging_model_leaves_its_group_and_the_others_do_not_change(method)
     assert str(got[2]).startswith(f"{method} seed 2: non-finite loss at epoch ")
     with pytest.raises(TrainingDiverged, match="non-finite loss"):
         train_one(ds, cfg, jobs[2].train, jobs[2].val, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_a_model_diverging_on_a_full_batch_mid_epoch_leaves_the_others_exact(method):
+    # train sizes 30, 27, 30, 29 in batches of 8: three steps of every model,
+    # then a ragged last batch of 6, 3, 6 and 5 rows
+    ds = _poisoned()
+    rng = np.random.default_rng(5)
+    jobs = []
+    for j, n in enumerate((30, 27, 30, 29)):
+        rows = rng.permutation(40)
+        train = rows[:n].tolist()
+        if j == 2:
+            # epoch 1 visits train[perm[p]] at its p-th example: put the large
+            # example at p = 10, in the second batch
+            perm = np.random.default_rng([j, _STREAM_SHUFFLE]).permutation(n)
+            train[perm[10]] = 40
+        jobs.append(ModelJob(train, sorted(rows[n:].tolist()), seed=j))
+    # 8 hidden units: with 16, corn's loss on the large example stays finite
+    cfg = TrainConfig(method=method, encoder=EncoderConfig(3, (8,)), epochs=3, batch_size=8,
+                      lr=1e150, seeds=(0,))
+    want = [_ref_train_one(ds, cfg, job.train, job.val, job.seed) for job in jobs]
+    assert [isinstance(w, TrainingDiverged) for w in want] == [False, False, True, False]
+    assert str(want[2]) == f"{method} seed 2: non-finite loss at epoch 1"
+    for got, ref in zip(train_models(ds, cfg, jobs), want):
+        _assert_outcome(got, ref)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_the_public_step_functions_leave_their_inputs_unchanged(method):
+    cfg = _config(method, (4,), "tanh", TIE_POLICY_LOWEST, 5)
+    spec = METHODS[method]
+    params = init_params(cfg.encoder, spec.head_kind, NOISY.spec, 0)
+    params = params.with_flat(np.stack([params.bundle.flat + d for d in (0.0, 0.1, -0.2)]))
+    idx = np.arange(15).reshape(3, 5)
+    batch = Batch(NOISY.features[idx], _ref_epoch_targets(NOISY, cfg, idx, NOISY.hard))
+    rng = np.random.default_rng(3)
+    state = AdamState(rng.normal(size=params.bundle.flat.shape),
+                      rng.random(params.bundle.flat.shape), np.array([0, 4, 4]), 0.01)
+    inputs = (params.bundle.flat, batch.features, batch.targets, state.m, state.v, state.step)
+    before = [a.copy() for a in inputs]
+
+    _, grad = loss_and_gradient(params, batch, spec.loss_kind)
+    grad_before = grad.flat.copy()
+    new_params, new_state = adam_step(params, grad, state)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    assert np.array_equal(grad.flat, grad_before)
+    for fresh in (grad.flat, new_params.bundle.flat, new_state.m, new_state.v, new_state.step):
+        assert not any(np.shares_memory(fresh, a) for a in inputs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
