@@ -10,6 +10,8 @@ differ between the models, and when one model of a group diverges.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordreg.core import ProblemSpec
 from ordreg.data import (
@@ -94,6 +96,9 @@ def _ref_train_one(dataset, config, train_indices, val_indices, seed):
             params, adam = adam_step(params, grad, adam)
             loss_sum += loss * len(chunk)
         probs = predict_prob_matrix(params, config.method, val_x)
+        if not np.isfinite(probs).all():
+            return TrainingDiverged(
+                f"{config.method} seed {seed}: non-finite validation prediction at epoch {epoch}")
         preds = decode_distribution(probs, config.effective_decode).astype(np.float64)
         val_mae = float((val_w * np.abs(preds - val_h)).sum() / val_w.sum())
         history.append(EpochStats(epoch, loss_sum / n_train, val_mae))
@@ -325,3 +330,72 @@ def test_a_non_finite_test_prediction_fails_its_fold_only():
         test = np.asarray(fold.test)
         stack = [predict_prob_matrix(r[0], "ce", ds.features[test]) for r in refs]
         assert np.array_equal(outcome.records.pred, np.mean(np.asarray(stack), axis=0))
+
+
+# ---- generated cases ----
+
+
+@st.composite
+def _stacked_runs(draw):
+    """A dataset, a config and one to five jobs drawn over every method and shape.
+
+    The dataset is sixty ordinary examples plus the large one of
+    :func:`_poisoned`, at index 60. No job, one job or every job trains on it
+    (one job may validate on it instead) at a learning rate of 1e150. A job
+    with more rows than a batch meets it after its first step, when its
+    weights are near 1e150, so it mostly diverges mid-epoch. A poisoned run
+    has a ReLU layer, since a linear or tanh model stays finite at such
+    weights; with two, ordinary examples often overflow as well.
+    """
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = np.vstack([rng.normal(size=(60, 3)), np.full((1, 3), 1e10)])
+    # one to four raters per example, so ties arise for every K; example 0 never ties
+    votes = [(1,)] + [tuple(rng.integers(1, k + 1, size=rng.integers(1, 5)).tolist())
+                      for _ in range(59)] + [(2,)]
+    ds = dataset_from_votes(ProblemSpec(k), features, votes)
+    ties = draw(st.sampled_from([TIE_POLICY_RESAMPLE, TIE_POLICY_LOWEST]))
+    poison = draw(st.sampled_from(["none", "one", "every"]))
+    if poison == "none":
+        encoder = EncoderConfig(3, draw(st.sampled_from([(), (4,), (3, 5)])),
+                                draw(st.sampled_from(["relu", "tanh"])))
+    else:
+        encoder = EncoderConfig(3, draw(st.sampled_from([(4,), (3, 5)])), "relu")
+    n_jobs = draw(st.integers(1, 5))
+    poisoned = {"none": set(), "one": {draw(st.integers(0, n_jobs - 1))},
+                "every": set(range(n_jobs))}[poison]
+    batch_size = draw(st.integers(1, 16))
+    jobs = []
+    for j in range(n_jobs):
+        seed = draw(st.integers(0, 3))
+        train = rng.choice(60, draw(st.integers(1, 40)), replace=False).tolist()
+        val = rng.choice(60, draw(st.integers(1, 40)), replace=False).tolist()
+        if ties == TIE_POLICY_RESAMPLE and ds.tied_mask[val].all():
+            val[0] = 0
+        if j in poisoned and poison == "one" and draw(st.booleans()):
+            val[int(rng.integers(len(val)))] = 60
+        elif j in poisoned:
+            # epoch 1 visits train[perm[p]] at its p-th example
+            perm = np.random.default_rng([seed, _STREAM_SHUFFLE]).permutation(len(train))
+            first = batch_size if len(train) > batch_size else 0
+            train[perm[int(rng.integers(first, len(train)))]] = 60
+        jobs.append(ModelJob(train, val, seed=seed))
+    cfg = TrainConfig(
+        method=draw(st.sampled_from(sorted(METHODS))),
+        encoder=encoder, epochs=draw(st.integers(1, 3)), batch_size=batch_size,
+        lr=1e150 if poisoned else 0.05, tie_policy=ties,
+        decode=draw(st.sampled_from([None, "count", "argmax"])),
+    )
+    return ds, cfg, jobs
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_stacked_runs())
+def test_generated_stacks_equal_one_model_at_a_time(run):
+    ds, cfg, jobs = run
+    want = [_ref_train_one(ds, cfg, job.train, job.val, job.seed) for job in jobs]
+    got = train_models(ds, cfg, jobs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_outcome(g, w)
