@@ -35,7 +35,6 @@ from .losses import (
     corn_unconditional,
     or_cnn_loss,
     or_soft_loss,
-    sord_loss,
 )
 from .metrics import (
     EvalRecord,
@@ -67,7 +66,6 @@ from .model import (
 from .data import (
     Dataset,
     SyntheticConfig,
-    combine_rater_sets,
     dataset_from_votes,
     generate_synthetic,
     load_csv,

@@ -99,7 +99,7 @@ class RatingDistribution:
             raise InputError("rating probabilities must lie in [0, 1]")
         total = arr.sum()
         if abs(float(total) - 1.0) > PROB_SUM_TOL:
-            raise InputError(f"rating probabilities sum to {total!r}, not 1")
+            raise InputError(f"rating probabilities sum to {float(total)!r}, not 1")
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -168,7 +168,7 @@ class ClassDistribution:
             raise InputError("class probabilities must lie in [0, 1]")
         total = arr.sum()
         if abs(float(total) - 1.0) > PROB_SUM_TOL:
-            raise InputError(f"class probabilities sum to {total!r}, not 1")
+            raise InputError(f"class probabilities sum to {float(total)!r}, not 1")
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -180,7 +180,8 @@ def check_class_index(label: int, spec: ProblemSpec) -> int:
     """Validate a 1-based class index against the problem spec."""
     idx = int(label)
     if idx != label or not 1 <= idx <= spec.num_classes:
-        raise InputError(f"class index {label!r} outside 1..{spec.num_classes}")
+        shown = label.item() if isinstance(label, np.generic) else label  # 5, not np.int64(5)
+        raise InputError(f"class index {shown!r} outside 1..{spec.num_classes}")
     return idx
 
 

@@ -39,6 +39,7 @@ ALL_TIE_POLICIES = (TIE_POLICY_RESAMPLE, TIE_POLICY_LOWEST)
 # explicit num_classes
 MAX_CELL_COUNT = 1000
 MAX_INFERRED_CLASSES = 100
+MAX_SYNTHETIC_CELLS = 1_000_000  # generator: n_examples x (n_features + n_raters)
 
 # RNG stream constants; each seeded operation owns one
 _STREAM_LATENT = 21
@@ -190,6 +191,8 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if min(self.n_examples, self.n_features, self.n_raters) < 1:
             raise InputError("n_examples, n_features, n_raters must all be >= 1")
+        if self.n_examples * (self.n_features + self.n_raters) > MAX_SYNTHETIC_CELLS:
+            raise InputError(f"n_examples x (n_features + n_raters) exceeds {MAX_SYNTHETIC_CELLS}")
         if self.num_classes < 2:
             raise InputError("num_classes must be >= 2")
         th = tuple(float(t) for t in self.thresholds)
@@ -406,26 +409,6 @@ def save_csv(dataset: Dataset, path) -> None:
         fields += [str(v) for v in row_votes] + [""] * (max_votes - len(row_votes))
         lines.append(",".join(fields))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def combine_rater_sets(
-    base_votes: Sequence[int], extra_votes: Sequence[int], replication_factor: int
-) -> tuple[int, ...]:
-    """Merge one example's original votes with votes from additional raters.
-
-    A single-vote base is a consensus stand-in for several raters, so it is
-    replicated ``replication_factor`` times before concatenation to keep the
-    original opinion's weight comparable to the newcomers'. Multi-rater bases
-    concatenate unchanged.
-    """
-    if replication_factor < 1:
-        raise InputError("replication_factor must be >= 1")
-    base = tuple(int(v) for v in base_votes)
-    if len(base) == 0:
-        raise InputError("base_votes must be non-empty")
-    if len(base) == 1:
-        base = base * replication_factor
-    return base + tuple(int(v) for v in extra_votes)
 
 
 @dataclass(frozen=True)

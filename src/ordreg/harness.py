@@ -129,7 +129,9 @@ METHODS: dict[str, MethodSpec] = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One method's training settings. ``decode=None`` keeps the method default."""
+    """One method's training settings. ``decode=None`` keeps the method default.
+    ``val_fraction`` is the share of each fold's non-test examples kept for
+    *training*, class by class; the rest validates."""
 
     method: str
     encoder: EncoderConfig
@@ -246,41 +248,23 @@ def _size_groups(sizes: np.ndarray, rows: np.ndarray) -> list[tuple[int, np.ndar
     return [(int(b), rows[sized == b]) for b in np.unique(sized)]
 
 
-class _Stack:
-    """The models still training, as one stacked model updated in place. Row j of
-    the parameters, Adam state and gradient (views made once) is model ``ids[j]``."""
-
-    def __init__(self, ids: np.ndarray, params: ModelParams, adam: AdamState) -> None:
-        self.ids, self.params, self.adam = ids, params, adam
-        self.grad = ParamBundle(np.empty(params.bundle.flat.shape), params.bundle.layout)
-
-    def gather(self, models: np.ndarray) -> tuple[ModelParams, AdamState]:
-        """Copies of the parameters and Adam state of ``models``, sorted ids in the stack."""
-        at, a = np.searchsorted(self.ids, models), self.adam
-        return self.params.with_flat(self.params.bundle.flat[at]), AdamState(
-            a.m[at], a.v[at], a.step[at], a.lr)
-
-    def scatter(self, models: np.ndarray, params: ModelParams, adam: AdamState) -> None:
-        at = np.searchsorted(self.ids, models)
-        self.params.bundle.flat[at] = params.bundle.flat
-        self.adam.m[at], self.adam.v[at], self.adam.step[at] = adam.m, adam.v, adam.step
-
-
 def train_models(
     dataset: Dataset, config: TrainConfig, jobs: Sequence[ModelJob]
 ) -> list[Union[TrainOutcome, TrainingDiverged]]:
     """Train one model per job, all of them as one stacked model.
 
-    Each model keeps its own init, shuffle and tie-resample streams and its
-    own Adam step count, and every loss, gradient and validation UW-MAE
-    reduces over that model's own rows; models whose current batches differ
-    in size step in separate stacked calls, on gathered rows, and a step of
-    every model still training updates the :class:`_Stack` in place. Each
-    model's outcome is therefore the one it gets when trained alone.
+    Row i of the run's parameters, Adam state, gradient buffer and best
+    snapshot is job i from the first step to the outcome. Each model keeps
+    its own init, shuffle and tie-resample streams and its own Adam step
+    count, and every loss, gradient and validation UW-MAE reduces over that
+    model's own rows; a step of every model updates the rows in place, and
+    any other step (ragged last batches, in groups of equal size, or after a
+    divergence) works on copies of its models' rows and writes them back.
+    Each model's outcome is therefore the one it gets when trained alone.
 
     Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
     so ties keep the earliest epoch. A model with a non-finite loss or
-    validation prediction leaves the stack as a :class:`TrainingDiverged`.
+    validation prediction stops training, its outcome a :class:`TrainingDiverged`.
     """
     method = METHODS[config.method]
     ties = resolve_ties(dataset, config.tie_policy)
@@ -300,9 +284,14 @@ def train_models(
     n_models = len(jobs)
     inits = [init_params(config.encoder, method.head_kind, dataset.spec, s) for s in seeds]
     flat = np.stack([p.bundle.flat for p in inits])
-    stack = _Stack(np.arange(n_models), inits[0].with_flat(flat),
-                   AdamState(np.zeros_like(flat), np.zeros_like(flat),
-                             np.zeros(n_models, dtype=np.int64), config.lr))
+    params = inits[0].with_flat(flat)
+    adam = AdamState(np.zeros_like(flat), np.zeros_like(flat),
+                     np.zeros(n_models, dtype=np.int64), config.lr)
+    grad = ParamBundle(np.empty(flat.shape), params.bundle.layout)
+
+    def gather(rows: np.ndarray) -> tuple[ModelParams, AdamState]:
+        return params.with_flat(flat[rows]), AdamState(
+            adam.m[rows], adam.v[rows], adam.step[rows], config.lr)
 
     resampling = (method.loss_kind in losses_mod.HARD_TARGET_LOSSES
                   and config.tie_policy == TIE_POLICY_RESAMPLE)
@@ -323,6 +312,7 @@ def train_models(
     decode_rule = config.effective_decode
 
     alive = np.ones(n_models, dtype=bool)
+    live = np.arange(n_models)  # flatnonzero(alive), remade only when a model diverges
     failed: dict[int, TrainingDiverged] = {}
     best = flat.copy()
     best_mae = np.full(n_models, np.inf)
@@ -330,15 +320,14 @@ def train_models(
     histories: list[list[EpochStats]] = [[] for _ in jobs]
 
     def diverge(rows: np.ndarray, what: str) -> None:
-        nonlocal stack
+        nonlocal live
         for i in rows.tolist():
             failed[i] = TrainingDiverged(
                 f"{config.method} seed {seeds[i]}: non-finite {what} at epoch {epoch}")
         alive[rows] = False
-        stack = _Stack(np.flatnonzero(alive), *stack.gather(np.flatnonzero(alive)))
+        live = np.flatnonzero(alive)
 
     for epoch in range(1, config.epochs + 1):
-        live = np.flatnonzero(alive)
         if not live.size:
             break
         for i in live.tolist():
@@ -348,31 +337,33 @@ def train_models(
         loss_sum = np.zeros(n_models)
         shortest = int(n_train[live].min())
         for start in range(0, int(n_train[live].max()), config.batch_size):
-            if stack.ids.size and start + config.batch_size <= shortest:
-                groups = [(config.batch_size, stack.ids)]  # a full batch for every model
+            if not live.size:
+                break
+            if start + config.batch_size <= shortest:
+                groups = [(config.batch_size, live)]  # a full batch for every model
             else:
                 sizes = np.minimum(n_train - start, config.batch_size)
-                groups = _size_groups(sizes, np.flatnonzero(alive & (sizes > 0)))
+                groups = _size_groups(sizes, live[sizes[live] > 0])
             for size, rows in groups:
                 idx = order[rows, start : start + size]
                 targets = labels[rows[:, None], idx] if resampling else targets_of[idx]
                 batch = Batch(dataset.features[idx], targets)
-                whole = rows.size == stack.ids.size
-                params, adam = (stack.params, stack.adam) if whole else stack.gather(rows)
-                loss, grad = loss_and_gradient(params, batch, method.loss_kind,
-                                               out=stack.grad if whole else None)
+                whole = rows.size == n_models
+                step_params, step_adam = (params, adam) if whole else gather(rows)
+                loss, step_grad = loss_and_gradient(step_params, batch, method.loss_kind,
+                                                    out=grad if whole else None)
                 finite = np.isfinite(loss)
                 if not finite.all():
                     diverge(rows[~finite], "loss")
-                    rows, loss = rows[finite], loss[finite]
+                    rows, loss, whole = rows[finite], loss[finite], False
                     if not rows.size:
                         continue
-                    whole = False
-                    params, adam = stack.gather(rows)
-                    grad = ParamBundle(grad.flat[finite], grad.layout)
-                adam_step(params, grad, adam, out=(params, adam))
+                    step_params, step_adam = gather(rows)
+                    step_grad = ParamBundle(step_grad.flat[finite], step_grad.layout)
+                adam_step(step_params, step_grad, step_adam, out=(step_params, step_adam))
                 if not whole:
-                    stack.scatter(rows, params, adam)
+                    flat[rows], adam.m[rows], adam.v[rows], adam.step[rows] = (
+                        step_params.bundle.flat, step_adam.m, step_adam.v, step_adam.step)
                 loss_sum[rows] += loss * size
         train_loss = (loss_sum / n_train).tolist()
 
@@ -383,8 +374,9 @@ def train_models(
                     a[keep] for a in (rows, features, weight, hard, weight_sum))
             if not rows.size:
                 continue
-            params = stack.params if rows.size == stack.ids.size else stack.gather(rows)[0]
-            probs = predict_prob_matrix(params, config.method, features)
+            probs = predict_prob_matrix(
+                params if rows.size == n_models else params.with_flat(flat[rows]),
+                config.method, features)
             finite = np.isfinite(probs).all(axis=(1, 2))
             if not finite.all():
                 diverge(rows[~finite], "validation prediction")
@@ -399,7 +391,7 @@ def train_models(
                                                val_uw_mae=mae))
             improved = maes < best_mae[rows]
             better = rows[improved]
-            best[better] = stack.params.bundle.flat[np.searchsorted(stack.ids, better)]
+            best[better] = flat[better]
             best_mae[better] = maes[improved]
             best_epoch[better] = epoch
 
@@ -473,11 +465,12 @@ class ExperimentResult:
 
 def _test_probabilities(
     dataset: Dataset, config: TrainConfig, tests: Sequence[np.ndarray],
-    outcomes: Sequence[TrainOutcome],
-) -> list[np.ndarray]:
-    """Each model's predicted distributions on its test rows, one stacked call per test size."""
-    probs: list[np.ndarray] = [None] * len(outcomes)
-    for _, rows in _size_groups(np.array([t.size for t in tests]), np.arange(len(outcomes))):
+    outcomes: Sequence[Union[TrainOutcome, TrainingDiverged]],
+) -> list[Optional[np.ndarray]]:
+    """Each model's distributions on its test rows (None if it diverged), stacked by test size."""
+    probs: list[Optional[np.ndarray]] = [None] * len(outcomes)
+    trained = np.array([isinstance(o, TrainOutcome) for o in outcomes])
+    for _, rows in _size_groups(np.array([t.size for t in tests]), np.flatnonzero(trained)):
         params = outcomes[rows[0]].params.with_flat(
             np.stack([outcomes[i].params.bundle.flat for i in rows]))
         features = dataset.features[np.stack([tests[i] for i in rows])]
@@ -486,23 +479,21 @@ def _test_probabilities(
     return probs
 
 
-def _log_progress(
-    config: TrainConfig, keys: Sequence[tuple[int, int]], trained: Sequence, seconds: float
-) -> None:
-    """One info line per (fold, seed) model, in job order; ``seconds`` is the stacked run's."""
+def _log_progress(config: TrainConfig, trained: Sequence, seconds: float) -> None:
+    """One info line per model, in job order; ``seconds`` is the stacked run's."""
     if not log.isEnabledFor(logging.INFO):
         return
-    group = len(trained)
-    for (fi, seed), outcome in zip(keys, trained):
+    for j, outcome in enumerate(trained):
+        fold, seed = j // len(config.seeds) + 1, config.seeds[j % len(config.seeds)]
         if isinstance(outcome, TrainingDiverged):
-            log.info("%s fold %d seed %d: diverged (%s)", config.method, fi + 1, seed, outcome)
+            log.info("%s fold %d seed %d: diverged (%s)", config.method, fold, seed, outcome)
             continue
         best = outcome.history[outcome.best_epoch - 1].val_uw_mae if outcome.best_epoch else None
         log.info(
             "%s fold %d seed %d: best epoch %d, val UW-MAE %s; stacked group of %d models,"
             " %.3f s, %.1f epochs/s",
-            config.method, fi + 1, seed, outcome.best_epoch,
-            "n/a" if best is None else f"{best:.6f}", group, seconds,
+            config.method, fold, seed, outcome.best_epoch,
+            "n/a" if best is None else f"{best:.6f}", len(trained), seconds,
             config.epochs / seconds if seconds > 0 else float("inf"),
         )
 
@@ -532,52 +523,38 @@ def run_cv(
     The folds are ``split``, which a run of several methods makes once, or
     else ``stratified_k_fold(dataset, k, split_seed, config.val_fraction)``.
     Every (fold, seed) model trains in one stacked run in this process
-    (:func:`train_models`). ``jobs`` is accepted for compatibility and does
-    not change the work or its result: one stacked run pays the per-step
-    overhead once for all models, and worker processes, each with a shard of
-    the models, did not make the measured runs faster.
+    (:func:`train_models`); ``jobs`` is accepted for compatibility and
+    changes neither the work nor its result.
     """
     if split is None:
         split = stratified_k_fold(dataset, k, split_seed, config.val_fraction)
     k = len(split.folds)
     mask = resolve_ties(dataset, config.tie_policy).eval_mask()
-    keys = [(fi, seed) for fi in range(k) for seed in config.seeds]
+    n_seeds = len(config.seeds)  # job j is fold j // n_seeds, seed config.seeds[j % n_seeds]
     start = time.perf_counter()
     trained = train_models(
         dataset, config,
-        [ModelJob(split.folds[fi].train, split.folds[fi].val, seed) for fi, seed in keys],
+        [ModelJob(fold.train, fold.val, seed) for fold in split.folds for seed in config.seeds],
     )
-    _log_progress(config, keys, trained, time.perf_counter() - start)
-    done = [(key, outcome) for key, outcome in zip(keys, trained)
-            if isinstance(outcome, TrainOutcome)]
-    tests = [np.asarray(split.folds[fi].test, dtype=np.int64) for (fi, _), _ in done]
-    probs = _test_probabilities(dataset, config, tests, [outcome for _, outcome in done])
-    job_out = {key: (outcome, p) for (key, outcome), p in zip(done, probs)}
-    job_err = {key: outcome for key, outcome in zip(keys, trained)
-               if isinstance(outcome, TrainingDiverged)}
+    _log_progress(config, trained, time.perf_counter() - start)
+    tests = [np.asarray(fold.test, dtype=np.int64) for fold in split.folds]
+    probs = _test_probabilities(dataset, config, [t for t in tests for _ in config.seeds], trained)
 
     fold_outcomes: list[FoldOutcome] = []
-    for fi, fold in enumerate(split.folds):
-        failures = [job_err[(fi, s)] for s in config.seeds if (fi, s) in job_err]
-        histories = {}
-        best_epochs = {}
-        prob_stack = []
-        for s in config.seeds:
-            if (fi, s) in job_out:
-                outcome, probs = job_out[(fi, s)]
-                histories[s] = outcome.history
-                best_epochs[s] = outcome.best_epoch
-                prob_stack.append(probs)
-        keep = mask[list(fold.test)]  # tie-excluded examples leave evaluation
+    for fi in range(k):
+        own = slice(fi * n_seeds, (fi + 1) * n_seeds)
+        done = [o for o in trained[own] if isinstance(o, TrainOutcome)]
+        failures = [o for o in trained[own] if isinstance(o, TrainingDiverged)]
+        keep = mask[tests[fi]]  # tie-excluded examples leave evaluation
         error, report, records = "", None, ()
         if failures:
             error = str(failures[0])
         elif not keep.any():
             error = "no evaluable test examples after tie exclusion"
-        elif not np.isfinite(kept := np.mean(np.asarray(prob_stack), axis=0)[keep]).all():
+        elif not np.isfinite(kept := np.mean(np.asarray(probs[own]), axis=0)[keep]).all():
             error = f"{config.method}: non-finite ensemble test prediction"
         else:
-            test_kept = np.asarray(fold.test)[keep]
+            test_kept = tests[fi][keep]
             records = eval_record(
                 soft=dataset.soft[test_kept],
                 pred_dist=kept,
@@ -587,8 +564,9 @@ def run_cv(
             report = compute_metric_report(records, config.num_bins)
         fold_outcomes.append(
             FoldOutcome(fold=fi + 1, status="failed" if error else "ok", error=error,
-                        report=report, records=records, best_epochs=best_epochs,
-                        histories=histories)
+                        report=report, records=records,
+                        best_epochs={o.seed: o.best_epoch for o in done},
+                        histories={o.seed: o.history for o in done})
         )
 
     result = ExperimentResult(method=config.method, folds=tuple(fold_outcomes))

@@ -36,8 +36,8 @@ from .core import (
     ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
+    check_class_index,
     check_class_indices,
-    sord_soft_label,
 )
 
 LOG_EPS = 1e-12
@@ -82,10 +82,7 @@ def _probs(x, name: str) -> np.ndarray:
 def _hard_labels(y, p: np.ndarray, k: int) -> Union[int, np.ndarray]:
     """``y`` checked against 1..k: an int for one vector, an int array for a matrix."""
     if p.ndim == 1:
-        label = int(y)
-        if not 1 <= label <= k:
-            raise InputError(f"hard label {y!r} outside 1..{k}")
-        return label
+        return check_class_index(y, ProblemSpec(k))
     labels = check_class_indices(y, ProblemSpec(k))
     if labels.shape != p.shape[:1]:
         raise InputError(f"{labels.size} hard labels for {p.shape[0]} probability rows")
@@ -214,12 +211,3 @@ def corn_unconditional(
     chained = np.cumprod(p, axis=-1)
     return TaskProbabilities(chained) if chained.ndim == 1 else chained
 
-
-def sord_loss(
-    class_dist: Union[ClassDistribution, ArrayLike],
-    y: Union[int, np.ndarray],
-    spec: ProblemSpec,
-    distance: str,
-) -> Union[float, np.ndarray]:
-    """Cross entropy against the distance-smoothed soft label of ``y``."""
-    return ce_soft_loss(class_dist, sord_soft_label(y, spec, distance))

@@ -494,6 +494,18 @@ def test_evaluate_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("b,2,2,0.6,0.5,0.6,0.5,0.5", "rating probabilities sum to 1.1, not 1"),
+    ("b,1,1,0.5,0.5,0.5,0.5,0.6", "class probabilities sum to 1.1, not 1"),
+], ids=["soft", "pred"])
+def test_evaluate_names_a_bad_row_sum_as_a_plain_number(tmp_path, capsys, row, message):
+    path = tmp_path / "records.csv"
+    path.write_text("id,hard,pred_hard,weight,soft_1,soft_2,pred_1,pred_2\n"
+                    f"a,1,1,0.5,0.5,0.5,0.5,0.5\n{row}\n")
+    assert run(["evaluate", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} line 3: {message}\n"
+
+
 def test_evaluate_and_curves_take_the_experiments_bin_count(ws, tmp_path, capsys):
     results = tmp_path / "results"
     exp = write_json(tmp_path / "exp.json",

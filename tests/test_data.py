@@ -7,11 +7,11 @@ from ordreg.core import InputError, ProblemSpec
 from ordreg.data import (
     MAX_CELL_COUNT,
     MAX_INFERRED_CLASSES,
+    MAX_SYNTHETIC_CELLS,
     TIE_POLICY_LOWEST,
     TIE_POLICY_RESAMPLE,
     Dataset,
     SyntheticConfig,
-    combine_rater_sets,
     dataset_from_votes,
     generate_synthetic,
     load_csv,
@@ -78,6 +78,12 @@ def test_duplicate_ids_rejected():
 def test_vote_outside_class_range_rejected():
     with pytest.raises(InputError):
         make_dataset([(1, 5)])
+
+
+def test_a_numpy_vote_outside_the_range_is_named_as_a_plain_number():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InputError, match=r"^class index 5 outside 1\.\.4$"):
+        dataset_from_votes(SPEC4, rng.normal(size=(1, 2)), [(np.int64(5),)])
 
 
 def test_arrays_are_read_only():
@@ -165,6 +171,15 @@ def test_config_validation():
         SyntheticConfig.from_dict({**base, "rater_noise_sd": -0.1})
     with pytest.raises(InputError, match="missing"):
         SyntheticConfig.from_dict({k: v for k, v in base.items() if k != "seed"})
+
+
+def test_a_generator_block_too_large_to_hold_exits_before_drawing():
+    base = NOISELESS.to_dict()
+    width = base["n_features"] + base["n_raters"]
+    SyntheticConfig.from_dict({**base, "n_examples": MAX_SYNTHETIC_CELLS // width})
+    for field, value in (("n_examples", 4016706901.0), ("n_raters", MAX_SYNTHETIC_CELLS)):
+        with pytest.raises(InputError, match=f"exceeds {MAX_SYNTHETIC_CELLS}$"):
+            SyntheticConfig.from_dict({**base, field: value})
 
 
 # ---- CSV ----
@@ -353,28 +368,6 @@ def test_save_then_load_round_trips_exactly(tmp_path):
     np.testing.assert_array_equal(back.features, ds.features)  # repr round-trip, bit exact
     assert back.votes == ds.votes
     np.testing.assert_array_equal(back.soft, ds.soft)
-
-
-# ---- rater-set combination ----
-
-
-def test_single_consensus_vote_is_replicated_before_merging():
-    assert combine_rater_sets([3], [2, 4], 3) == (3, 3, 3, 2, 4)
-
-
-def test_multi_rater_base_concatenates_unchanged():
-    assert combine_rater_sets([2, 3], [4], 3) == (2, 3, 4)
-
-
-def test_no_extra_votes_still_replicates_single_base():
-    assert combine_rater_sets([1], [], 4) == (1, 1, 1, 1)
-
-
-def test_combine_rejects_bad_inputs():
-    with pytest.raises(InputError):
-        combine_rater_sets([1], [2], 0)
-    with pytest.raises(InputError):
-        combine_rater_sets([], [2], 3)
 
 
 # ---- tie resolution ----

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordreg.core import (
+    InputError,
     ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
@@ -21,7 +22,6 @@ from ordreg.losses import (
     corn_unconditional,
     or_cnn_loss,
     or_soft_loss,
-    sord_loss,
 )
 
 K4 = ProblemSpec(4)
@@ -96,6 +96,12 @@ def test_ce_uniform_is_log_k():
 def test_ce_quarter_probability():
     probs = np.array([0.25, 0.5, 0.125, 0.125])
     assert ce_loss(probs, 1) == pytest.approx(1.3862943611198906, abs=1e-12)
+
+
+def test_a_label_outside_the_classes_is_named_as_a_plain_number():
+    for label in (np.int64(5), 2.5):
+        with pytest.raises(InputError, match=rf"^class index {label} outside 1\.\.4$"):
+            ce_loss(np.array([0.25] * 4), label)
 
 
 def test_soft_ce_reduces_to_ce_on_one_hot_targets():
@@ -205,27 +211,18 @@ def test_corn_chain_rule_is_always_rank_consistent(factors):
     class_distribution_from_tasks(TaskProbabilities(probs))
 
 
-# ---- sord_loss ----
+# ---- sord: cross entropy against the distance-smoothed label ----
 
 
 def test_sord_loss_at_its_own_label_is_the_label_entropy():
     label = sord_soft_label(2, K4).probs
     entropy = -(label * np.log(label)).sum()
-    assert sord_loss(label, 2, K4, "ae") == pytest.approx(entropy, abs=1e-12)
+    assert ce_soft_loss(label, sord_soft_label(2, K4, "ae")) == pytest.approx(entropy, abs=1e-12)
 
 
 def test_sord_loss_uniform_prediction_is_log_k():
-    assert sord_loss(np.array([0.25] * 4), 2, K4, "ae") == pytest.approx(
+    assert ce_soft_loss(np.array([0.25] * 4), sord_soft_label(2, K4, "ae")) == pytest.approx(
         math.log(4), abs=1e-12
-    )
-
-
-def test_sord_loss_two_class_matches_soft_ce_with_fixed_weights():
-    spec = ProblemSpec(2)
-    pred = np.array([0.7, 0.3])
-    label = sord_soft_label(1, spec).probs
-    assert sord_loss(pred, 1, spec, "ae") == pytest.approx(
-        ce_soft_loss(pred, label), abs=1e-15
     )
 
 
@@ -249,4 +246,4 @@ def test_every_loss_is_non_negative(data):
     assert ce_loss(probs, y) >= 0.0
     assert ce_soft_loss(probs, soft) >= 0.0
     assert corn_loss(tasks.reshape(1, -1), [y]) >= 0.0
-    assert sord_loss(probs, y, spec, "se") >= 0.0
+    assert ce_soft_loss(probs, sord_soft_label(y, spec, "se")) >= 0.0
