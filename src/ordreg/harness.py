@@ -40,9 +40,9 @@ from .core import (
     ClassDistribution,
     InputError,
     RatingDistribution,
+    _count_rows,
     class_distribution_from_tasks,
     decode_argmax,
-    decode_count,
     exceedance_from_soft,
 )
 from .data import (
@@ -228,7 +228,7 @@ def decode_distribution(
     if rule == DECODE_ARGMAX:
         classes = decode_argmax(probs)
     else:
-        classes = decode_count(exceedance_from_soft(probs))
+        classes = _count_rows(exceedance_from_soft(probs))  # checked rows give checked tails
     return int(classes[0]) if single else classes.reshape(lead)
 
 
@@ -248,6 +248,7 @@ def _size_groups(sizes: np.ndarray, rows: np.ndarray) -> list[tuple[int, np.ndar
     return [(int(b), rows[sized == b]) for b in np.unique(sized)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is reported, not warned
 def train_models(
     dataset: Dataset, config: TrainConfig, jobs: Sequence[ModelJob]
 ) -> list[Union[TrainOutcome, TrainingDiverged]]:
@@ -257,14 +258,15 @@ def train_models(
     snapshot is job i from the first step to the outcome. Each model keeps
     its own init, shuffle and tie-resample streams and its own Adam step
     count, and every loss, gradient and validation UW-MAE reduces over that
-    model's own rows; a step of every model updates the rows in place, and
-    any other step (ragged last batches, in groups of equal size, or after a
-    divergence) works on copies of its models' rows and writes them back.
-    Each model's outcome is therefore the one it gets when trained alone.
+    model's own rows. The batch schedule is fixed for the run: a step of
+    every model updates the rows in place, and a ragged last batch steps in
+    groups of equal size on copies of its models' rows, written back. Each
+    model's outcome is therefore the one it gets when trained alone.
 
     Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
     so ties keep the earliest epoch. A model with a non-finite loss or
-    validation prediction stops training, its outcome a :class:`TrainingDiverged`.
+    validation prediction fails as a :class:`TrainingDiverged`; its row keeps
+    stepping unread, and its overflow prints no NumPy warning.
     """
     method = METHODS[config.method]
     ties = resolve_ties(dataset, config.tie_policy)
@@ -302,17 +304,24 @@ def train_models(
                   losses_mod.LOSS_OR_SOFT: dataset.exceed}.get(method.loss_kind, dataset.hard)
     n_train = np.array([idx.size for idx in train_idx])
     order = np.zeros((n_models, n_train.max()), dtype=np.int64)
+    everyone, shortest = np.arange(n_models), int(n_train.min())
 
     val_groups = []
-    for _, rows in _size_groups(np.array([idx.size for idx in val_idx]), np.arange(n_models)):
+    for _, rows in _size_groups(np.array([idx.size for idx in val_idx]), everyone):
         vidx = np.stack([val_idx[i] for i in rows])
         weight = dataset.soft[vidx].max(axis=-1)
         val_groups.append((rows, dataset.features[vidx], weight,
                            dataset.hard[vidx].astype(np.float64), weight.sum(axis=-1)))
     decode_rule = config.effective_decode
+    schedule = []  # each batch start with its (size, rows) groups, fixed for the run
+    for start in range(0, int(n_train.max()), config.batch_size):
+        if start + config.batch_size <= shortest:
+            schedule.append((start, [(config.batch_size, everyone)]))  # a full batch for all
+        else:
+            sizes = np.minimum(n_train - start, config.batch_size)
+            schedule.append((start, _size_groups(sizes, everyone[sizes > 0])))
 
     alive = np.ones(n_models, dtype=bool)
-    live = np.arange(n_models)  # flatnonzero(alive), remade only when a model diverges
     failed: dict[int, TrainingDiverged] = {}
     best = flat.copy()
     best_mae = np.full(n_models, np.inf)
@@ -320,30 +329,20 @@ def train_models(
     histories: list[list[EpochStats]] = [[] for _ in jobs]
 
     def diverge(rows: np.ndarray, what: str) -> None:
-        nonlocal live
-        for i in rows.tolist():
+        for i in rows[alive[rows]].tolist():
             failed[i] = TrainingDiverged(
                 f"{config.method} seed {seeds[i]}: non-finite {what} at epoch {epoch}")
         alive[rows] = False
-        live = np.flatnonzero(alive)
 
     for epoch in range(1, config.epochs + 1):
-        if not live.size:
+        if len(failed) == n_models:
             break
-        for i in live.tolist():
+        for i in range(n_models):
             if resampling:
                 labels[i] = ties.sample_hard_labels(tie_rngs[i])
             order[i, : n_train[i]] = train_idx[i][shuffles[i].permutation(n_train[i])]
         loss_sum = np.zeros(n_models)
-        shortest = int(n_train[live].min())
-        for start in range(0, int(n_train[live].max()), config.batch_size):
-            if not live.size:
-                break
-            if start + config.batch_size <= shortest:
-                groups = [(config.batch_size, live)]  # a full batch for every model
-            else:
-                sizes = np.minimum(n_train - start, config.batch_size)
-                groups = _size_groups(sizes, live[sizes[live] > 0])
+        for start, groups in schedule:
             for size, rows in groups:
                 idx = order[rows, start : start + size]
                 targets = labels[rows[:, None], idx] if resampling else targets_of[idx]
@@ -355,11 +354,6 @@ def train_models(
                 finite = np.isfinite(loss)
                 if not finite.all():
                     diverge(rows[~finite], "loss")
-                    rows, loss, whole = rows[finite], loss[finite], False
-                    if not rows.size:
-                        continue
-                    step_params, step_adam = gather(rows)
-                    step_grad = ParamBundle(step_grad.flat[finite], step_grad.layout)
                 adam_step(step_params, step_grad, step_adam, out=(step_params, step_adam))
                 if not whole:
                     flat[rows], adam.m[rows], adam.v[rows], adam.step[rows] = (
@@ -368,20 +362,16 @@ def train_models(
         train_loss = (loss_sum / n_train).tolist()
 
         for rows, features, weight, hard, weight_sum in val_groups:
-            keep = alive[rows]
-            if not keep.all():
-                rows, features, weight, hard, weight_sum = (
-                    a[keep] for a in (rows, features, weight, hard, weight_sum))
-            if not rows.size:
-                continue
             probs = predict_prob_matrix(
                 params if rows.size == n_models else params.with_flat(flat[rows]),
                 config.method, features)
             finite = np.isfinite(probs).all(axis=(1, 2))
             if not finite.all():
                 diverge(rows[~finite], "validation prediction")
+            keep = alive[rows]
+            if not keep.all():
                 rows, probs, weight, hard, weight_sum = (
-                    a[finite] for a in (rows, probs, weight, hard, weight_sum))
+                    a[keep] for a in (rows, probs, weight, hard, weight_sum))
                 if not rows.size:
                     continue
             preds = decode_distribution(probs, decode_rule).astype(np.float64)
@@ -463,6 +453,7 @@ class ExperimentResult:
         return _aggregate(reports) if reports else ({}, {})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _test_probabilities(
     dataset: Dataset, config: TrainConfig, tests: Sequence[np.ndarray],
     outcomes: Sequence[Union[TrainOutcome, TrainingDiverged]],

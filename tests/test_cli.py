@@ -245,8 +245,7 @@ def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys,
         assert path in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value", "ignore:.*folds failed")
-def test_non_finite_predictions_fail_their_folds_and_cv_exits_zero(tmp_path):
+def poisoned_csv(tmp_path):
     # forty ordinary rows and one with features of 1e10: at lr 1e150 the large
     # row's outputs overflow in training, validation or test, fold by fold
     rng = np.random.default_rng(2)
@@ -254,6 +253,12 @@ def test_non_finite_predictions_fail_their_folds_and_cv_exits_zero(tmp_path):
     votes = [(int(c),) for c in rng.integers(1, 4, size=40)] + [(2,)]
     data = tmp_path / "data.csv"
     save_csv(dataset_from_votes(ProblemSpec(3), features, votes), data)
+    return data
+
+
+@pytest.mark.filterwarnings("ignore:.*folds failed")
+def test_non_finite_predictions_fail_their_folds_and_cv_exits_zero(tmp_path):
+    data = poisoned_csv(tmp_path)
     out = tmp_path / "results"
     cfg = write_json(tmp_path / "exp.json", {
         "data": str(data), "out": str(out), "methods": ["or_soft", "ce"], "folds": 2,
@@ -432,6 +437,30 @@ def test_info_logging_prints_one_progress_line_per_model(ws, tmp_path):
         history = {(r[0], r[1]): r[3] for r in
                    (line.split(",") for line in path.read_text().splitlines()[1:])}
         assert f"{float(history[(seed, best)]):.6f}" == mae
+
+
+def test_info_logging_names_each_diverged_model_in_job_order(tmp_path):
+    methods = ["or_soft", "ce", "corn"]
+    cfg = write_json(tmp_path / "exp.json", {
+        "data": str(poisoned_csv(tmp_path)), "out": str(tmp_path / "r"), "methods": methods,
+        "folds": 2, "seeds": [0, 1], "epochs": 5, "lr": 1e150, "hidden_dims": [16]})
+    proc = subprocess.run(CLI + ["cv", "--config", cfg], capture_output=True, text=True,
+                          env={**os.environ, "ORDREG_LOG": "info"})
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    job = re.compile(r"INFO ordreg\.harness: (\w+) fold (\d+) seed (\d+): (.*)")
+    lines = [m.groups() for m in map(job.fullmatch, proc.stderr.splitlines()) if m]
+    assert [(m, int(f), int(s)) for m, f, s, _ in lines] == [
+        (m, f, s) for m in methods for f in (1, 2) for s in (0, 1)]
+    diverged = {(m, int(f), int(s)): rest for m, f, s, rest in lines
+                if not rest.startswith("best epoch")}
+    assert diverged == {
+        ("or_soft", 1, 0): "diverged (or_soft seed 0: non-finite validation prediction at epoch 4)",
+        ("or_soft", 1, 1): "diverged (or_soft seed 1: non-finite validation prediction at epoch 2)",
+        ("ce", 1, 0): "diverged (ce seed 0: non-finite loss at epoch 2)",
+        ("ce", 1, 1): "diverged (ce seed 1: non-finite loss at epoch 2)",
+        ("corn", 1, 1): "diverged (corn seed 1: non-finite validation prediction at epoch 2)",
+    }
 
 
 def test_counts_csv_infers_num_classes(tmp_path):

@@ -191,7 +191,6 @@ def test_training_is_deterministic_per_seed():
     assert a.history != c.history
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_runaway_learning_rate_raises_diverged():
     split = stratified_k_fold(SMALL, 3, seed=0)
     fold = split.folds[0]
