@@ -22,6 +22,8 @@ import argparse
 import logging
 import os
 import sys
+import warnings
+from contextlib import closing
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +51,8 @@ from .harness import (
     compare_methods,
     history_csv_text,
     read_records_csv,
+    render_experiment_result,
+    result_summary_block,
     run_cv,
     train_single,
     write_experiment_result,
@@ -279,7 +283,30 @@ def _cmd_train(args: argparse.Namespace) -> None:
     print(f"trained {methods[0]} on {len(dataset)} examples; checkpoints in {out}")
 
 
+def _method_output(dataset: Dataset, config: TrainConfig, split) -> tuple[dict, dict]:
+    """One method's summary block and rendered files; each warning of its run is a log line."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = run_cv(dataset, config, split=split)
+    for warning in caught:
+        log.warning("%s", warning.message)
+    return result_summary_block(result), render_experiment_result(result)
+
+
+def _method_outputs(jobs: int, methods: Sequence[str], output):
+    """``output(i)`` for every method, in method order; with ``jobs`` > 1, up to that many
+    processes (one per CPU) compute them, this one and forked children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(jobs, len(methods), cpus or 1) if hasattr(os, "fork") else 1
+    if processes < 2:
+        return (output(i) for i in range(len(methods)))
+    from .workers import in_order
+
+    return in_order(output, methods, processes - 1)
+
+
 def _cmd_cv(args: argparse.Namespace) -> None:
+    if args.jobs < 1:
+        raise InputError(f"--jobs: must be at least 1, got {args.jobs}")
     cfg = _apply_flags(_load_config(args.config), args)
     methods = _check_methods(cfg["methods"] or [])
     if cfg["out"] is None:
@@ -291,29 +318,32 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     # one split for every method, called by the name run_cv uses, which traces count
     split = harness.stratified_k_fold(dataset, cfg["folds"], cfg["split_seed"],
                                       configs[0].val_fraction)
-    results = []
+    finished: list[tuple[str, dict]] = []
     meta = _meta(args)
     failure: Optional[Exception] = None
-    for method, config in zip(methods, configs):
-        try:
-            result = run_cv(dataset, config, jobs=args.jobs, split=split)
-            write_experiment_result(cfg["out"], result)
-        except Exception as err:  # keep what finished, then fail with this error
-            failure = err
-            meta["failure"] = f"{method}: {err}"
-            break
-        results.append(result)
-        mae_uw = result.mean.get("mae_uw")
-        log.info("%s: mean UW-MAE %s", method, "n/a" if mae_uw is None else f"{mae_uw:.4f}")
-    if results:
+    outputs = _method_outputs(args.jobs, methods,
+                              lambda i: _method_output(dataset, configs[i], split))
+    with closing(outputs):
+        for method in methods:
+            try:
+                block, files = next(outputs)
+                write_experiment_result(cfg["out"], files)
+            except Exception as err:  # keep what finished, then fail with this error
+                failure = err
+                meta["failure"] = f"{method}: {err}"
+                break
+            finished.append((method, block))
+            mae_uw = block["mean"].get("mae_uw")
+            log.info("%s: mean UW-MAE %s", method, "n/a" if mae_uw is None else f"{mae_uw:.4f}")
+    if finished:
         summary = build_summary(
-            results, _config_echo(cfg, dataset.spec.num_classes), dataset_doc, meta
+            dict(finished), _config_echo(cfg, dataset.spec.num_classes), dataset_doc, meta
         )
         write_summary(cfg["out"], summary)
     if failure is not None:
-        if results:
+        if finished:
             log.warning("%s; %s keeps the %d method(s) that finished",
-                        meta["failure"], SUMMARY_FILE, len(results))
+                        meta["failure"], SUMMARY_FILE, len(finished))
         raise failure
     print(f"wrote {Path(cfg['out']) / SUMMARY_FILE}")
 
@@ -420,8 +450,10 @@ def _build_parser() -> _Parser:
                        help="tie policy: paper = exclude from eval, resample in training")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
-                           help="accepted for compatibility: every method's (fold, seed)"
-                                " models train as one stacked model in this process")
+                           help="processes for cv, at most one per CPU: each runs whole"
+                                " methods, this one and forked children; the output does not"
+                                " depend on N, but stderr lines of different methods may"
+                                " interleave")
 
     p = sub.add_parser("generate", help="draw a synthetic dataset and write it as CSV")
     p.add_argument("--config", required=True, help="synthetic config JSON")

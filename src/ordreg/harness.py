@@ -801,17 +801,30 @@ def history_csv_text(histories: dict[int, tuple[EpochStats, ...]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_experiment_result(out_dir, result: ExperimentResult) -> None:
-    base = Path(out_dir) / result.method
+def render_experiment_result(result: ExperimentResult) -> dict[str, dict[str, str]]:
+    """Every file of one method's folds as text: ``<method>/fold_<i>`` -> file name -> text.
+
+    A failed fold keeps its directory, with its history if any seed finished.
+    """
+    files: dict[str, dict[str, str]] = {}
     for fold in result.folds:
-        fold_path = base / f"fold_{fold.fold}"
-        fold_path.mkdir(parents=True, exist_ok=True)
+        texts = files[f"{result.method}/fold_{fold.fold}"] = {}
         if fold.histories:
-            atomic_write_text(fold_path / HISTORY_FILE, history_csv_text(fold.histories))
-        if fold.status != "ok":
-            continue
-        atomic_write_text(fold_path / METRICS_FILE, canonical_json(fold.report.to_dict()))
-        atomic_write_text(fold_path / RECORDS_FILE, records_csv_text(fold.records))
+            texts[HISTORY_FILE] = history_csv_text(fold.histories)
+        if fold.status == "ok":
+            texts[METRICS_FILE] = canonical_json(fold.report.to_dict())
+            texts[RECORDS_FILE] = records_csv_text(fold.records)
+    return files
+
+
+def write_experiment_result(out_dir, files: dict[str, dict[str, str]]) -> None:
+    """Write what :func:`render_experiment_result` made under ``out_dir``."""
+    root = Path(out_dir)
+    for folder, texts in files.items():
+        path = root / folder
+        path.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            atomic_write_text(path / name, text)
 
 
 def result_summary_block(result: ExperimentResult) -> dict:
@@ -840,19 +853,13 @@ def result_summary_block(result: ExperimentResult) -> dict:
     }
 
 
-def build_summary(
-    results: Sequence[ExperimentResult],
-    config_doc: dict,
-    dataset_doc: dict,
-    meta: dict,
-) -> dict:
-    """Assemble summary.json. Everything volatile must arrive inside ``meta``."""
-    return {
-        "meta": meta,
-        "config": config_doc,
-        "dataset": dataset_doc,
-        "methods": {r.method: result_summary_block(r) for r in results},
-    }
+def build_summary(blocks: dict[str, dict], config_doc: dict, dataset_doc: dict,
+                  meta: dict) -> dict:
+    """Assemble summary.json from each method's :func:`result_summary_block`.
+
+    Everything volatile must arrive inside ``meta``.
+    """
+    return {"meta": meta, "config": config_doc, "dataset": dataset_doc, "methods": blocks}
 
 
 def write_summary(out_dir, doc: dict) -> None:

@@ -92,6 +92,9 @@ class RecordRowError(InputError):
         super().__init__(message)
         self.row = row
 
+    def __reduce__(self):  # a cv worker process sends its error pickled
+        return type(self), (self.row, str(self))
+
 
 def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")

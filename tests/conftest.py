@@ -1,12 +1,28 @@
-"""Prints one PASS/FAIL line per shipping criterion after the run, and makes
-every Hypothesis test draw the same examples on every run."""
+"""Prints one PASS/FAIL line per shipping criterion after the run, makes
+every Hypothesis test draw the same examples on every run, and fails a test
+that leaves a child process behind."""
 
+import os
+
+import pytest
 from hypothesis import settings
 
 settings.register_profile("ordreg", derandomize=True, database=None)
 settings.load_profile("ordreg")
 
 _RESULTS: dict[str, str] = {}
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """A child of this process still running, or exited but not reaped, fails the test."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")
 
 
 def _criterion(nodeid: str):

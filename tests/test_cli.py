@@ -214,6 +214,14 @@ def _compare_with_metrics(text: str):
     return case
 
 
+def _cv_with_jobs(jobs: str):
+    def case(ws, tmp_path):
+        cfg = write_json(tmp_path / "exp.json",
+                         {**EXP, "data": str(ws.data), "out": str(tmp_path / "r")})
+        return ["cv", "--config", cfg, "--jobs", jobs], None
+    return case
+
+
 _ROW = b"a,0.5,1,2\n"
 
 
@@ -232,10 +240,12 @@ _ROW = b"a,0.5,1,2\n"
      f"line 3: vote {MAX_INFERRED_CLASSES + 1}"),
     (_compare_with_metrics(lambda text: text[:-5]), "malformed JSON"),
     (_compare_with_metrics(lambda text: text.replace('"mae_uw"', '"mae_w"')), "'mae_uw'"),
+    (_cv_with_jobs("-3"), "--jobs"),
+    (_cv_with_jobs("0"), "--jobs"),
 ], ids=["config-json", "generate-field-type", "generate-json-list", "thresholds-scalar",
         "data-not-utf8", "data-field-limit", "records-field-limit", "count-over-cap",
         "vote-over-inferred-class-cap", "metrics-json",
-        "metrics-missing-metric"])
+        "metrics-missing-metric", "jobs-negative", "jobs-zero"])
 def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys, case, named):
     args, path = case(ws, tmp_path)
     assert run(args) == 1
@@ -256,13 +266,15 @@ def poisoned_csv(tmp_path):
     return data
 
 
-@pytest.mark.filterwarnings("ignore:.*folds failed")
+def poisoned_config(tmp_path, out):
+    return write_json(tmp_path / "exp.json", {
+        "data": str(poisoned_csv(tmp_path)), "out": str(out), "methods": ["or_soft", "ce"],
+        "folds": 2, "seeds": [0], "epochs": 5, "lr": 1e150, "hidden_dims": [16]})
+
+
 def test_non_finite_predictions_fail_their_folds_and_cv_exits_zero(tmp_path):
-    data = poisoned_csv(tmp_path)
     out = tmp_path / "results"
-    cfg = write_json(tmp_path / "exp.json", {
-        "data": str(data), "out": str(out), "methods": ["or_soft", "ce"], "folds": 2,
-        "seeds": [0], "epochs": 5, "lr": 1e150, "hidden_dims": [16]})
+    cfg = poisoned_config(tmp_path, out)
     assert run(["cv", "--config", cfg]) == 0
     summary = json.loads((out / "summary.json").read_text())
     folds = {method: [(f["status"], f.get("error")) for f in block["folds"]]
@@ -273,6 +285,19 @@ def test_non_finite_predictions_fail_their_folds_and_cv_exits_zero(tmp_path):
         "ce": [("failed", "ce seed 0: non-finite loss at epoch 2"),
                ("failed", "ce: non-finite ensemble test prediction")],
     }
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_the_folds_failed_warning_is_one_plain_line(tmp_path, jobs):
+    cfg = poisoned_config(tmp_path, tmp_path / "results")
+    proc = subprocess.run(CLI + ["cv", "--config", cfg, "--jobs", jobs], capture_output=True,
+                          text=True, env={**os.environ, "ORDREG_LOG": "warning"})
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(proc.stderr.splitlines()) == [
+        "WARNING ordreg: ce: 2 of 2 folds failed; aggregates cover completed folds only",
+        "WARNING ordreg: or_soft: 1 of 2 folds failed; aggregates cover completed folds only",
+    ]
+    assert ".py:" not in proc.stderr
 
 
 def test_a_gap_in_the_count_columns_exits_one_naming_line_one(tmp_path, capsys):
@@ -399,17 +424,46 @@ def test_a_failing_method_keeps_the_summary_of_those_that_finished(ws, tmp_path,
         return real(dataset, config, **kw)
 
     monkeypatch.setattr(cli_mod, "run_cv", second_fails)
+    for flags in ([], ["--jobs", "2"]):  # serial, and methods in forked workers
+        out = tmp_path / f"r{len(flags)}"
+        cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["or_soft", "ce", "corn"],
+                                                 "data": str(ws.data), "out": str(out)})
+        assert run(["cv", "--config", cfg] + flags) == 2
+        err = capsys.readouterr().err
+        assert "failure: synthetic crash in ce" in err
+        doc = json.loads((out / "summary.json").read_text())
+        assert list(doc["methods"]) == ["or_soft"]
+        assert doc["meta"]["failure"] == "ce: synthetic crash in ce"
+        assert (out / "or_soft" / "fold_1" / "metrics.json").exists()
+        assert not (out / "ce").exists() and not (out / "corn").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="--jobs 2 forks only with 2 CPUs")
+def test_a_worker_that_dies_fails_its_method_and_leaves_no_process(ws, tmp_path, monkeypatch,
+                                                                   capsys):
+    import ordreg.cli as cli_mod
+
+    real, parent = cli_mod.run_cv, os.getpid()
+
+    def ce_dies(dataset, config, **kw):
+        if config.method == "ce":
+            assert os.getpid() != parent  # cv takes the first method before it forks
+            os._exit(3)
+        return real(dataset, config, **kw)
+
+    monkeypatch.setattr(cli_mod, "run_cv", ce_dies)
     out = tmp_path / "r"
-    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["or_soft", "ce", "corn"],
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["or_soft", "ce"],
                                              "data": str(ws.data), "out": str(out)})
-    assert run(["cv", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "failure: synthetic crash in ce" in err
+    assert run(["cv", "--config", cfg, "--jobs", "2"]) == 2
+    assert "failure: the worker process running ce exited with status 3" in capsys.readouterr().err
     doc = json.loads((out / "summary.json").read_text())
     assert list(doc["methods"]) == ["or_soft"]
-    assert doc["meta"]["failure"] == "ce: synthetic crash in ce"
-    assert (out / "or_soft" / "fold_1" / "metrics.json").exists()
-    assert not (out / "ce").exists() and not (out / "corn").exists()
+    assert doc["meta"]["failure"] == "ce: the worker process running ce exited with status 3"
+    assert not (out / "ce").exists()
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 PROGRESS = re.compile(

@@ -29,6 +29,8 @@ from ordreg.harness import (
     predict_prob_matrix,
     read_records_csv,
     records_csv_text,
+    render_experiment_result,
+    result_summary_block,
     run_cv,
     train_one,
     train_single,
@@ -438,7 +440,7 @@ def test_read_records_csv_reports_line_numbers(tmp_path):
 
 def test_result_directory_layout_and_metric_file_consistency(tmp_path):
     result = run_cv(SMALL, small_config(epochs=2), k=3, split_seed=0)
-    write_experiment_result(tmp_path, result)
+    write_experiment_result(tmp_path, render_experiment_result(result))
     for i in range(1, 4):
         fold_dir = tmp_path / "or_soft" / f"fold_{i}"
         assert (fold_dir / METRICS_FILE).exists()
@@ -455,7 +457,7 @@ def test_result_directory_layout_and_metric_file_consistency(tmp_path):
 def test_summary_document_shape():
     result = run_cv(SMALL, small_config(epochs=2), k=3, split_seed=0)
     doc = build_summary(
-        [result],
+        {result.method: result_summary_block(result)},
         config_doc={"folds": 3},
         dataset_doc={"num_examples": len(SMALL)},
         meta={"created_at": "t", "argv": [], "jobs": 1, "out": "x", "version": "0"},

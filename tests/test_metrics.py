@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ordreg.metrics import (
     CalibrationBin,
     EvalRecord,
     MetricReport,
+    RecordRowError,
     _METRIC_NAMES,
     accuracy,
     any_rater_accuracy,
@@ -90,6 +92,13 @@ def test_record_rejects_mode_outside_rater_classes():
             pred_hard=1,
             weight=1.0,
         )
+
+
+
+def test_a_record_row_error_survives_pickling_with_its_row():
+    err = pickle.loads(pickle.dumps(RecordRowError(3, "weight 0.9 is not the soft maximum")))
+    assert type(err) is RecordRowError and err.row == 3
+    assert str(err) == "weight 0.9 is not the soft maximum"
 
 
 # ---- weighted means ----
