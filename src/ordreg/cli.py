@@ -354,9 +354,14 @@ def _num_bins(args: argparse.Namespace) -> int:
     return args.num_bins
 
 
+def _records_path(data: str) -> str | Path:
+    """``--data`` of ``evaluate`` and ``curves``: a records.csv, or a fold directory holding one."""
+    return Path(data) / "records.csv" if Path(data).is_dir() else data
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     num_bins = _num_bins(args)
-    records = read_records_csv(args.data)
+    records = read_records_csv(_records_path(args.data))
     report = compute_metric_report(records, num_bins)
     text = canonical_json(report.to_dict())
     if args.out:
@@ -399,10 +404,7 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 
 def _cmd_curves(args: argparse.Namespace) -> None:
     num_bins = _num_bins(args)
-    path = Path(args.data)
-    if path.is_dir():
-        path = path / "records.csv"  # fold directory shorthand
-    records = read_records_csv(path)
+    records = read_records_csv(_records_path(args.data))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -475,7 +477,7 @@ def _build_parser() -> _Parser:
                             " give the experiment's num_bins to reproduce its metrics")
 
     p = sub.add_parser("evaluate", help="metric suite over an exported records CSV")
-    p.add_argument("--data", required=True, help="records.csv from a cv fold")
+    p.add_argument("--data", required=True, help="records.csv or a fold directory")
     p.add_argument("--out", help="write the report JSON here instead of stdout")
     num_bins(p)
     p.set_defaults(func=_cmd_evaluate)

@@ -21,6 +21,7 @@ the reduce is ordered.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 import re
@@ -29,6 +30,7 @@ import warnings
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -720,28 +722,74 @@ class _RecordColumns:
 
 
 def _record_columns(path, header: list[str]) -> _RecordColumns:
+    """Where the fields sit: soft_1..soft_K and pred_1..pred_K in any order, each by its number."""
     soft_cols = [i for i, name in enumerate(header) if name.startswith("soft_")]
     pred_cols = [i for i, name in enumerate(header) if name.startswith("pred_") and name != "pred_hard"]
     try:
-        id_col = header.index("id")
-        hard_col = header.index("hard")
-        pred_hard_col = header.index("pred_hard")
-        weight_col = header.index("weight")
+        id_col, hard_col, pred_hard_col, weight_col = map(
+            header.index, ("id", "hard", "pred_hard", "weight"))
     except ValueError as missing:
         raise InputError(f"{path}: records header is missing a column: {missing}") from None
     if not soft_cols or len(soft_cols) != len(pred_cols):
         raise InputError(f"{path}: records header needs matching soft_/pred_ columns")
+    k = len(soft_cols)
+    place = {f"{prefix}{c}": -1 for prefix in ("soft_", "pred_") for c in range(1, k + 1)}
+    for i in sorted(soft_cols + pred_cols):
+        if place.get(header[i], 0) >= 0:
+            fault = "repeats" if header[i] in place else "has"
+            raise InputError(f"{path}: records header {fault} column {header[i]!r}; the class"
+                             f" columns are soft_1..soft_{k} and pred_1..pred_{k}")
+        place[header[i]] = i
+    columns = tuple(place.values())  # soft_1..soft_K, then pred_1..pred_K
     return _RecordColumns(id=id_col, hard=hard_col, pred_hard=pred_hard_col, weight=weight_col,
-                          soft=tuple(soft_cols), pred=tuple(pred_cols))
+                          soft=columns[:k], pred=columns[k:])
 
 
-def read_records_csv(path) -> RecordTable:
-    """Rebuild the RecordTable of an exported records.csv, bit-exact.
+def _record_table(path, ids: list[str], numbers, classes, lines: Sequence[int]) -> RecordTable:
+    """The checked table; a failing row i is named as line ``lines[i]``."""
+    k = (numbers.shape[1] - 1) // 2
+    try:
+        return RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k], pred=numbers[:, 1 + k :],
+                           hard=classes[:, 0], pred_hard=classes[:, 1], weight=numbers[:, 0])
+    except RecordRowError as err:
+        raise InputError(f"{path} line {lines[err.row]}: {err}") from None
 
-    Rows stream into flat typed buffers, and the table checks them once. A
-    bad row raises InputError naming the file, the 1-based line of the first
-    failing row and the check it fails.
-    """
+
+def _read_plain_records(path) -> Optional[RecordTable]:
+    """The table of a records.csv whose rows are its lines split at commas (no quote, CR
+    or NUL, no blank line, rows as wide as the header, no line over the csv field
+    limit), read in blocks of about 128 KiB of lines, a column at a time; else None."""
+    ids, numbers, classes, cols = [], [], [], None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            width = (header := fh.readline()).count(",") + 1
+            for lines in chain([[header]], iter(lambda: fh.readlines(1 << 17), [])):
+                text = ",".join(lines)
+                fields = text.split(",")
+                ends = fields[width - 1 :: width]
+                # a line's newline ends its last field, so n newlines in the n
+                # line-end fields make n rows of width fields (no blank line, and
+                # a last line without its newline goes to the csv reader)
+                if ('"' in text or "\r" in text or "\0" in text or len(fields) != len(lines) * width
+                        or "".join(ends).count("\n") != len(lines)
+                        or max(map(len, lines)) > csv.field_size_limit()):
+                    return None
+                fields[width - 1 :: width] = [end[:-1] for end in ends]
+                if cols is None:
+                    cols = _record_columns(path, fields)
+                    continue
+                numbers.append(np.array([list(map(float, fields[c::width]))
+                                         for c in (cols.weight, *cols.soft, *cols.pred)]).T)
+                classes.append(np.array([list(map(int, fields[c::width]))
+                                         for c in (cols.hard, cols.pred_hard)], np.int64).T)
+                ids += fields[cols.id :: width]
+        except (ValueError, OverflowError):  # not UTF-8, a bad header or a bad field
+            return None
+    return _record_table(path, ids, np.concatenate(numbers), np.concatenate(classes),
+                         range(2, len(ids) + 2)) if ids else None
+
+
+def _read_csv_records(path) -> RecordTable:
     floats = array("d")  # weight, soft_1..soft_K, pred_1..pred_K per row
     labels = array("q")  # hard, pred_hard per row
     ids: list[str] = []
@@ -771,15 +819,9 @@ def read_records_csv(path) -> RecordTable:
     if not ids and unparsed is None:
         raise InputError(f"{path}: no records")
     if ids:
-        n, k = len(ids), len(cols.soft)
-        numbers = np.frombuffer(floats, dtype=np.float64).reshape(n, 1 + 2 * k)
-        classes = np.frombuffer(labels, dtype=np.int64, count=2 * n).reshape(n, 2)
-        try:
-            table = RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k],
-                                pred=numbers[:, 1 + k :], hard=classes[:, 0],
-                                pred_hard=classes[:, 1], weight=numbers[:, 0])
-        except RecordRowError as err:
-            raise InputError(f"{path} line {lines[err.row]}: {err}") from None
+        n = len(ids)
+        table = _record_table(path, ids, np.frombuffer(floats).reshape(n, -1),
+                              np.frombuffer(labels, np.int64, 2 * n).reshape(n, 2), lines)
     if unparsed is not None:
         # every earlier row passed; the per-field parse names what is wrong here
         line_no, row = unparsed
@@ -789,6 +831,14 @@ def read_records_csv(path) -> RecordTable:
             raise InputError(f"{path} line {line_no}: {err}") from None
         raise InputError(f"{path} line {line_no}: the row does not parse")
     return table
+
+
+def read_records_csv(path) -> RecordTable:
+    """Rebuild the RecordTable of an exported records.csv, bit-exact: a plain file
+    split in blocks of lines, any other by ``csv.reader`` row by row. A bad row
+    raises InputError naming the file, the 1-based line of the first failing row
+    and the check it fails."""
+    return _read_plain_records(path) or _read_csv_records(path)  # a table has N >= 1 rows
 
 
 def history_csv_text(histories: dict[int, tuple[EpochStats, ...]]) -> str:

@@ -452,10 +452,17 @@ def init_adam_state(params: ModelParams, lr: float = 1e-5) -> AdamState:
                      step=0, lr=lr)
 
 
+_BIAS_TABLES: dict[float, np.ndarray] = {}  # beta -> 1 - beta**s for s = 0, 1, ..., grown on demand
+
+
 def _bias_correction(beta: float, t: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
-    """1 - beta**t, the power in Python floats; an (M, 1) column for stacked models."""
+    """1 - beta**t, the power in Python floats; an (M, 1) column of the table for stacked models."""
     if isinstance(t, np.ndarray):
-        return (1.0 - np.array([beta**s for s in t.tolist()]))[:, None]
+        try:
+            return _BIAS_TABLES[beta][t, None]
+        except (KeyError, IndexError):
+            _BIAS_TABLES[beta] = 1.0 - np.array([beta**s for s in range(2 * int(t.max()) + 1024)])
+            return _BIAS_TABLES[beta][t, None]
     return 1.0 - beta**t
 
 

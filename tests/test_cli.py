@@ -572,6 +572,48 @@ def test_evaluate_out_flag_writes_the_report(ws, tmp_path):
     assert target.read_bytes() == (fold / "metrics.json").read_bytes()
 
 
+def test_evaluate_accepts_a_fold_directory(ws, capsys):
+    fold = ws.results / "or_soft" / "fold_2"
+    assert run(["evaluate", "--data", str(fold)]) == 0
+    assert capsys.readouterr().out == (fold / "metrics.json").read_text()
+
+
+def _records_with_columns(ws, tmp_path, order, rename=None):
+    """fold_1's records.csv of ce with its columns in ``order``, header names renamed."""
+    lines = (ws.results / "ce" / "fold_1" / "records.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    header = rows[0]
+    picks = [header.index(name) for name in order]
+    rows = [[row[i] for i in picks] for row in rows]
+    rows[0] = [(rename or {}).get(name, name) for name in rows[0]]
+    path = tmp_path / "records.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+_REORDERED = ["pred_3", "soft_2", "weight", "pred_hard", "soft_3", "id", "pred_1", "soft_1",
+              "hard", "pred_2"]
+
+
+def test_evaluate_places_each_class_column_by_its_number(ws, tmp_path, capsys):
+    path = _records_with_columns(ws, tmp_path, _REORDERED)
+    assert run(["evaluate", "--data", str(path)]) == 0
+    assert capsys.readouterr().out == (ws.results / "ce" / "fold_1" / "metrics.json").read_text()
+
+
+@pytest.mark.parametrize("rename,fault", [
+    ({"soft_2": "soft_x"}, "has column 'soft_x'"),
+    ({"pred_3": "pred_z"}, "has column 'pred_z'"),
+    ({"soft_2": "soft_1"}, "repeats column 'soft_1'"),
+    ({"soft_2": "soft_4"}, "has column 'soft_4'"),
+], ids=["soft-x", "pred-z", "duplicate", "gap"])
+def test_evaluate_rejects_a_class_column_out_of_its_numbers(ws, tmp_path, capsys, rename, fault):
+    path = _records_with_columns(ws, tmp_path, _REORDERED, rename)
+    assert run(["evaluate", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: records header {fault}; the class columns"
+                                       " are soft_1..soft_3 and pred_1..pred_3\n")
+
+
 def test_evaluate_missing_file_exits_one(tmp_path, capsys):
     assert run(["evaluate", "--data", str(tmp_path / "gone.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from ordreg.losses import (
 )
 from ordreg.model import (
     ALL_HEAD_KINDS,
+    AdamState,
     Batch,
     HEAD_INDEPENDENT,
     HEAD_SHARED_SLOPE_BIAS,
@@ -310,6 +311,22 @@ def test_two_adam_steps_match_the_recurrence_written_out_by_hand():
     params, state = adam_step(params, g2, state)
     np.testing.assert_allclose(flatten_params(params), p, atol=1e-12)
     assert state.step == 2
+
+
+def test_a_stacked_adam_step_moves_each_model_as_it_moves_alone():
+    rng = np.random.default_rng(9)
+    one = init_params(EncoderConfig(3, (4,)), HEAD_SOFTMAX, ProblemSpec(3), 5)
+    steps = [0, 6, 2999, 69999, 6]  # past the first table of bias corrections
+    flat = one.bundle.flat + rng.normal(size=(len(steps), one.bundle.flat.size))
+    m, v, g = rng.normal(size=flat.shape), rng.random(flat.shape), rng.normal(size=flat.shape)
+    stacked = one.with_flat(flat)
+    new, state = adam_step(stacked, ParamBundle(g, stacked.bundle.layout),
+                           AdamState(m, v, np.array(steps), 1e-2))
+    assert state.step.tolist() == [s + 1 for s in steps]
+    for i, step in enumerate(steps):
+        alone, _ = adam_step(one.with_flat(flat[i]), ParamBundle(g[i], one.bundle.layout),
+                             AdamState(m[i], v[i], step, 1e-2))
+        assert np.array_equal(new.bundle.flat[i], alone.bundle.flat)
 
 
 # ---- checkpoints and determinism ----

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordreg import harness
 from ordreg.cli import run
 from ordreg.core import ClassDistribution, InputError, RatingDistribution
 from ordreg.harness import read_records_csv, records_csv_text
@@ -273,6 +274,19 @@ def _ref_read_records_csv(path):
             raise InputError(f"{path}: records header is missing a column: {missing}") from None
         if not soft_cols or len(soft_cols) != len(pred_cols):
             raise InputError(f"{path}: records header needs matching soft_/pred_ columns")
+        k = len(soft_cols)
+        names = [f"soft_{c}" for c in range(1, k + 1)] + [f"pred_{c}" for c in range(1, k + 1)]
+        where = {}
+        for i, name in enumerate(header):
+            if i in soft_cols or i in pred_cols:
+                rule = f"the class columns are soft_1..soft_{k} and pred_1..pred_{k}"
+                if name not in names:
+                    raise InputError(f"{path}: records header has column {name!r}; {rule}")
+                if name in where:
+                    raise InputError(f"{path}: records header repeats column {name!r}; {rule}")
+                where[name] = i
+        soft_cols = [where[name] for name in names[:k]]
+        pred_cols = [where[name] for name in names[k:]]
         records = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -517,7 +531,48 @@ def _records_files(draw):
                 fields[1] = str(draw(st.sampled_from(zero)))
         else:
             lines[row] = []
-    return "\n".join(",".join(fields) for fields in lines) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        _reformat(draw, lines, k)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(",".join(fields) for fields in lines) + draw(st.sampled_from([newline, ""]))
+
+
+_AWKWARD_IDS = ("a,b", 'say "hi"', "two\nlines", "cr\r\nlf", '"', ",")
+_NON_ASCII_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _reformat(draw, lines, k):
+    """One change of form that the csv reader accepts: the file may no longer be
+    its lines split at commas, or a number is written another way."""
+    kind = draw(st.sampled_from([
+        "quoted-id", "extra-one", "extra-all", "extra-all-named", "id-last", "blank-line",
+        "spaces", "underscore", "non-ascii",
+    ]))
+    row = draw(st.integers(1, len(lines) - 1))
+    fields = lines[row]
+    if kind == "quoted-id":
+        if fields:
+            fields[0] = '"' + draw(st.sampled_from(_AWKWARD_IDS)).replace('"', '""') + '"'
+    elif kind == "extra-one":
+        fields.append(draw(st.sampled_from(["x", "", "0.5"])))
+    elif kind in ("extra-all", "extra-all-named"):
+        for other in lines[0 if kind == "extra-all-named" else 1 :]:
+            other.append("note")
+    elif kind == "id-last":
+        for other in lines:
+            other[:] = other[1:] + other[:1]
+    elif kind == "blank-line":
+        lines.insert(row, [])
+    else:
+        col = draw(st.sampled_from([1, 2, 3] + list(range(4, 4 + 2 * k))))
+        if col >= len(fields):
+            return
+        if kind == "spaces":
+            fields[col] = draw(st.sampled_from([" ", "\t", "  "])) + fields[col] + " "
+        elif kind == "underscore":
+            fields[col] = draw(st.sampled_from(["1_0", "0_1", "1_0.0", "0.2_5"]))
+        else:
+            fields[col] = fields[col].translate(_NON_ASCII_DIGITS)
 
 
 def _outcome(read, path):
@@ -527,6 +582,25 @@ def _outcome(read, path):
         return "InputError", str(err)
     except IndexError:
         return "IndexError", None
+    except csv.Error as err:
+        return "csv.Error", str(err)
+
+
+def _write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _assert_read_as_the_per_row_reader(path):
+    expected = _outcome(_ref_read_records_csv, path)
+    got = _outcome(read_records_csv, path)
+    if expected[0] == "IndexError":
+        # the per-row reader crashed on a short row; now it names the row's line
+        assert got[0] == "InputError"
+        assert " line " in got[1] and "fields" in got[1]
+    elif expected[0] == "csv.Error":
+        assert got[0] == "InputError" and got[1].endswith(f": {expected[1]}")
+    else:
+        assert got == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -534,24 +608,98 @@ def _outcome(read, path):
 def test_reading_accepts_and_rejects_what_the_per_row_reader_did(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
-        path.write_text(text)
-        expected = _outcome(_ref_read_records_csv, path)
-        got = _outcome(read_records_csv, path)
-        if expected[0] == "IndexError":
-            # the per-row reader crashed on a short row; now it names the row's line
-            assert got[0] == "InputError"
-            assert " line " in got[1] and "fields" in got[1]
-        else:
-            assert got == expected
+        _write(path, text)
+        _assert_read_as_the_per_row_reader(path)
+
+
+def _plain_lines():
+    """Six records (K = 3) as lists of fields, with numeric ids."""
+    rng = np.random.default_rng(8)
+    records = _records([_votes_soft(rng, 3, 4) for _ in range(6)],
+                       [_random_pred(rng, 3) for _ in range(6)])
+    lines = [line.split(",") for line in _ref_records_csv_text(records).splitlines()]
+    return [lines[0]] + [[str(i)] + fields[1:] for i, fields in enumerate(lines[1:], start=1)]
+
+
+def _text(lines, newline="\n", end=None):
+    return newline.join(",".join(fields) for fields in lines) + (newline if end is None else end)
+
+
+def _with(row, col, value):
+    def edit(lines):
+        lines[row][col] = value
+        return _text(lines)
+    return edit
+
+
+def _id_last(lines):
+    return [fields[1:] + fields[:1] for fields in lines]
+
+
+def _short_then_long_row_that_parse_shifted(lines):
+    lines = [fields + ["0"] for fields in lines]  # an unused last column
+    long_row = "7 1 1 1 1 0 0 1 0 0 0 0".split()  # each field parses one column to the right
+    return _text(lines[:2] + [lines[2][:-1], long_row] + lines[4:])
+
+
+def _crlf_after_the_header(lines):
+    lines = _id_last(lines)
+    return _text(lines[:1]) + _text(lines[1:], "\r\n")
+
+
+_EDGE_CASES = {
+    "plain": _text,
+    "quoted-id": _with(2, 0, '"say ""hi"""'),
+    "quoted-id-comma": _with(2, 0, '"a,b"'),
+    "quoted-id-newline": _with(2, 0, '"a\nb"'),
+    "quoted-number": _with(3, 4, '"0.25"'),
+    "crlf": lambda lines: _text(lines, "\r\n"),
+    "crlf-id-last": lambda lines: _text(_id_last(lines), "\r\n"),
+    "crlf-after-the-header-id-last": _crlf_after_the_header,
+    "cr-only": lambda lines: _text(lines, "\r"),
+    "cr-in-id": _with(2, 0, "a\rb"),
+    "id-last": lambda lines: _text(_id_last(lines)),
+    "no-final-newline": lambda lines: _text(lines, end=""),
+    "extra-column": lambda lines: _text([fields + ["note"] for fields in lines]),
+    "extra-field": lambda lines: _text(lines[:2] + [lines[2] + ["1"]] + lines[3:]),
+    "double-row": lambda lines: _text(lines[:2] + [lines[2] * 2] + lines[3:]),
+    "blank-line": lambda lines: _text(lines[:3] + [[]] + lines[3:]),
+    "blank-last-line": lambda lines: _text(lines + [[]]),
+    "space-line": lambda lines: _text(lines[:3] + [[" "]] + lines[3:]),
+    "short-and-long-row": lambda lines: _text(
+        lines[:2] + [lines[2][:-1], lines[3], lines[4] + ["1"]] + lines[5:]),
+    "short-and-long-row-that-parse-shifted": _short_then_long_row_that_parse_shifted,
+    "nul-in-id": _with(2, 0, "a\0b"),
+    "long-id": _with(2, 0, "x" * 140_000),
+    "spaces": _with(2, 4, " 0.25 "),
+    "underscore": _with(2, 1, "1_0"),
+    "non-ascii-digit": _with(2, 2, "٢"),
+    "reversed-columns": lambda lines: _text([fields[::-1] for fields in lines]),
+    "two-bad-class-columns": lambda lines: _text(
+        [[{"soft_1": "soft_x", "pred_1": "pred_x"}.get(f, f) for f in fields[::-1]]
+         for fields in lines]),
+    "bom": lambda lines: "\ufeff" + _text(lines),
+    "header-only": lambda lines: _text(lines[:1]),
+    "empty": lambda lines: "",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_an_edge_case_file_reads_as_the_per_row_reader_did(case, tmp_path):
+    path = tmp_path / "records.csv"
+    _write(path, _EDGE_CASES[case](_plain_lines()))
+    _assert_read_as_the_per_row_reader(path)
 
 
 def _first_bad_line(text):
-    """The line on which the per-row reader stops, reading longer and longer prefixes."""
-    lines = text.splitlines()
-    for end in range(2, len(lines) + 1):
+    """The line on which the per-row reader stops, reading longer and longer
+    prefixes of its rows (a line here counts csv rows, as the readers do)."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    for end in range(2, len(rows) + 1):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.csv"
-            path.write_text("\n".join(lines[:end]) + "\n")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows[:end])
             if _outcome(_ref_read_records_csv, path)[0] == "IndexError":
                 return end
     return None
@@ -562,7 +710,7 @@ def _first_bad_line(text):
 def test_evaluate_exits_one_naming_the_first_bad_line(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
-        path.write_text(text)
+        _write(path, text)
         expected = _outcome(_ref_read_records_csv, path)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -575,3 +723,30 @@ def test_evaluate_exits_one_naming_the_first_bad_line(text):
         assert rc == 1
         assert err.getvalue().startswith("error: ")
         assert f" line {_first_bad_line(text)}: " in err.getvalue()
+
+
+def test_a_written_records_file_is_read_without_the_csv_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    n, k = 3000, 4  # several blocks of lines
+    soft = np.stack([_votes_soft(rng, k, 5) for _ in range(n)])
+    table = eval_record(soft, np.stack([_random_pred(rng, k) for _ in range(n)]), None,
+                        [f"e{i}" for i in range(n)])
+    text = records_csv_text(table)
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+
+    def no_csv_reader(path):
+        raise AssertionError(f"{path} went to the csv reader")
+
+    monkeypatch.setattr(harness, "csv_rows", no_csv_reader)
+    assert records_csv_text(read_records_csv(path)) == text
+    # a failing record check far into the file is named by its line on this path too
+    lines = text.splitlines()
+    weight = lines[2500].split(",")[3]
+    lines[2500] = lines[2500].replace(f",{weight},", f",{float(weight) / 2!r},", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=f"^{path} line 2501: weight must equal"):
+        read_records_csv(path)
+    path.write_text(text.replace("e7,", '"e,7",', 1))
+    with pytest.raises(AssertionError, match="went to the csv reader"):
+        read_records_csv(path)
