@@ -331,7 +331,9 @@ def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
     ids: list[str] = []
     features: list[list[float]] = []
     votes: list[tuple[int, ...]] = []
-    for line_no, row in enumerate(reader, start=2):
+    read = reader.line_num  # lines read so far; a quoted field may span lines
+    for row in reader:
+        line_no, read = read + 1, reader.line_num
         if not row:
             continue
         if len(row) != len(header):

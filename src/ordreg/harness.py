@@ -803,7 +803,9 @@ def _read_csv_records(path) -> RecordTable:
         cols = _record_columns(path, header)
         get_floats = itemgetter(cols.weight, *cols.soft, *cols.pred)
         get_labels = itemgetter(cols.hard, cols.pred_hard)
-        for line_no, row in enumerate(reader, start=2):
+        read = reader.line_num  # lines read so far; a quoted field may span lines
+        for row in reader:
+            line_no, read = read + 1, reader.line_num
             if not row:
                 continue
             try:

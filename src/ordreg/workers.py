@@ -2,18 +2,22 @@
 
 :func:`in_order` runs ``fn(0) .. fn(n - 1)`` in this process and in forked
 children, and yields the results in index order, each as soon as it is in.
-While the next result is not in yet, this process computes a task itself, so
-it handles one result while the children compute the next ones.
+No process starts a thread of its own.
 
 - A pipe holds one token per task index, written before the fork. Every
   process reads the next token when it is free, so tasks go out in index
   order. This process takes task 0 before it forks.
-- A child sends each task's start, then its result or the exception it
-  raised, pickled over its own pipe. One thread per child drains that pipe as
-  the bytes come, so a child never blocks while this process computes, and
-  reaps the child when the pipe closes. A child that dies fails its task.
+- A child pickles each task's result, or the exception it raised, to a file
+  in a private temporary directory. Over its own pipe it sends 3-byte
+  ``start j`` and ``done j`` messages; a write that short is atomic and fits
+  the pipe, so a child never waits on this process.
+- This process computes a task of its own whenever ``select`` finds no
+  message ready, and blocks in ``select`` once it has none left. It loads a
+  result at its ``done``. A child that dies fails the task it started and
+  did not finish.
 - The first failed task raises its exception in its turn; no later result is
-  yielded. Leaving the generator in any way kills and reaps every child.
+  yielded. Leaving the generator in any way kills and reaps every child, and
+  then removes the directory.
 
 ``cli`` imports this module only when it forks.
 """
@@ -22,14 +26,15 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 import sys
-import threading
+import tempfile
 from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
-_TOKEN = 2  # bytes per task index in the token pipe
+_TOKEN = 2  # bytes per task index in the token pipe and in a child's messages
 # every token is written before any is read, and a Linux pipe holds at least
 # one 4 KiB page; a longer task list runs in this process alone
 MAX_TASKS = 4096 // _TOKEN
@@ -42,34 +47,73 @@ def in_order(fn: Callable[[int], T], names: Sequence[str], children: int) -> Ite
     if n > MAX_TASKS:
         yield from map(fn, range(n))
         return
-    tokens, write_end = os.pipe()
-    try:
-        os.write(write_end, b"".join(i.to_bytes(_TOKEN, "little") for i in range(n)))
-    finally:
-        os.close(write_end)
-    pool = _Children(names)
-    try:
-        mine = _take(tokens)
-        for stream in (sys.stdout, sys.stderr):
-            stream.flush()  # so that no child holds a copy of buffered output
-        for _ in range(children):
-            if not pool.fork(fn, tokens):
-                break  # fewer processes give the same results
-        pool.watch()
-        for i in range(n):
-            while not pool.has(i):
-                if mine is not None and mine < pool.first_failure:
-                    pool.put(mine, _attempt(fn, mine))
-                    mine = _take(tokens)
-                else:
-                    pool.wait(i)
-            ok, value = pool.outcome(i)
-            if not ok:
-                raise value
-            yield value
-    finally:
-        pool.stop()
-        os.close(tokens)
+    with tempfile.TemporaryDirectory(prefix="ordreg-") as folder:
+        tokens, write_end = os.pipe()
+        try:
+            os.write(write_end, b"".join(i.to_bytes(_TOKEN, "little") for i in range(n)))
+        finally:
+            os.close(write_end)
+        pipes: dict[int, int] = {}  # read end -> pid, for each child not yet reaped
+        started: dict[int, int] = {}  # task -> pid of the child running it, until it is done
+        done: dict[int, tuple[bool, object]] = {}  # task -> (ok, result or exception)
+        try:
+            mine = _take(tokens)
+            for stream in (sys.stdout, sys.stderr):
+                stream.flush()  # so that no child holds a copy of buffered output
+            for _ in range(children):
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    break  # fewer processes give the same results
+                if pid == 0:
+                    os.close(read_end)
+                    _serve(fn, tokens, write_end, folder)
+                os.close(write_end)
+                pipes[read_end] = pid
+            for i in range(n):
+                while i not in done:
+                    busy = mine is not None and all(ok for j, (ok, _) in done.items() if j < mine)
+                    if not busy and not pipes:
+                        done[i] = False, RuntimeError(
+                            f"a worker process exited before it ran {names[i]}")
+                        break
+                    ready = select.select(list(pipes), [], [], 0 if busy else None)[0]
+                    if not ready:
+                        done[mine] = _attempt(fn, mine)
+                        mine = _take(tokens)
+                    for fd in ready:
+                        message = os.read(fd, 1 + _TOKEN)
+                        if not message:  # the pipe closes when the child exits
+                            pid = pipes.pop(fd)
+                            os.close(fd)
+                            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                            how = (f"exited with status {code}" if code >= 0
+                                   else f"was killed by signal {-code}")
+                            for j in (j for j, owner in started.items() if owner == pid):
+                                done[j] = False, RuntimeError(
+                                    f"the worker process running {names[j]} {how}")
+                            continue
+                        j = int.from_bytes(message[1:], "little")
+                        if message[:1] == b"s":  # start j; else done j
+                            started[j] = pipes[fd]
+                        else:
+                            del started[j]
+                            with open(os.path.join(folder, str(j)), "rb") as result:
+                                done[j] = pickle.load(result)
+                ok, value = done.pop(i)
+                if not ok:
+                    raise value
+                yield value
+        finally:
+            for pid in pipes.values():
+                os.kill(pid, signal.SIGKILL)
+            for fd, pid in pipes.items():
+                os.waitpid(pid, 0)
+                os.close(fd)
+            os.close(tokens)
 
 
 def _take(tokens: int):
@@ -93,21 +137,18 @@ def _portable(err: Exception) -> Exception:
         return RuntimeError(f"{type(err).__name__}: {err}")
 
 
-def _serve(fn: Callable[[int], object], tokens: int, fd: int) -> None:
+def _serve(fn: Callable[[int], object], tokens: int, fd: int, folder: str) -> None:
     """A child's whole life: run tasks until the tokens run out, then exit without unwinding."""
     code = 1
     try:
-        pipe = os.fdopen(fd, "wb")
-
-        def send(message) -> None:
-            body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-            pipe.write(len(body).to_bytes(8, "little") + body)
-            pipe.flush()
-
         while (j := _take(tokens)) is not None:
-            send((j, None, None))
+            token = j.to_bytes(_TOKEN, "little")
+            os.write(fd, b"s" + token)
             ok, value = _attempt(fn, j)
-            send((j, ok, value if ok else _portable(value)))
+            with open(os.path.join(folder, str(j)), "wb") as result:
+                pickle.dump((ok, value if ok else _portable(value)), result,
+                            pickle.HIGHEST_PROTOCOL)
+            os.write(fd, b"d" + token)
         code = 0
     finally:
         for stream in (sys.stdout, sys.stderr):
@@ -116,108 +157,3 @@ def _serve(fn: Callable[[int], object], tokens: int, fd: int) -> None:
             except Exception:
                 pass
         os._exit(code)
-
-
-class _Children:
-    """The forked children, their pipes, and every task outcome in by now."""
-
-    def __init__(self, names: Sequence[str]) -> None:
-        self.names = names
-        self.cond = threading.Condition()
-        self.outcomes: dict[int, tuple[bool, object]] = {}
-        self.started: dict[int, int] = {}  # task -> pid of the child running it
-        self.first_failure = len(names)
-        self.pipes: list[tuple[int, int]] = []  # (pid, read end)
-        self.running: set[int] = set()  # pids not yet reaped
-        self.threads: list[threading.Thread] = []
-
-    def fork(self, fn: Callable[[int], object], tokens: int) -> bool:
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            return False
-        if pid == 0:
-            os.close(read_end)
-            _serve(fn, tokens, write_end)
-        os.close(write_end)
-        self.running.add(pid)
-        self.pipes.append((pid, read_end))
-        return True
-
-    def watch(self) -> None:
-        """Start draining every child's pipe; threads start only once every fork is done."""
-        for pid, fd in self.pipes:
-            thread = threading.Thread(target=self._drain, args=(pid, fd), daemon=True)
-            thread.start()
-            self.threads.append(thread)
-
-    def has(self, i: int) -> bool:
-        with self.cond:
-            return i in self.outcomes
-
-    def outcome(self, i: int) -> tuple[bool, object]:
-        """Task i's outcome, handed over once: the entry stays, without the value."""
-        with self.cond:
-            ok, value = self.outcomes[i]
-            self.outcomes[i] = ok, None
-            return ok, value
-
-    def put(self, i: int, outcome: tuple[bool, object]) -> None:
-        with self.cond:
-            self._put(i, outcome)
-
-    def _put(self, i: int, outcome: tuple[bool, object]) -> None:
-        self.outcomes[i] = outcome
-        if not outcome[0]:
-            self.first_failure = min(self.first_failure, i)
-        self.cond.notify_all()
-
-    def wait(self, i: int) -> None:
-        """Block until task i, which a child took, is in; fail it once no child is left."""
-        with self.cond:
-            while i not in self.outcomes:
-                if not self.running:
-                    self._put(i, (False, RuntimeError(
-                        f"a worker process exited before it ran {self.names[i]}")))
-                else:
-                    self.cond.wait()
-
-    def _drain(self, pid: int, fd: int) -> None:
-        try:
-            with os.fdopen(fd, "rb") as pipe:
-                while len(head := pipe.read(8)) == 8:
-                    size = int.from_bytes(head, "little")
-                    body = pipe.read(size)
-                    if len(body) < size:
-                        break  # the child died while sending
-                    j, ok, value = pickle.loads(body)
-                    with self.cond:
-                        if ok is None:
-                            self.started[j] = pid
-                        else:
-                            self._put(j, (ok, value))
-        except Exception:  # a message that does not load: stop the child, fail its task
-            os.kill(pid, signal.SIGKILL)
-        with self.cond:  # the pipe closes when the child exits
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            self.running.discard(pid)
-            how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
-            for j, owner in self.started.items():
-                if owner == pid and j not in self.outcomes:
-                    self._put(j, (False, RuntimeError(
-                        f"the worker process running {self.names[j]} {how}")))
-            self.cond.notify_all()
-
-    def stop(self) -> None:
-        """Kill the children still running, then reap every child."""
-        with self.cond:
-            for pid in self.running:
-                os.kill(pid, signal.SIGKILL)
-        for thread in self.threads:
-            thread.join()
-        for pid, fd in self.pipes[len(self.threads):]:  # forked, never watched
-            os.close(fd)
-            os.waitpid(pid, 0)

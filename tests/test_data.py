@@ -257,6 +257,13 @@ def test_load_csv_malformed_fields(tmp_path):
         load_csv(write_csv(tmp_path, "f_1,r_1\n0.0\n", "width.csv"), SPEC4)
 
 
+def test_load_csv_names_the_line_a_row_starts_on_after_a_quoted_line_break(tmp_path):
+    path = write_csv(tmp_path, 'id,f_1,r_1\n"a\nb",0.0,1\nc,0.0,1\nd,x,1\n', "ml.csv")
+    with pytest.raises(InputError) as err:
+        load_csv(path, SPEC4)
+    assert str(err.value) == f"{path}: line 5: malformed feature value"
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(b"", id="empty-file"),
     pytest.param(b"id,id,f_1,r_1\n", id="duplicate-id-column"),

@@ -438,6 +438,19 @@ def test_read_records_csv_reports_line_numbers(tmp_path):
         read_records_csv(path)
 
 
+def test_read_records_csv_names_the_line_a_row_starts_on_after_a_quoted_line_break(tmp_path):
+    path = tmp_path / "ml.csv"
+    path.write_bytes(
+        b"id,hard,pred_hard,weight,soft_1,soft_2,pred_1,pred_2\n"
+        b'"a\nb",1,1,1.0,1.0,0.0,0.9,0.1\n'
+        b"c,1,1,1.0,1.0,0.0,0.9,0.1\n"
+        b"d,1,1,0.5,1.0,0.0,0.9,0.1\n"
+    )
+    with pytest.raises(InputError) as err:
+        read_records_csv(path)
+    assert str(err.value) == f"{path} line 5: weight must equal the soft label's maximum entry"
+
+
 def test_result_directory_layout_and_metric_file_consistency(tmp_path):
     result = run_cv(SMALL, small_config(epochs=2), k=3, split_seed=0)
     write_experiment_result(tmp_path, render_experiment_result(result))

@@ -288,7 +288,9 @@ def _ref_read_records_csv(path):
         soft_cols = [where[name] for name in names[:k]]
         pred_cols = [where[name] for name in names[k:]]
         records = []
-        for line_no, row in enumerate(reader, start=2):
+        read = reader.line_num
+        for row in reader:
+            line_no, read = read + 1, reader.line_num  # the line the row starts on
             if not row:
                 continue
             try:
@@ -647,11 +649,17 @@ def _crlf_after_the_header(lines):
     return _text(lines[:1]) + _text(lines[1:], "\r\n")
 
 
+def _quoted_newline_then_bad_weight(lines):
+    lines[1][0] = '"a\nb"'
+    return _with(4, 3, "7")(lines)  # named by the line its row starts on
+
+
 _EDGE_CASES = {
     "plain": _text,
     "quoted-id": _with(2, 0, '"say ""hi"""'),
     "quoted-id-comma": _with(2, 0, '"a,b"'),
     "quoted-id-newline": _with(2, 0, '"a\nb"'),
+    "quoted-id-newline-then-bad-weight": _quoted_newline_then_bad_weight,
     "quoted-number": _with(3, 4, '"0.25"'),
     "crlf": lambda lines: _text(lines, "\r\n"),
     "crlf-id-last": lambda lines: _text(_id_last(lines), "\r\n"),
@@ -692,16 +700,21 @@ def test_an_edge_case_file_reads_as_the_per_row_reader_did(case, tmp_path):
 
 
 def _first_bad_line(text):
-    """The line on which the per-row reader stops, reading longer and longer
-    prefixes of its rows (a line here counts csv rows, as the readers do)."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    """The line on which the row starts where the per-row reader stops, reading longer
+    and longer prefixes of its rows."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, starts, read = [], [], 0
+    for row in reader:
+        rows.append(row)
+        starts.append(read + 1)
+        read = reader.line_num
     for end in range(2, len(rows) + 1):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 csv.writer(fh, lineterminator="\n").writerows(rows[:end])
             if _outcome(_ref_read_records_csv, path)[0] == "IndexError":
-                return end
+                return starts[end - 1]
     return None
 
 

@@ -4,6 +4,8 @@ leave no process behind (the conftest fixture checks the last)."""
 import os
 import signal
 import sys
+import tempfile
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -51,3 +53,68 @@ def test_the_first_failed_task_raises_in_its_turn_and_nothing_after_it():
         for value in in_order(fn, [f"task {i}" for i in range(12)], children=3):
             got.append(value)
     assert got == [0, 1, 2, 3, 4]
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@contextmanager
+def task_one_in_a_child(then):
+    """An ``fn`` whose task 0, which this process takes before it forks, blocks until
+    task 1 has begun; task 1 therefore runs in a child, which then calls ``then()``.
+    Later tasks return their index."""
+    read_end, write_end = os.pipe()
+
+    def fn(i):
+        if i == 0:
+            assert os.read(read_end, 1) == b"1"
+            return "zero"
+        if i > 1:
+            return i
+        os.write(write_end, b"1")
+        return then()
+
+    try:
+        fds = _open_fds()
+        yield fn
+        assert _open_fds() == fds  # in_order closed every pipe it opened
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_a_child_killed_by_a_signal_fails_its_task_after_the_earlier_results():
+    got = []
+    with time_limit(60), task_one_in_a_child(lambda: os.kill(os.getpid(), signal.SIGKILL)) as fn:
+        with pytest.raises(RuntimeError) as err:
+            for value in in_order(fn, ["task 0", "task 1", "task 2"], children=1):
+                got.append(value)
+    assert got == ["zero"]
+    assert str(err.value) == "the worker process running task 1 was killed by signal 9"
+
+
+def test_an_exception_that_does_not_pickle_arrives_as_a_runtime_error_with_its_text():
+    class Unpicklable(Exception):  # a local class pickles by a name nobody can import
+        pass
+
+    def fail():
+        raise Unpicklable("the text")
+
+    got = []
+    with time_limit(60), task_one_in_a_child(fail) as fn:
+        with pytest.raises(RuntimeError) as err:
+            for value in in_order(fn, ["task 0", "task 1"], children=1):
+                got.append(value)
+    assert got == ["zero"]
+    assert type(err.value) is RuntimeError and str(err.value) == "Unpicklable: the text"
+
+
+def test_closing_after_the_first_result_leaves_no_child_pipe_or_folder(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with time_limit(60), task_one_in_a_child(lambda: time.sleep(60)) as fn:
+        results = in_order(fn, ["task 0", "task 1"], children=1)
+        assert next(results) == "zero"
+        assert len(list(tmp_path.iterdir())) == 1  # the folder of results, while it runs
+        results.close()
+        assert list(tmp_path.iterdir()) == []
