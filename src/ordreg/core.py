@@ -207,6 +207,16 @@ def _argmax_rows(p: np.ndarray) -> np.ndarray:
     return np.argmax(p, axis=-1) + 1
 
 
+def class_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)``, exact and C-ordered, reduced along a class-major copy: one inner
+    loop per class, not per row. Sums do not go this way; their bits follow the order."""
+    return np.asarray(np.maximum.reduce(a.T.copy(), axis=0).T, order="C")
+
+
+def class_min(a: np.ndarray) -> np.ndarray:
+    return np.asarray(np.minimum.reduce(a.T.copy(), axis=0).T, order="C")
+
+
 def hard_label_from_soft(dist: RatingDistribution) -> int:
     """Mode of a rating distribution; an exact tie goes to the lowest class."""
     return int(_argmax_rows(dist.probs))

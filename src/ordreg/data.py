@@ -25,6 +25,7 @@ from .core import (
     InputError,
     ProblemSpec,
     check_class_index,
+    class_max,
     exceedance_from_soft,
 )
 from .ioutil import atomic_write_text, csv_rows
@@ -80,7 +81,7 @@ class Dataset:
     @cached_property
     def modal(self) -> np.ndarray:
         # exact float equality on purpose: only true ties count as ties
-        return _frozen(self.soft == self.soft.max(axis=1, keepdims=True), bool)
+        return _frozen(self.soft == class_max(self.soft)[:, None], bool)
 
     @cached_property
     def hard(self) -> np.ndarray:

@@ -44,6 +44,7 @@ from .core import (
     RatingDistribution,
     _count_rows,
     class_distribution_from_tasks,
+    class_max,
     decode_argmax,
     exceedance_from_soft,
 )
@@ -311,7 +312,7 @@ def train_models(
     val_groups = []
     for _, rows in _size_groups(np.array([idx.size for idx in val_idx]), everyone):
         vidx = np.stack([val_idx[i] for i in rows])
-        weight = dataset.soft[vidx].max(axis=-1)
+        weight = class_max(dataset.soft[vidx])
         val_groups.append((rows, dataset.features[vidx], weight,
                            dataset.hard[vidx].astype(np.float64), weight.sum(axis=-1)))
     decode_rule = config.effective_decode
@@ -755,6 +756,12 @@ def _record_table(path, ids: list[str], numbers, classes, lines: Sequence[int]) 
         raise InputError(f"{path} line {lines[err.row]}: {err}") from None
 
 
+def _each_once(convert, column: list[str]) -> list:
+    """``convert`` of each field, called once per distinct string (votes and labels repeat)."""
+    memo = {field: convert(field) for field in dict.fromkeys(column)}
+    return list(map(memo.__getitem__, column))
+
+
 def _read_plain_records(path) -> Optional[RecordTable]:
     """The table of a records.csv whose rows are its lines split at commas (no quote, CR
     or NUL, no blank line, rows as wide as the header, no line over the csv field
@@ -778,9 +785,10 @@ def _read_plain_records(path) -> Optional[RecordTable]:
                 if cols is None:
                     cols = _record_columns(path, fields)
                     continue
-                numbers.append(np.array([list(map(float, fields[c::width]))
-                                         for c in (cols.weight, *cols.soft, *cols.pred)]).T)
-                classes.append(np.array([list(map(int, fields[c::width]))
+                numbers.append(np.array(
+                    [_each_once(float, fields[c::width]) for c in (cols.weight, *cols.soft)]
+                    + [list(map(float, fields[c::width])) for c in cols.pred]).T)
+                classes.append(np.array([_each_once(int, fields[c::width])
                                          for c in (cols.hard, cols.pred_hard)], np.int64).T)
                 ids += fields[cols.id :: width]
         except (ValueError, OverflowError):  # not UTF-8, a bad header or a bad field

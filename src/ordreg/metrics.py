@@ -39,6 +39,8 @@ from .core import (
     ClassDistribution,
     InputError,
     RatingDistribution,
+    class_max,
+    class_min,
     decode_argmax,
 )
 
@@ -113,10 +115,10 @@ def _failing_rows(
     with np.errstate(invalid="ignore"):
         bad = ~(np.isfinite(soft).all(axis=1) & np.isfinite(pred).all(axis=1))
         for probs in (soft, pred):
-            bad |= (probs.min(axis=1) < 0.0) | (probs.max(axis=1) > 1.0)
+            bad |= (class_min(probs) < 0.0) | (class_max(probs) > 1.0)
             bad |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL
         bad |= (hard < 1) | (hard > k) | (pred_hard < 1) | (pred_hard > k)
-        bad |= np.abs(weight - soft.max(axis=1)) > _WEIGHT_TOL
+        bad |= np.abs(weight - class_max(soft)) > _WEIGHT_TOL
         bad |= ~((weight > 0.0) & (weight <= 1.0))
         bad |= ~(soft[np.arange(n), np.clip(hard, 1, k) - 1] > 0.0)
     return bad
@@ -192,7 +194,7 @@ class RecordTable:
     @property
     def confidence(self) -> np.ndarray:
         """Each prediction's confidence: the maximum of its predicted distribution."""
-        return self.pred.max(axis=1)
+        return class_max(self.pred)
 
     @property
     def true_accuracy(self) -> np.ndarray:
@@ -254,7 +256,7 @@ def eval_record(
     if pred_hard is None:
         pred_hard = decode_argmax(pred)
     table = RecordTable(ids=ids, soft=soft, pred=pred, hard=hard, pred_hard=pred_hard,
-                        weight=soft.max(axis=1))
+                        weight=class_max(soft))
     return table.record(0) if single else table
 
 
@@ -449,13 +451,13 @@ def coverage_error(records: Records) -> float:
     order = np.argsort(-t.pred, axis=1, kind="stable")
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(1, t.num_classes + 1)[None, :], axis=1)
-    worst = np.where(t.soft > 0.0, rank, 0).max(axis=1)
+    worst = class_max(np.where(t.soft > 0.0, rank, 0))
     return int(worst.sum()) / len(t)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
+    """1-based ranks with ties sharing their average rank, so the sort need not be stable."""
+    order = np.argsort(x)
     xs = x[order]
     first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     last = np.append(first[1:], x.size) - 1  # each run of equal values is first..last

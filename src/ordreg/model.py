@@ -32,6 +32,7 @@ from .core import (
     DISTANCE_SE,
     InputError,
     ProblemSpec,
+    class_max,
     sord_soft_label,
 )
 from .ioutil import atomic_write_json, read_json
@@ -233,9 +234,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    # the row maxima from a class-major copy: a max is exact in any order, and a
-    # reduce along the short class axis makes one inner-loop call per row
-    shifted = logits - np.maximum.reduce(logits.T.copy(), axis=0).T[..., None]
+    shifted = logits - class_max(logits)[..., None]
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -13,6 +13,8 @@ from ordreg.core import (
     RatingDistribution,
     TaskProbabilities,
     class_distribution_from_tasks,
+    class_max,
+    class_min,
     decode_argmax,
     decode_count,
     exceedance_from_soft,
@@ -352,3 +354,22 @@ def test_sord_matrix_checks_every_class_index():
     for bad in (np.array([1, 5]), np.array([0]), np.array([1.5]), np.array([], dtype=int)):
         with pytest.raises(InputError):
             sord_soft_label(bad, K4)
+
+
+# ---- class-axis max and min ----
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("shape", [(), (40,), (3, 5)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_class_max_and_min_equal_the_reductions_over_the_last_axis(k, shape, dtype):
+    rng = np.random.default_rng(k)
+    if dtype is np.float64:
+        pool = [0.0, -0.0, np.inf, -np.inf, np.nan, 0.25, -3.5, 1.0]
+    else:
+        pool = [0, -1, 7, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    a = rng.choice(np.array(pool, dtype=dtype), size=(*shape, k))
+    for got, want in ((class_max(a), a.max(axis=-1)), (class_min(a), a.min(axis=-1))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous  # a sum over it adds in the same order
+        assert np.array_equal(got, want, equal_nan=dtype is np.float64)

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ordreg.core import ClassDistribution, InputError, RatingDistribution
+from ordreg import metrics
+from ordreg.core import PROB_SUM_TOL, ClassDistribution, InputError, RatingDistribution
 from ordreg.metrics import (
     CalibrationBin,
     EvalRecord,
     MetricReport,
     RecordRowError,
     _METRIC_NAMES,
+    _WEIGHT_TOL,
+    _average_ranks,
+    _failing_rows,
     accuracy,
     any_rater_accuracy,
     aurc,
@@ -440,6 +446,58 @@ def test_spearman_matches_scipy_with_ties():
         assert spearman(records) == pytest.approx(want, abs=1e-12)
 
 
+def _stable_average_ranks(x):
+    """The average ranks as they were computed with a stable sort."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    last = np.append(first[1:], x.size) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
+    return ranks
+
+
+@st.composite
+def _tie_heavy_values(draw):
+    """1-300 values from a pool of at most six floats that holds -0.0 and 0.0."""
+    others = draw(st.lists(st.floats(allow_nan=False), max_size=4))
+    return np.array(draw(st.lists(st.sampled_from([-0.0, 0.0, *others]), min_size=1,
+                                  max_size=300)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_values())
+def test_average_ranks_equal_scipy_rankdata_bit_for_bit(x):
+    want = scipy.stats.rankdata(x, method="average")
+    assert np.array_equal(_average_ranks(x).view(np.int64), want.view(np.int64))
+
+
+def _tie_heavy_table(seed, n, k, pool_size):
+    """Soft labels of 1-4 raters; every prediction is one of ``pool_size`` distributions."""
+    rng = np.random.default_rng(seed)
+    soft = np.stack([np.bincount(rng.integers(0, k, size=int(rng.integers(1, 5))),
+                                 minlength=k) for _ in range(n)])
+    soft = soft / soft.sum(axis=1, keepdims=True)
+    pool = rng.uniform(0.0, 1.0, size=(pool_size, k))
+    pool[rng.random(pool.shape) < 0.3] = 0.0
+    pool[:, 0] += 0.01
+    pool /= pool.sum(axis=1, keepdims=True)
+    pred = pool[rng.integers(0, pool_size, size=n)]
+    return eval_record(soft, pred, rng.integers(1, k + 1, size=n))
+
+
+@pytest.mark.parametrize("seed, n, k, pool_size", [
+    *((seed, 12 + 9 * seed, 2 + seed % 4, 1 + seed % 6) for seed in range(30)),
+    (100, 20000, 5, 200),
+    (101, 20000, 5, 20000),
+])
+def test_auroc_and_spearman_equal_their_stable_sort_values(seed, n, k, pool_size, monkeypatch):
+    table = _tie_heavy_table(seed, n, k, pool_size)
+    got = auroc_macro(table), spearman(table)
+    monkeypatch.setattr(metrics, "_average_ranks", _stable_average_ranks)
+    assert got == (auroc_macro(table), spearman(table))
+
+
 # ---- confusion matrix ----
 
 
@@ -585,3 +643,43 @@ def test_metrics_are_invariant_to_record_order():
             assert vb is None
         else:
             assert va == pytest.approx(vb, abs=1e-12)
+
+
+# ---- the table checks ----
+
+
+def _old_failing_rows(soft, pred, hard, pred_hard, weight):
+    """The row checks as they were written with ndarray.max and ndarray.min."""
+    n, k = soft.shape
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.isfinite(soft).all(axis=1) & np.isfinite(pred).all(axis=1))
+        for probs in (soft, pred):
+            bad |= (probs.min(axis=1) < 0.0) | (probs.max(axis=1) > 1.0)
+            bad |= np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL
+        bad |= (hard < 1) | (hard > k) | (pred_hard < 1) | (pred_hard > k)
+        bad |= np.abs(weight - soft.max(axis=1)) > _WEIGHT_TOL
+        bad |= ~((weight > 0.0) & (weight <= 1.0))
+        bad |= ~(soft[np.arange(n), np.clip(hard, 1, k) - 1] > 0.0)
+    return bad
+
+
+_ODD_ENTRIES = (np.nan, np.inf, -np.inf, -0.0, -0.25, -1.0, 1.5, 1e-12, 2.0)
+
+
+def test_failing_rows_flags_what_the_old_expression_flagged():
+    flagged = passed = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 60)), int(rng.integers(2, 7))
+        table = _tie_heavy_table(seed, n, k, 4)
+        soft, pred, weight = table.soft.copy(), table.pred.copy(), table.weight.copy()
+        rate = rng.choice([0.01, 0.05, 0.2])
+        for arr in (soft, pred, weight):
+            odd = rng.random(arr.shape) < rate
+            arr[odd] = rng.choice(_ODD_ENTRIES, size=int(odd.sum()))
+        hard = np.where(rng.random(n) < 0.9, table.hard, rng.integers(-1, k + 3, size=n))
+        pred_hard = np.where(rng.random(n) < 0.9, table.pred_hard, 0)
+        want = _old_failing_rows(soft, pred, hard, pred_hard, weight)
+        assert np.array_equal(_failing_rows(soft, pred, hard, pred_hard, weight), want)
+        flagged, passed = flagged + int(want.sum()), passed + int((~want).sum())
+    assert flagged > 100 and passed > 100

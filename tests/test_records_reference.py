@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordreg import harness
@@ -654,12 +654,25 @@ def _quoted_newline_then_bad_weight(lines):
     return _with(4, 3, "7")(lines)  # named by the line its row starts on
 
 
+def _quoted_newline_then_short_row(lines):
+    lines[1][0] = '"a\nb"'
+    lines[4] = lines[4][:5]
+    return _text(lines)
+
+
+def _quoted_newline_then_unparsable_field(lines):
+    lines[1][0] = '"a\nb"'
+    return _with(4, 5, "x")(lines)
+
+
 _EDGE_CASES = {
     "plain": _text,
     "quoted-id": _with(2, 0, '"say ""hi"""'),
     "quoted-id-comma": _with(2, 0, '"a,b"'),
     "quoted-id-newline": _with(2, 0, '"a\nb"'),
     "quoted-id-newline-then-bad-weight": _quoted_newline_then_bad_weight,
+    "quoted-id-newline-then-short-row": _quoted_newline_then_short_row,
+    "quoted-id-newline-then-unparsable-field": _quoted_newline_then_unparsable_field,
     "quoted-number": _with(3, 4, '"0.25"'),
     "crlf": lambda lines: _text(lines, "\r\n"),
     "crlf-id-last": lambda lines: _text(_id_last(lines), "\r\n"),
@@ -720,6 +733,8 @@ def _first_bad_line(text):
 
 @settings(max_examples=100, deadline=None)
 @given(_records_files())
+@example(_quoted_newline_then_short_row(_plain_lines()))  # the bad row starts on line 6
+@example(_quoted_newline_then_unparsable_field(_plain_lines()))
 def test_evaluate_exits_one_naming_the_first_bad_line(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
@@ -763,3 +778,82 @@ def test_a_written_records_file_is_read_without_the_csv_reader(tmp_path, monkeyp
     path.write_text(text.replace("e7,", '"e,7",', 1))
     with pytest.raises(AssertionError, match="went to the csv reader"):
         read_records_csv(path)
+
+
+# vote fractions of two or four raters, each number written several ways
+_SPELLINGS = {
+    0.0: ("0.0", "-0.0", "0", "0e0"),
+    0.25: ("0.25", ".25", "2.5e-1", "+0.250"),
+    0.5: ("0.5", "0.50", "5e-1", "+0.5"),
+    0.75: ("0.75", "7.5e-1", "0.750"),
+    1.0: ("1.0", "1", "1e0", "+1.00"),
+}
+_LABEL_SPELLINGS = ("{}", "+{}", "0{}", "{} ")
+
+
+def _field_by_field(path):
+    """The columns of a records file, each field read alone with ``float`` or ``int``."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    k = sum(name.startswith("soft_") for name in header)
+
+    def column(name, convert):
+        i = header.index(name)
+        return [convert(row[i]) for row in rows]
+
+    return {
+        "soft": np.array([column(f"soft_{c}", float) for c in range(1, k + 1)]).T,
+        "pred": np.array([column(f"pred_{c}", float) for c in range(1, k + 1)]).T,
+        "weight": np.array(column("weight", float)),
+        "hard": np.array(column("hard", int), np.int64),
+        "pred_hard": np.array(column("pred_hard", int), np.int64),
+        "ids": tuple(column("id", str)),
+    }
+
+
+def _assert_read_field_by_field(path, monkeypatch):
+    def no_csv_reader(path):
+        raise AssertionError(f"{path} went to the csv reader")
+
+    monkeypatch.setattr(harness, "csv_rows", no_csv_reader)
+    table = read_records_csv(path)
+    expected = _field_by_field(path)
+    assert table.ids == expected["ids"]
+    for name in ("soft", "pred", "weight"):  # bit for bit, so -0.0 is not 0.0
+        got = getattr(table, name)
+        assert got.shape == expected[name].shape
+        assert np.array_equal(got.view(np.int64), expected[name].view(np.int64)), name
+    for name in ("hard", "pred_hard"):
+        assert np.array_equal(getattr(table, name), expected[name]), name
+
+
+def test_repeated_fields_in_several_spellings_read_as_each_field_alone(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    n, k = 3200, 4  # several blocks of lines
+    lines = ["id,hard,pred_hard,weight," + ",".join(
+        [f"soft_{c}" for c in range(1, k + 1)] + [f"pred_{c}" for c in range(1, k + 1)])]
+    for i in range(n):
+        soft = _votes_soft(rng, k, int(rng.choice([2, 4])))
+        pred = _random_pred(rng, k)
+        hard, pred_hard = int(np.argmax(soft)) + 1, int(rng.integers(1, k + 1))
+        spell = [str(rng.choice(_SPELLINGS[float(v)])) for v in (soft.max(), *soft)]
+        labels = [str(rng.choice(_LABEL_SPELLINGS)).format(c) for c in (hard, pred_hard)]
+        lines.append(",".join([f"e{i}", *labels, *spell, *map(repr, pred.tolist())]))
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    fields = [line.split(",") for line in lines[1:]]
+    assert {"0.0", "-0.0"} <= {row[4] for row in fields}
+    assert {"0.5", "0.50", "5e-1", "+0.5"} <= {row[3] for row in fields}
+    _assert_read_field_by_field(path, monkeypatch)
+
+
+def test_soft_columns_with_no_repeated_field_read_as_each_field_alone(tmp_path, monkeypatch):
+    rng = np.random.default_rng(18)
+    n, k = 3000, 3
+    soft = np.stack([_random_pred(rng, k) for _ in range(n)])
+    table = eval_record(soft, np.stack([_random_pred(rng, k) for _ in range(n)]), None,
+                        [f"e{i}" for i in range(n)])
+    path = tmp_path / "records.csv"
+    path.write_text(records_csv_text(table))
+    assert all(len(set(soft[:, c].tolist())) == n for c in range(k))
+    _assert_read_field_by_field(path, monkeypatch)
