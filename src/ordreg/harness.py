@@ -78,6 +78,7 @@ from .model import (
     EncoderConfig,
     ModelParams,
     ParamBundle,
+    _check_features,
     adam_step,
     forward,
     init_params,
@@ -93,6 +94,8 @@ ALL_DECODES = (DECODE_COUNT, DECODE_ARGMAX)
 # per-operation RNG streams (see data.py for the dataset-side constants)
 _STREAM_SHUFFLE = 41
 _STREAM_TIE_RESAMPLE = 42
+
+_TILE = 64  # rows per gemm in prediction: a gemm's row bits depend on its row count
 
 log = logging.getLogger(__name__)
 
@@ -194,21 +197,32 @@ class TrainOutcome:
 def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) -> np.ndarray:
     """Per-example predicted class distributions, one row per feature row.
 
-    Stacked params take (M, B, input_dim) features and give (M, B, K). A
-    non-finite output, the sign of a diverged model, makes its row NaN.
+    Stacked params take (M, B, input_dim) features and give (M, B, K). Rows go
+    through the model in zero-padded tiles of ``_TILE`` rows, so a row's bits
+    depend only on the row and its model. A non-finite output, the sign of a
+    diverged model, makes its row NaN.
     """
     spec = METHODS[method]
-    logits = np.atleast_2d(forward(params, features))
+    x = np.asarray(features, dtype=np.float64)
+    x = x if params.stacked else np.atleast_2d(x)
+    _check_features(params, x, "features")
+    flat = np.atleast_2d(params.bundle.flat)  # one model is M = 1
+    m, (n, d) = len(flat), x.shape[-2:]
+    tiles = -(-n // _TILE)
+    padded = np.zeros((m, tiles * _TILE, d))
+    padded[:, :n] = x
+    logits = forward(params.with_flat(np.repeat(flat, tiles, axis=0)), padded.reshape(-1, _TILE, d))
+    k = logits.shape[-1]
+    logits = logits.reshape(m, -1, k)[:, :n].reshape(-1, k)  # every model's rows as one matrix
     if spec.head_kind == "softmax":
-        return softmax(logits)
-    tasks = sigmoid(logits)
-    lead = tasks.shape[:-1]
-    tasks = tasks.reshape(-1, tasks.shape[-1])  # the rows of every model as one matrix
-    if spec.loss_kind == losses_mod.LOSS_CORN:
-        tasks = losses_mod.corn_unconditional(tasks)
-    bad = ~np.isfinite(tasks).all(axis=-1, keepdims=True)
-    probs = class_distribution_from_tasks(np.where(bad, 0.5, tasks))
-    return np.where(bad, np.nan, probs).reshape(*lead, -1)
+        probs = softmax(logits)
+    else:
+        tasks = sigmoid(logits)
+        if spec.loss_kind == losses_mod.LOSS_CORN:
+            tasks = losses_mod.corn_unconditional(tasks)
+        bad = ~np.isfinite(tasks).all(axis=-1, keepdims=True)
+        probs = np.where(bad, np.nan, class_distribution_from_tasks(np.where(bad, 0.5, tasks)))
+    return probs.reshape(x.shape[:-1] + probs.shape[-1:])
 
 
 def decode_distribution(
@@ -245,8 +259,8 @@ class ModelJob:
 
 
 def _size_groups(sizes: np.ndarray, rows: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``rows`` split by ``sizes[rows]``, as (size, rows) pairs; models only share
-    a stacked call when their arrays have the same shape."""
+    """``rows`` split by ``sizes[rows]``, as (size, rows) pairs: the training steps of
+    a ragged last batch, whose row reductions would change bits under padding."""
     sized = sizes[rows]
     return [(int(b), rows[sized == b]) for b in np.unique(sized)]
 
@@ -309,12 +323,11 @@ def train_models(
     order = np.zeros((n_models, n_train.max()), dtype=np.int64)
     everyone, shortest = np.arange(n_models), int(n_train.min())
 
-    val_groups = []
-    for _, rows in _size_groups(np.array([idx.size for idx in val_idx]), everyone):
-        vidx = np.stack([val_idx[i] for i in rows])
-        weight = class_max(dataset.soft[vidx])
-        val_groups.append((rows, dataset.features[vidx], weight,
-                           dataset.hard[vidx].astype(np.float64), weight.sum(axis=-1)))
+    n_val = np.array([idx.size for idx in val_idx])
+    vidx = np.stack([np.resize(idx, n_val.max()) for idx in val_idx])  # own rows repeat as padding
+    val_x, val_hard = dataset.features[vidx], dataset.hard[vidx].astype(np.float64)
+    val_weight = class_max(dataset.soft[vidx])
+    weight_sum = np.array([w[:n].sum() for w, n in zip(val_weight, n_val)])
     decode_rule = config.effective_decode
     schedule = []  # each batch start with its (size, rows) groups, fixed for the run
     for start in range(0, int(n_train.max()), config.batch_size):
@@ -364,29 +377,25 @@ def train_models(
                 loss_sum[rows] += loss * size
         train_loss = (loss_sum / n_train).tolist()
 
-        for rows, features, weight, hard, weight_sum in val_groups:
-            probs = predict_prob_matrix(
-                params if rows.size == n_models else params.with_flat(flat[rows]),
-                config.method, features)
-            finite = np.isfinite(probs).all(axis=(1, 2))
-            if not finite.all():
-                diverge(rows[~finite], "validation prediction")
-            keep = alive[rows]
-            if not keep.all():
-                rows, probs, weight, hard, weight_sum = (
-                    a[keep] for a in (rows, probs, weight, hard, weight_sum))
-                if not rows.size:
-                    continue
-            preds = decode_distribution(probs, decode_rule).astype(np.float64)
-            maes = (weight * np.abs(preds - hard)).sum(axis=-1) / weight_sum
-            for i, mae in zip(rows.tolist(), maes.tolist()):
-                histories[i].append(EpochStats(epoch=epoch, train_loss=train_loss[i],
-                                               val_uw_mae=mae))
-            improved = maes < best_mae[rows]
-            better = rows[improved]
-            best[better] = flat[better]
-            best_mae[better] = maes[improved]
-            best_epoch[better] = epoch
+        probs = predict_prob_matrix(params, config.method, val_x)
+        finite = np.isfinite(probs).all(axis=(1, 2))
+        if not finite.all():
+            diverge(everyone[~finite], "validation prediction")
+        rows = np.flatnonzero(alive)
+        if not rows.size:
+            continue
+        preds = decode_distribution(probs[rows], decode_rule).astype(np.float64)
+        errors = val_weight[rows] * np.abs(preds - val_hard[rows])
+        # each model reduces over its own rows only, as it does when trained alone
+        maes = np.array([e[:n].sum() for e, n in zip(errors, n_val[rows])]) / weight_sum[rows]
+        for i, mae in zip(rows.tolist(), maes.tolist()):
+            histories[i].append(EpochStats(epoch=epoch, train_loss=train_loss[i],
+                                           val_uw_mae=mae))
+        improved = maes < best_mae[rows]
+        better = rows[improved]
+        best[better] = flat[better]
+        best_mae[better] = maes[improved]
+        best_epoch[better] = epoch
 
     return [
         failed[i] if i in failed else TrainOutcome(
@@ -461,15 +470,18 @@ def _test_probabilities(
     dataset: Dataset, config: TrainConfig, tests: Sequence[np.ndarray],
     outcomes: Sequence[Union[TrainOutcome, TrainingDiverged]],
 ) -> list[Optional[np.ndarray]]:
-    """Each model's distributions on its test rows (None if it diverged), stacked by test size."""
+    """Each model's distributions on its test rows (None if it diverged), in one stacked
+    call padded to the widest test set."""
     probs: list[Optional[np.ndarray]] = [None] * len(outcomes)
-    trained = np.array([isinstance(o, TrainOutcome) for o in outcomes])
-    for _, rows in _size_groups(np.array([t.size for t in tests]), np.flatnonzero(trained)):
-        params = outcomes[rows[0]].params.with_flat(
-            np.stack([outcomes[i].params.bundle.flat for i in rows]))
-        features = dataset.features[np.stack([tests[i] for i in rows])]
-        for i, p in zip(rows.tolist(), predict_prob_matrix(params, config.method, features)):
-            probs[i] = p
+    rows = [i for i, o in enumerate(outcomes) if isinstance(o, TrainOutcome)]
+    if not rows:
+        return probs
+    width = max(tests[i].size for i in rows)
+    params = outcomes[rows[0]].params.with_flat(
+        np.stack([outcomes[i].params.bundle.flat for i in rows]))
+    features = dataset.features[np.stack([np.resize(tests[i], width) for i in rows])]
+    for i, p in zip(rows, predict_prob_matrix(params, config.method, features)):
+        probs[i] = p[: tests[i].size]
     return probs
 
 

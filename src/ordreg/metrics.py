@@ -301,8 +301,8 @@ def qwk_from_pairs(
     if np.any(a < 1) or np.any(a > num_classes) or np.any(b < 1) or np.any(b > num_classes):
         raise InputError(f"labels must lie in 1..{num_classes}")
     w = np.ones(a.size) if weights is None else np.asarray(weights, dtype=np.float64)
-    table = np.zeros((num_classes, num_classes))
-    np.add.at(table, (a - 1, b - 1), w)
+    table = np.bincount((a - 1) * num_classes + (b - 1), weights=w,
+                        minlength=num_classes * num_classes).reshape(num_classes, num_classes)
     idx = np.arange(num_classes, dtype=np.float64)
     penalty = (idx[:, None] - idx[None, :]) ** 2
     mass = table.sum()

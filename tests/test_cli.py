@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import select
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -445,18 +446,27 @@ def test_a_worker_that_dies_fails_its_method_and_leaves_no_process(ws, tmp_path,
     import ordreg.cli as cli_mod
 
     real, parent = cli_mod.run_cv, os.getpid()
+    read_end, write_end = os.pipe()
 
     def ce_dies(dataset, config, **kw):
         if config.method == "ce":
             assert os.getpid() != parent  # cv takes the first method before it forks
+            os.write(write_end, b"1")
             os._exit(3)
+        # or_soft, which cv takes first, ends only once ce has started in the child;
+        # else cv could take ce itself
+        select.select([read_end], [], [], 60)
         return real(dataset, config, **kw)
 
     monkeypatch.setattr(cli_mod, "run_cv", ce_dies)
     out = tmp_path / "r"
     cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["or_soft", "ce"],
                                              "data": str(ws.data), "out": str(out)})
-    assert run(["cv", "--config", cfg, "--jobs", "2"]) == 2
+    try:
+        assert run(["cv", "--config", cfg, "--jobs", "2"]) == 2
+    finally:
+        os.close(read_end)
+        os.close(write_end)
     assert "failure: the worker process running ce exited with status 3" in capsys.readouterr().err
     doc = json.loads((out / "summary.json").read_text())
     assert list(doc["methods"]) == ["or_soft"]

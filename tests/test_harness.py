@@ -275,6 +275,18 @@ def test_cv_marks_diverged_folds_as_failed_and_flags_partial(monkeypatch):
     assert failed.report is None
 
 
+@pytest.mark.parametrize("method", ["ce", "or_soft", "coral", "corn"])
+def test_an_empty_test_fold_fails_only_its_fold(method):
+    # three examples per class dealt over five folds leave folds 4 and 5 without a test example
+    rng = np.random.default_rng(0)
+    ds = dataset_from_votes(ProblemSpec(3), rng.normal(size=(9, 2)),
+                            [(c,) for c in (1, 1, 1, 2, 2, 2, 3, 3, 3)])
+    with pytest.warns(UserWarning):
+        result = run_cv(ds, small_config(method), k=5)
+    assert [f.status for f in result.folds] == ["ok"] * 3 + ["failed"] * 2
+    assert {f.error for f in result.folds[3:]} == {"no evaluable test examples after tie exclusion"}
+
+
 def test_cv_aggregates_only_completed_folds():
     result = run_cv(SMALL, small_config(epochs=2), k=3, split_seed=1)
     assert not result.partial

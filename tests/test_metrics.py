@@ -210,6 +210,34 @@ def test_qwk_matches_brute_force_formula_including_weights():
             assert got == pytest.approx(want, abs=1e-10)
 
 
+def _qwk_add_at(labels, preds, k, weights):
+    """``qwk_from_pairs`` as it was with its table built by ``np.add.at``."""
+    a, b = np.asarray(labels) - 1, np.asarray(preds) - 1
+    table = np.zeros((k, k))
+    np.add.at(table, (a, b), np.asarray(weights, dtype=np.float64))
+    idx = np.arange(k, dtype=np.float64)
+    penalty = (idx[:, None] - idx[None, :]) ** 2
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    s_exp = float((penalty * expected).sum())
+    return None if s_exp == 0.0 else 1.0 - float((penalty * table).sum()) / s_exp
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(1, 400), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_qwk_table_has_the_bits_of_the_add_at_table(k, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, k + 1, size=n)
+    preds = rng.integers(1, k + 1, size=n)
+    weights = rng.uniform(0.0, 1.0, size=n) * scale
+    got = qwk_from_pairs(labels, preds, k, weights)
+    want = _qwk_add_at(labels, preds, k, weights)
+    if want is None:
+        assert got is None
+    else:
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
 def test_record_level_qwk_uses_hard_labels_and_predictions():
     records = [rec(one_hot(3, y), one_hot(3, p)) for y, p in [(1, 1), (2, 3), (3, 3)]]
     assert qwk(records, use_weights=False) == pytest.approx(

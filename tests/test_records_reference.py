@@ -597,8 +597,10 @@ def _assert_read_as_the_per_row_reader(path):
     got = _outcome(read_records_csv, path)
     if expected[0] == "IndexError":
         # the per-row reader crashed on a short row; now it names the row's line
+        with open(path, encoding="utf-8", newline="") as fh:
+            line = _first_bad_line(fh.read())
         assert got[0] == "InputError"
-        assert " line " in got[1] and "fields" in got[1]
+        assert f" line {line}: " in got[1] and "fields" in got[1]
     elif expected[0] == "csv.Error":
         assert got[0] == "InputError" and got[1].endswith(f": {expected[1]}")
     else:

@@ -399,3 +399,32 @@ def test_generated_stacks_equal_one_model_at_a_time(run):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _assert_outcome(g, w)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(sorted(METHODS)),
+       hidden=st.sampled_from([(), (4,), (3, 5), (16,), (256,)]),
+       activation=st.sampled_from(["relu", "tanh"]), k=st.integers(2, 6), d=st.integers(1, 8),
+       n=st.integers(1, 200), m=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_a_rows_prediction_does_not_depend_on_the_rows_beside_it(method, hidden, activation, k,
+                                                                 d, n, m, seed):
+    """Some rows of a set of n rows sit at other places among other rows in a set of m:
+    each keeps its bits, and so does a row predicted alone or a set predicted as one
+    model of a stack."""
+    rng = np.random.default_rng(seed)
+    params = init_params(EncoderConfig(d, hidden, activation), METHODS[method].head_kind,
+                         ProblemSpec(k), seed)
+    flat = params.bundle.flat + rng.normal(scale=0.2, size=params.bundle.flat.shape)
+    params = params.with_flat(flat)  # non-zero biases too
+    a, b = rng.normal(size=(n, d)) * 2.0, rng.normal(size=(m, d)) * 2.0
+    shared = int(rng.integers(1, min(n, m) + 1))
+    src, dst = rng.choice(n, shared, replace=False), rng.choice(m, shared, replace=False)
+    b[dst] = a[src]
+    in_a = predict_prob_matrix(params, method, a).view(np.int64)
+    in_b = predict_prob_matrix(params, method, b).view(np.int64)
+    assert np.array_equal(in_a[src], in_b[dst])
+    alone = predict_prob_matrix(params, method, a[src[0]]).view(np.int64)
+    assert np.array_equal(alone, in_a[src[:1]])
+    stack = params.with_flat(np.stack([flat * 0.5, flat]))
+    in_stack = predict_prob_matrix(stack, method, np.stack([rng.normal(size=(m, d)), b]))
+    assert np.array_equal(in_stack[1].view(np.int64), in_b)
