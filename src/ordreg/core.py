@@ -63,8 +63,11 @@ class ProblemSpec:
             raise InputError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
 
 
-def _frozen_vector(name: str, values) -> tuple[np.ndarray, list[float]]:
-    """Read-only float64 copy of ``values`` plus its entries as Python floats.
+def _checked_vector(field: str, values, wording: str, min_size: int, size_message: str,
+                    sums_to_one: bool = False, non_increasing: bool = False) -> np.ndarray:
+    """Read-only float64 copy of ``values``, checked in order: a 1-d vector of finite
+    entries, at least ``min_size`` of them, in [0, 1], summing to 1 if ``sums_to_one``,
+    non-increasing if ``non_increasing``.
 
     Wrappers are built per example inside training and evaluation loops. For
     vectors of a few entries, checks on the plain list cost far less than one
@@ -72,17 +75,22 @@ def _frozen_vector(name: str, values) -> tuple[np.ndarray, list[float]]:
     """
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
-        raise InputError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+        raise InputError(f"{field} must be a 1-d vector, got shape {arr.shape}")
     entries = arr.tolist()
     if not all(map(math.isfinite, entries)):
-        raise InputError(f"{name} entries must be finite")
+        raise InputError(f"{field} entries must be finite")
+    if len(entries) < min_size:
+        raise InputError(size_message)
+    if min(entries) < 0.0 or max(entries) > 1.0:
+        raise InputError(f"{wording} must lie in [0, 1]")
+    if sums_to_one:
+        total = float(arr.sum())
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise InputError(f"{wording} sum to {total!r}, not 1")
+    if non_increasing and any(b > a for a, b in zip(entries, entries[1:])):
+        raise InputError(f"{wording} must be non-increasing")
     arr.setflags(write=False)
-    return arr, entries
-
-
-def _outside_unit_interval(entries: list[float]) -> bool:
-    # entries are finite and non-empty here
-    return min(entries) < 0.0 or max(entries) > 1.0
+    return arr
 
 
 @dataclass(frozen=True)
@@ -92,15 +100,9 @@ class RatingDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr, entries = _frozen_vector("RatingDistribution.probs", self.probs)
-        if arr.size < 2:
-            raise InputError("a rating distribution needs at least two classes")
-        if _outside_unit_interval(entries):
-            raise InputError("rating probabilities must lie in [0, 1]")
-        total = arr.sum()
-        if abs(float(total) - 1.0) > PROB_SUM_TOL:
-            raise InputError(f"rating probabilities sum to {float(total)!r}, not 1")
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _checked_vector(
+            "RatingDistribution.probs", self.probs, "rating probabilities", 2,
+            "a rating distribution needs at least two classes", sums_to_one=True))
 
     @property
     def num_classes(self) -> int:
@@ -114,14 +116,9 @@ class ExceedanceLabel:
     exceed: np.ndarray
 
     def __post_init__(self) -> None:
-        arr, entries = _frozen_vector("ExceedanceLabel.exceed", self.exceed)
-        if arr.size < 1:
-            raise InputError("an exceedance label needs at least one entry")
-        if _outside_unit_interval(entries):
-            raise InputError("exceedance entries must lie in [0, 1]")
-        if any(b > a for a, b in zip(entries, entries[1:])):
-            raise InputError("exceedance entries must be non-increasing")
-        object.__setattr__(self, "exceed", arr)
+        object.__setattr__(self, "exceed", _checked_vector(
+            "ExceedanceLabel.exceed", self.exceed, "exceedance entries", 1,
+            "an exceedance label needs at least one entry", non_increasing=True))
 
     @property
     def num_classes(self) -> int:
@@ -142,12 +139,9 @@ class TaskProbabilities:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr, entries = _frozen_vector("TaskProbabilities.probs", self.probs)
-        if arr.size < 1:
-            raise InputError("task probabilities need at least one entry")
-        if _outside_unit_interval(entries):
-            raise InputError("task probabilities must lie in [0, 1]")
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _checked_vector(
+            "TaskProbabilities.probs", self.probs, "task probabilities", 1,
+            "task probabilities need at least one entry"))
 
     @property
     def num_classes(self) -> int:
@@ -161,15 +155,9 @@ class ClassDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr, entries = _frozen_vector("ClassDistribution.probs", self.probs)
-        if arr.size < 2:
-            raise InputError("a class distribution needs at least two classes")
-        if _outside_unit_interval(entries):
-            raise InputError("class probabilities must lie in [0, 1]")
-        total = arr.sum()
-        if abs(float(total) - 1.0) > PROB_SUM_TOL:
-            raise InputError(f"class probabilities sum to {float(total)!r}, not 1")
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _checked_vector(
+            "ClassDistribution.probs", self.probs, "class probabilities", 2,
+            "a class distribution needs at least two classes", sums_to_one=True))
 
     @property
     def num_classes(self) -> int:

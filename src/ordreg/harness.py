@@ -31,7 +31,6 @@ from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -208,6 +207,8 @@ def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) 
     _check_features(params, x, "features")
     flat = np.atleast_2d(params.bundle.flat)  # one model is M = 1
     m, (n, d) = len(flat), x.shape[-2:]
+    if n == 0:  # no rows, nothing for a head to decode
+        return np.zeros(x.shape[:-1] + (params.num_classes,))
     tiles = -(-n // _TILE)
     padded = np.zeros((m, tiles * _TILE, d))
     padded[:, :n] = x
@@ -758,14 +759,12 @@ def _record_columns(path, header: list[str]) -> _RecordColumns:
                           soft=columns[:k], pred=columns[k:])
 
 
-def _record_table(path, ids: list[str], numbers, classes, lines: Sequence[int]) -> RecordTable:
-    """The checked table; a failing row i is named as line ``lines[i]``."""
+def _record_table(ids: list[str], numbers: np.ndarray, classes: np.ndarray) -> RecordTable:
+    """The checked table of rows of numbers (weight, soft_1..soft_K, pred_1..pred_K) and
+    classes (hard, pred_hard); a failing row raises RecordRowError."""
     k = (numbers.shape[1] - 1) // 2
-    try:
-        return RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k], pred=numbers[:, 1 + k :],
-                           hard=classes[:, 0], pred_hard=classes[:, 1], weight=numbers[:, 0])
-    except RecordRowError as err:
-        raise InputError(f"{path} line {lines[err.row]}: {err}") from None
+    return RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k], pred=numbers[:, 1 + k :],
+                       hard=classes[:, 0], pred_hard=classes[:, 1], weight=numbers[:, 0])
 
 
 def _each_once(convert, column: list[str]) -> list:
@@ -805,62 +804,49 @@ def _read_plain_records(path) -> Optional[RecordTable]:
                 ids += fields[cols.id :: width]
         except (ValueError, OverflowError):  # not UTF-8, a bad header or a bad field
             return None
-    return _record_table(path, ids, np.concatenate(numbers), np.concatenate(classes),
-                         range(2, len(ids) + 2)) if ids else None
+    if not ids:
+        return None
+    try:
+        return _record_table(ids, np.concatenate(numbers), np.concatenate(classes))
+    except RecordRowError as err:  # row i of a plain file is its line i + 2
+        raise InputError(f"{path} line {err.row + 2}: {err}") from None
 
 
-def _read_csv_records(path) -> RecordTable:
-    floats = array("d")  # weight, soft_1..soft_K, pred_1..pred_K per row
-    labels = array("q")  # hard, pred_hard per row
-    ids: list[str] = []
-    lines = array("q")
-    unparsed = None  # (line, row) of the first row whose fields do not parse
+def _read_record_rows(path) -> RecordTable:
+    """The table of a records.csv read row by row: each row is checked as an EvalRecord
+    and kept only as its numbers (keeping the records triples the peak memory). The
+    first row that fails raises InputError naming the line it starts on."""
+    ids, numbers, classes = [], array("d"), array("q")
     with csv_rows(path) as reader:
         try:
-            header = next(reader)
+            cols = _record_columns(path, next(reader))
         except StopIteration:
             raise InputError(f"{path}: empty records file") from None
-        cols = _record_columns(path, header)
-        get_floats = itemgetter(cols.weight, *cols.soft, *cols.pred)
-        get_labels = itemgetter(cols.hard, cols.pred_hard)
         read = reader.line_num  # lines read so far; a quoted field may span lines
         for row in reader:
             line_no, read = read + 1, reader.line_num
             if not row:
                 continue
             try:
-                example_id = row[cols.id]
-                row_floats = tuple(map(float, get_floats(row)))
-                labels.extend(map(int, get_labels(row)))
-            except (IndexError, ValueError, OverflowError):
-                unparsed = (line_no, row)
-                break
-            floats.extend(row_floats)
-            ids.append(example_id)
-            lines.append(line_no)
-    if not ids and unparsed is None:
+                record = cols.record(row)
+            except ValueError as err:  # InputError included
+                raise InputError(f"{path} line {line_no}: {err}") from None
+            ids.append(record.example_id)
+            numbers.extend([record.weight, *record.soft.probs.tolist(),
+                            *record.pred_dist.probs.tolist()])
+            classes.extend((record.hard, record.pred_hard))
+    if not ids:
         raise InputError(f"{path}: no records")
-    if ids:
-        n = len(ids)
-        table = _record_table(path, ids, np.frombuffer(floats).reshape(n, -1),
-                              np.frombuffer(labels, np.int64, 2 * n).reshape(n, 2), lines)
-    if unparsed is not None:
-        # every earlier row passed; the per-field parse names what is wrong here
-        line_no, row = unparsed
-        try:
-            cols.record(row)
-        except (ValueError, InputError) as err:
-            raise InputError(f"{path} line {line_no}: {err}") from None
-        raise InputError(f"{path} line {line_no}: the row does not parse")
-    return table
+    return _record_table(ids, np.frombuffer(numbers).reshape(len(ids), -1),
+                         np.frombuffer(classes, np.int64).reshape(-1, 2))
 
 
 def read_records_csv(path) -> RecordTable:
     """Rebuild the RecordTable of an exported records.csv, bit-exact: a plain file
-    split in blocks of lines, any other by ``csv.reader`` row by row. A bad row
-    raises InputError naming the file, the 1-based line of the first failing row
-    and the check it fails."""
-    return _read_plain_records(path) or _read_csv_records(path)  # a table has N >= 1 rows
+    split in blocks of lines and parsed a column at a time, any other by ``csv.reader``
+    row by row. A bad row raises InputError naming the file, the 1-based line of the
+    first failing row and the check it fails."""
+    return _read_plain_records(path) or _read_record_rows(path)  # a table has N >= 1 rows
 
 
 def history_csv_text(histories: dict[int, tuple[EpochStats, ...]]) -> str:
@@ -900,29 +886,12 @@ def write_experiment_result(out_dir, files: dict[str, dict[str, str]]) -> None:
 
 
 def result_summary_block(result: ExperimentResult) -> dict:
-    folds = []
-    for fold in result.folds:
-        if fold.status == "ok":
-            doc = fold.report.to_dict()
-            folds.append(
-                {
-                    "fold": fold.fold,
-                    "status": "ok",
-                    "metrics": doc["metrics"],
-                    "num_records": doc["num_records"],
-                    "missing_classes": doc["missing_classes"],
-                    "undefined": doc["undefined"],
-                    "best_epochs": {str(s): e for s, e in fold.best_epochs.items()},
-                }
-            )
-        else:
-            folds.append({"fold": fold.fold, "status": "failed", "error": fold.error})
-    return {
-        "mean": result.mean,
-        "std": result.std,
-        "partial": result.partial,
-        "folds": folds,
-    }
+    folds = [{**fold.report.to_dict(), "fold": fold.fold, "status": "ok",
+              "best_epochs": {str(s): e for s, e in fold.best_epochs.items()}}
+             if fold.status == "ok"
+             else {"fold": fold.fold, "status": "failed", "error": fold.error}
+             for fold in result.folds]
+    return {"mean": result.mean, "std": result.std, "partial": result.partial, "folds": folds}
 
 
 def build_summary(blocks: dict[str, dict], config_doc: dict, dataset_doc: dict,

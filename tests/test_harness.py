@@ -38,7 +38,7 @@ from ordreg.harness import (
 )
 from ordreg.losses import HARD_TARGET_LOSSES
 from ordreg.metrics import MetricReport, _METRIC_NAMES, compute_metric_report
-from ordreg.model import EncoderConfig, flatten_params
+from ordreg.model import EncoderConfig, flatten_params, init_params
 
 SMALL = generate_synthetic(
     SyntheticConfig(
@@ -141,6 +141,17 @@ def test_predicted_distributions_are_valid(method):
     assert probs.shape == (10, 3)
     assert np.all(probs >= 0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_zero_feature_rows_give_an_empty_prediction_for_every_head(method):
+    params = init_params(EncoderConfig(input_dim=2, hidden_dims=(4,)), METHODS[method].head_kind,
+                         ProblemSpec(4), 0)
+    one = predict_prob_matrix(params, method, np.ones((0, 2)))
+    stack = predict_prob_matrix(params.with_flat(np.stack([params.bundle.flat] * 3)), method,
+                                np.ones((3, 0, 2)))
+    assert (one.shape, stack.shape) == ((0, 4), (3, 0, 4))
+    assert one.dtype == stack.dtype == np.float64
 
 
 def test_decode_rules_disagree_on_a_bimodal_distribution():

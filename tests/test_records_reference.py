@@ -646,6 +646,11 @@ def _short_then_long_row_that_parse_shifted(lines):
     return _text(lines[:2] + [lines[2][:-1], long_row] + lines[4:])
 
 
+def _two_short_rows_that_parse_as_one(lines):
+    halves = ["7 1 1 1 1".split(), "0 0 1 0 0".split()]  # end to end, one valid row of K = 3
+    return _text(lines[:3] + halves + lines[3:], "\r\n")
+
+
 def _crlf_after_the_header(lines):
     lines = _id_last(lines)
     return _text(lines[:1]) + _text(lines[1:], "\r\n")
@@ -665,6 +670,11 @@ def _quoted_newline_then_short_row(lines):
 def _quoted_newline_then_unparsable_field(lines):
     lines[1][0] = '"a\nb"'
     return _with(4, 5, "x")(lines)
+
+
+def _bad_weight_then_long_id(lines):
+    lines[5][0] = "x" * 140_000  # over the csv module's field limit
+    return _with(2, 3, "7")(lines)  # a weight the per-row reader rejects first
 
 
 _EDGE_CASES = {
@@ -692,8 +702,10 @@ _EDGE_CASES = {
     "short-and-long-row": lambda lines: _text(
         lines[:2] + [lines[2][:-1], lines[3], lines[4] + ["1"]] + lines[5:]),
     "short-and-long-row-that-parse-shifted": _short_then_long_row_that_parse_shifted,
+    "crlf-two-short-rows-that-parse-as-one": _two_short_rows_that_parse_as_one,
     "nul-in-id": _with(2, 0, "a\0b"),
     "long-id": _with(2, 0, "x" * 140_000),
+    "bad-weight-then-long-id": _bad_weight_then_long_id,
     "spaces": _with(2, 4, " 0.25 "),
     "underscore": _with(2, 1, "1_0"),
     "non-ascii-digit": _with(2, 2, "٢"),
