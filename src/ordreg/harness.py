@@ -366,8 +366,8 @@ def train_models(
                 batch = Batch(dataset.features[idx], targets)
                 whole = rows.size == n_models
                 step_params, step_adam = (params, adam) if whole else gather(rows)
-                loss, step_grad = loss_and_gradient(step_params, batch, method.loss_kind,
-                                                    out=grad if whole else None)
+                step_grad = grad if whole else ParamBundle(grad.flat[: rows.size], grad.layout)
+                loss, _ = loss_and_gradient(step_params, batch, method.loss_kind, out=step_grad)
                 finite = np.isfinite(loss)
                 if not finite.all():
                     diverge(rows[~finite], "loss")

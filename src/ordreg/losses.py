@@ -1,17 +1,21 @@
 """Training objectives, as pure functions of model output probabilities and targets.
 
-Loss kinds and the target each expects:
+Loss kinds, the target each takes, and the rows it is scored against:
 
-====================  =========================================
-kind                  target
-====================  =========================================
-``ce``                hard label (int)
-``ce_soft``           RatingDistribution
-``or_cnn``            hard label (int)
-``or_soft``           ExceedanceLabel
-``corn``              batch of hard labels (batch-level loss)
-``sord_ae``/``sord_se``  hard label (smoothed internally)
-====================  =========================================
+=======================  =====================  ===================================
+kind                     target                 scored against
+=======================  =====================  ===================================
+``ce``                   hard label (int)       the one-hot row of y
+``ce_soft``              RatingDistribution     the rating row
+``or_cnn``               hard label (int)       the indicators 1(y > j)
+``or_soft``              ExceedanceLabel        the tail masses P(y > j)
+``corn``                 batch of hard labels   1(y > j), task j over y >= j only
+``sord_ae``/``sord_se``  hard label (int)       the SORD row of y
+=======================  =====================  ===================================
+
+Training scores every kind on these rows through ``or_soft_loss``, ``ce_soft_loss`` or
+``corn_rows_loss``: the hard losses' bits. Hard labels are checked where they enter: by
+each public function here, and by a ``model.loss_and_gradient`` call without ``out=``.
 
 CORAL and its soft variant reuse ``or_cnn``/``or_soft`` on a shared-slope head;
 there is no separate loss kind for them. All probabilities are clamped to
@@ -104,15 +108,19 @@ def _bce(p: np.ndarray, target: np.ndarray) -> np.ndarray:
     return -(target * _log(p) + (1.0 - target) * _log(1.0 - p))
 
 
+def label_rows(labels: Union[int, np.ndarray], k: int, one_hot: bool = False) -> np.ndarray:
+    """Unchecked labels in 1..k as float rows: indicators 1(y > j), or one-hot rows."""
+    y = np.asarray(labels)[..., None]
+    return (y == np.arange(1, k + 1) if one_hot else y > np.arange(1, k)).astype(np.float64)
+
+
 def or_cnn_loss(
     tasks: Union[TaskProbabilities, ArrayLike], y: Union[int, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """Sum of per-task binary cross entropies against the indicators 1(y > k)."""
     p = _probs(tasks, "tasks")
     k = p.shape[-1] + 1
-    labels = _hard_labels(y, p, k)
-    targets = ((labels if p.ndim == 1 else labels[:, None]) > np.arange(1, k)).astype(np.float64)
-    return _row_sums(_bce(p, targets))
+    return _row_sums(_bce(p, label_rows(_hard_labels(y, p, k), k)))
 
 
 def or_soft_loss(
@@ -156,7 +164,7 @@ def ce_soft_loss(
     return _row_sums(-(t * _log(p)))
 
 
-def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> float:
+def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> Union[float, np.ndarray]:
     """Conditional-subtask ordinal loss over a batch.
 
     ``task_cond_probs[i, k]`` is example i's predicted P(y > k+1 | y >= k+1).
@@ -167,35 +175,31 @@ def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> float:
     A stacked (M, B, K-1) array with (M, B) labels gives the (M,) losses of
     M separate batches; each task subset stays inside its own batch.
     """
-    if isinstance(task_cond_probs, np.ndarray) and task_cond_probs.ndim == 3:
-        labels = np.asarray(ys)
-        if labels.ndim != 2 or labels.shape[0] != len(task_cond_probs):
-            raise InputError(
-                f"{len(task_cond_probs)} stacked batches need ({len(task_cond_probs)}, B)"
-                f" labels, got shape {labels.shape}"
-            )
-        return np.array([corn_loss(p, y) for p, y in zip(task_cond_probs, labels)])
     if isinstance(task_cond_probs, np.ndarray):
         p = np.atleast_2d(task_cond_probs.astype(np.float64, copy=False))
     else:
         p = np.atleast_2d([_probs(row, "task_cond_probs") for row in task_cond_probs])
-    labels = np.asarray(ys, dtype=np.int64)
-    if p.shape[0] != labels.size:
-        raise InputError(f"{p.shape[0]} probability rows for {labels.size} labels")
-    num_classes = p.shape[1] + 1
-    if labels.size == 0:
-        raise InputError("corn_loss needs a non-empty batch")
-    if np.any(labels < 1) or np.any(labels > num_classes):
-        raise InputError(f"hard labels outside 1..{num_classes}")
-    total = 0.0
-    for k in range(1, num_classes):
-        subset = labels >= k
-        n = int(subset.sum())
-        if n == 0:
-            continue
-        targets = (labels[subset] > k).astype(np.float64)
-        total += float(_bce(p[subset, k - 1], targets).sum()) / n
-    return total
+    labels = np.asarray(ys)
+    if p.ndim > 3 or labels.shape != p.shape[:-1]:
+        raise InputError(f"task probabilities of shape {p.shape} need labels of shape"
+                         f" {p.shape[:-1]} (at most 3 axes), got {labels.shape}")
+    k = p.shape[-1] + 1
+    labels = check_class_indices(labels.ravel(), ProblemSpec(k)).reshape(labels.shape)
+    return corn_rows_loss(p, label_rows(labels, k), labels[..., None] >= np.arange(1, k))
+
+
+def corn_rows_loss(p: np.ndarray, targets: np.ndarray,
+                   subset: np.ndarray) -> Union[float, np.ndarray]:
+    """:func:`corn_loss` of (B, K-1) or (M, B, K-1) probabilities against unchecked indicator
+    rows, task k over the rows where ``subset`` is true. Each (model, task) sum is one float
+    sum over that task's subset alone, compressed and in order: the bits of per-model calls."""
+    b = p.shape[-2]
+    bce = _bce(p, targets).swapaxes(-1, -2).reshape(-1, b)  # one (model, task) per row
+    keep = subset.swapaxes(-1, -2)
+    sums = [float(row[mask].sum()) for row, mask in zip(bce, keep.reshape(-1, b))]
+    means = np.reshape(sums, keep.shape[:-1]) / np.maximum(keep.sum(axis=-1), 1)
+    total = np.add.accumulate(means, axis=-1)[..., -1]  # the task means added in task order
+    return float(total) if p.ndim == 2 else total
 
 
 def corn_unconditional(

@@ -32,6 +32,7 @@ from .core import (
     DISTANCE_SE,
     InputError,
     ProblemSpec,
+    check_class_indices,
     class_max,
     sord_soft_label,
 )
@@ -312,9 +313,9 @@ class Batch:
         return math.prod(np.shape(self.features)[:-1])
 
 
-def _stack(rows: list, what: str) -> np.ndarray:
+def _stack(rows: list, what: str, dtype: Optional[type] = np.float64) -> np.ndarray:
     try:
-        return np.asarray(rows, dtype=np.float64)
+        return np.asarray(rows, dtype=dtype)
     except (TypeError, ValueError):
         raise InputError(f"batch {what} must all have the same length") from None
 
@@ -322,20 +323,13 @@ def _stack(rows: list, what: str) -> np.ndarray:
 def batch_from_pairs(pairs: Sequence[tuple], loss_kind: str) -> Batch:
     """A :class:`Batch` from ``(features, target)`` pairs.
 
-    Hard-label targets are ints; ``or_soft`` targets are ExceedanceLabels or
-    K-1 vectors; ``ce_soft`` targets are RatingDistributions or K vectors.
+    Hard-label targets are class indices, kept as given; ``or_soft`` targets are
+    ExceedanceLabels or K-1 vectors; ``ce_soft`` targets are RatingDistributions or K vectors.
     """
     features = _stack([np.asarray(f, dtype=np.float64) for f, _ in pairs], "features")
-    if loss_kind in losses_mod.HARD_TARGET_LOSSES:
-        try:
-            targets = np.asarray([int(t) for _, t in pairs], dtype=np.int64)
-        except (TypeError, ValueError):
-            raise InputError(f"{loss_kind} targets must be hard labels") from None
-    else:
-        targets = _stack(
-            [getattr(t, "exceed", getattr(t, "probs", t)) for _, t in pairs], "targets"
-        )
-    return Batch(features, targets)
+    hard = loss_kind in losses_mod.HARD_TARGET_LOSSES
+    targets = [t if hard else getattr(t, "exceed", getattr(t, "probs", t)) for _, t in pairs]
+    return Batch(features, _stack(targets, "targets", None if hard else np.float64))
 
 
 def loss_and_gradient(
@@ -356,8 +350,10 @@ def loss_and_gradient(
     so each row equals that model's unstacked result bit for bit.
 
     The gradient fills a fresh bundle, or ``out`` (shaped like ``params.bundle``),
-    whose caller vouches for a non-empty :class:`Batch` and a loss kind fitting the head.
+    whose caller vouches for a non-empty :class:`Batch`, a loss kind fitting the
+    head and, for hard targets, labels in 1..K. Without ``out`` those are checked.
     """
+    task_head = loss_kind in _TASK_LOSSES
     if out is None:
         if len(batch) == 0:
             raise InputError("batch must be non-empty")
@@ -365,12 +361,16 @@ def loss_and_gradient(
             raise InputError(
                 f"unknown loss kind {loss_kind!r}; valid: {', '.join(losses_mod.ALL_LOSS_KINDS)}"
             )
-        task_head = params.head_kind != HEAD_SOFTMAX
-        if task_head != (loss_kind in _TASK_LOSSES):
+        if task_head != (params.head_kind != HEAD_SOFTMAX):
             raise InputError(f"loss {loss_kind!r} needs "
-                             + ("the softmax head" if task_head else "a task head, not softmax"))
+                             + ("a task head, not softmax" if task_head else "the softmax head"))
         if not isinstance(batch, Batch):
             batch = batch_from_pairs(batch, loss_kind)
+        if loss_kind in losses_mod.HARD_TARGET_LOSSES:
+            labels, examples = np.asarray(batch.targets), np.shape(batch.features)[:-1]
+            if labels.shape != examples:
+                raise InputError(f"hard labels of shape {labels.shape} for {examples} examples")
+            check_class_indices(labels.ravel(), ProblemSpec(params.num_classes))
         out = ParamBundle(np.empty(params.bundle.flat.shape), params.bundle.layout)
 
     k = params.num_classes
@@ -378,41 +378,27 @@ def loss_and_gradient(
     _check_features(params, x, "batch features")
     n = x.shape[-2]
     logits, pres, acts = _forward_cached(params, x)
-    probs = sigmoid(logits) if loss_kind in _TASK_LOSSES else softmax(logits)
+    probs = sigmoid(logits) if task_head else softmax(logits)
 
-    def rows(a: np.ndarray) -> np.ndarray:
-        # the per-example losses see every model's rows as one (M*B, ...) array
-        return a.reshape(-1, *a.shape[2:]) if params.stacked else a
-
-    # each loss call checks its targets (label range, shape) for the whole batch
-    # before the gradient uses them
     if loss_kind in losses_mod.HARD_TARGET_LOSSES:
         ys = np.asarray(batch.targets, dtype=np.int64)
-    if loss_kind == losses_mod.LOSS_CORN:
-        loss = losses_mod.corn_loss(probs, ys)
-        # task k sees the examples with y >= k; each example's term is divided
-        # by its model's subset size
-        tasks = np.arange(1, k)
-        subset = ys[..., None] >= tasks
-        sizes = np.maximum(subset.sum(axis=-2, keepdims=True), 1)
-        dlogits = np.where(subset, (probs - (ys[..., None] > tasks)) / sizes, 0.0)
-    else:
-        if loss_kind == losses_mod.LOSS_OR_CNN:
-            per_example = losses_mod.or_cnn_loss(rows(probs), rows(ys))
-            targets = (ys[..., None] > np.arange(1, k)).astype(np.float64)
-        elif loss_kind == losses_mod.LOSS_CE:
-            per_example = losses_mod.ce_loss(rows(probs), rows(ys))
-            targets = (ys[..., None] == np.arange(1, k + 1)).astype(np.float64)
-        elif loss_kind in (losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
+        if loss_kind in (losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
             distance = DISTANCE_AE if loss_kind == losses_mod.LOSS_SORD_AE else DISTANCE_SE
-            targets = sord_soft_label(rows(ys), ProblemSpec(k), distance)
-            per_example = losses_mod.ce_soft_loss(rows(probs), targets)
-            targets = targets.reshape(probs.shape)
+            targets = sord_soft_label(ys.ravel(), ProblemSpec(k), distance).reshape(probs.shape)
         else:
-            targets = np.asarray(batch.targets, dtype=np.float64)
-            soft_loss = (losses_mod.or_soft_loss if loss_kind == losses_mod.LOSS_OR_SOFT
-                         else losses_mod.ce_soft_loss)
-            per_example = soft_loss(rows(probs), rows(targets))
+            targets = losses_mod.label_rows(ys, k, one_hot=loss_kind == losses_mod.LOSS_CE)
+    else:
+        targets = np.asarray(batch.targets, dtype=np.float64)
+    if loss_kind == losses_mod.LOSS_CORN:
+        # task k sees the examples with y >= k; a term is divided by its model's subset size
+        subset = ys[..., None] >= np.arange(1, k)
+        loss = losses_mod.corn_rows_loss(probs, targets, subset)
+        sizes = np.maximum(subset.sum(axis=-2, keepdims=True), 1)
+        dlogits = np.where(subset, (probs - targets) / sizes, 0.0)
+    else:
+        # every model's rows as one (M*B, n) array; on hard rows a 0 target adds an exact 0
+        soft_loss = losses_mod.or_soft_loss if task_head else losses_mod.ce_soft_loss
+        per_example = soft_loss(*(a.reshape(-1, a.shape[-1]) for a in (probs, targets)))
         loss = per_example.reshape(probs.shape[:-1]).sum(axis=-1) / n
         dlogits = (probs - targets) / n
     if not params.stacked:
@@ -522,20 +508,29 @@ def save_params(params: ModelParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ModelParams:
+    """A :func:`save_params` checkpoint; a malformed one raises InputError naming the field."""
     doc = read_json(path)
-    if doc.get("format") != _CHECKPOINT_FORMAT or doc.get("version") != _CHECKPOINT_VERSION:
+    if (not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT
+            or doc.get("version") != _CHECKPOINT_VERSION):
         raise InputError(f"{path}: not a version-{_CHECKPOINT_VERSION} checkpoint")
-    enc = EncoderConfig(
-        input_dim=doc["encoder"]["input_dim"],
-        hidden_dims=tuple(doc["encoder"]["hidden_dims"]),
-        activation=doc["encoder"]["activation"],
-    )
-    head_kind = doc["head_kind"]
-    num_classes = int(doc["num_classes"])
-    layout = _layout(enc, head_kind, num_classes)
-    arrays = [np.asarray(a, dtype=np.float64) for a in
-              (*doc["encoder_w"], *doc["encoder_b"], doc["head_w"], doc["head_b"])]
+
+    def field(name: str, read):
+        if name not in doc:
+            raise InputError(f"{path}: missing field {name!r}")
+        try:
+            return read(doc[name])
+        except (InputError, KeyError, TypeError, ValueError) as exc:
+            detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise InputError(f"{path}: field {name!r}: {detail}") from None
+
+    enc = field("encoder", lambda e: EncoderConfig(e["input_dim"], tuple(e["hidden_dims"]),
+                                                   e["activation"]))
+    spec = field("num_classes", ProblemSpec)
+    layout = field("head_kind", lambda kind: _layout(enc, kind, spec.num_classes))
+    tensors = lambda ts: [np.asarray(t, dtype=np.float64) for t in ts]  # noqa: E731
+    arrays = [*field("encoder_w", tensors), *field("encoder_b", tensors),
+              *field("head_w", lambda w: tensors([w])), *field("head_b", lambda b: tensors([b]))]
     if tuple(a.shape for a in arrays) != layout.shapes:
         raise InputError(f"{path}: parameter shapes do not match the encoder and head")
     flat = np.concatenate(arrays, axis=None)
-    return ModelParams(enc, head_kind, num_classes, ParamBundle(flat, layout))
+    return ModelParams(enc, doc["head_kind"], spec.num_classes, ParamBundle(flat, layout))

@@ -187,6 +187,52 @@ def test_corn_is_batch_order_invariant():
     assert corn_loss(probs[perm], ys[perm]) == pytest.approx(base, abs=1e-12)
 
 
+def _clamped_log(p):
+    return np.log(np.minimum(np.maximum(p, LOG_EPS), 1.0 - LOG_EPS))
+
+
+def _ref_corn_loss(p, labels):
+    """The per-task loop: each task's BCE summed over its compressed subset, in task order."""
+    total = 0.0
+    for k in range(1, p.shape[1] + 1):
+        subset = labels >= k
+        if subset.any():
+            targets = (labels[subset] > k).astype(np.float64)
+            p_k = p[subset, k - 1]
+            bce = -(targets * _clamped_log(p_k) + (1.0 - targets) * _clamped_log(1.0 - p_k))
+            total += float(bce.sum()) / int(subset.sum())
+    return total
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 5), b=st.integers(1, 39), k=st.integers(2, 10),
+       top=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_a_stacked_corn_loss_has_the_bits_of_one_call_per_model(m, b, k, top, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(size=(m, b, k - 1))
+    saturated = rng.random(probs.shape) < 0.2
+    probs[saturated] = rng.integers(0, 2, size=int(saturated.sum()))  # exact 0s and 1s
+    # labels capped at `top` leave every task above it with an empty subset
+    labels = rng.integers(1, min(top, k) + 1, size=(m, b))
+    stacked = corn_loss(probs, labels)
+    alone = np.array([corn_loss(p, y) for p, y in zip(probs, labels)])
+    reference = np.array([_ref_corn_loss(p, y) for p, y in zip(probs, labels)])
+    assert stacked.shape == (m,)
+    assert np.array_equal(stacked.view(np.int64), alone.view(np.int64))
+    assert np.array_equal(stacked.view(np.int64), reference.view(np.int64))
+
+
+def test_corn_rejects_labels_outside_the_classes_and_mismatched_shapes():
+    probs = np.full((2, 3), 0.5)
+    for labels in ([1, 5], [0, 1], [1, 2.5]):
+        with pytest.raises(InputError, match=r"outside 1\.\.4$"):
+            corn_loss(probs, labels)
+    with pytest.raises(InputError, match="labels of shape"):
+        corn_loss(probs, [1, 2, 3])
+    with pytest.raises(InputError, match="labels of shape"):
+        corn_loss(np.full((2, 2, 3), 0.5), [1, 2])
+
+
 def test_corn_chain_rule_example():
     got = corn_unconditional(np.array([0.8, 0.5]))
     np.testing.assert_allclose(got.probs, [0.8, 0.4], atol=1e-15)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -265,6 +268,19 @@ def test_batched_step_checks_its_arrays_once(loss_kind, head_kind):
         loss_and_gradient(params, Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)), loss_kind)
 
 
+@pytest.mark.parametrize("loss_kind", [LOSS_CE, LOSS_OR_CNN, LOSS_CORN, LOSS_SORD_AE, LOSS_SORD_SE])
+def test_a_hard_label_between_classes_is_rejected_not_truncated(loss_kind):
+    head = HEAD_INDEPENDENT if loss_kind in (LOSS_OR_CNN, LOSS_CORN) else HEAD_SOFTMAX
+    params = init_params(EncoderConfig(2, ()), head, ProblemSpec(3), 0)
+    x = np.zeros((3, 2))
+    for batch in ([(x[0], 1), (x[1], 2.5), (x[2], 3)], Batch(x, np.array([1.0, 2.5, 3.0]))):
+        with pytest.raises(InputError, match=r"^class index 2\.5 outside 1\.\.3$"):
+            loss_and_gradient(params, batch, loss_kind)
+    # a whole number given as a float is its class
+    loss, _ = loss_and_gradient(params, Batch(x, np.array([1.0, 2.0, 3.0])), loss_kind)
+    assert loss == loss_and_gradient(params, Batch(x, np.array([1, 2, 3])), loss_kind)[0]
+
+
 # ---- adam ----
 
 
@@ -356,3 +372,20 @@ def test_training_steps_are_deterministic():
         return flatten_params(params)
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_a_malformed_checkpoint_names_the_file_and_the_field(tmp_path):
+    params = init_params(EncoderConfig(3, (4,)), HEAD_INDEPENDENT, ProblemSpec(4), 0)
+    save_params(params, tmp_path / "good.json")
+    doc = json.loads((tmp_path / "good.json").read_text())
+    no_encoder = {key: value for key, value in doc.items() if key != "encoder"}
+    cases = [
+        (no_encoder, "missing field 'encoder'"),
+        ([doc], "not a version-1 checkpoint"),
+        ({**doc, "num_classes": 1}, "field 'num_classes': num_classes must be an integer >= 2"),
+    ]
+    for bad, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_params(path)
