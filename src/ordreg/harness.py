@@ -259,13 +259,6 @@ class ModelJob:
     seed: int
 
 
-def _size_groups(sizes: np.ndarray, rows: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``rows`` split by ``sizes[rows]``, as (size, rows) pairs: the training steps of
-    a ragged last batch, whose row reductions would change bits under padding."""
-    sized = sizes[rows]
-    return [(int(b), rows[sized == b]) for b in np.unique(sized)]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is reported, not warned
 def train_models(
     dataset: Dataset, config: TrainConfig, jobs: Sequence[ModelJob]
@@ -276,10 +269,11 @@ def train_models(
     snapshot is job i from the first step to the outcome. Each model keeps
     its own init, shuffle and tie-resample streams and its own Adam step
     count, and every loss, gradient and validation UW-MAE reduces over that
-    model's own rows. The batch schedule is fixed for the run: a step of
-    every model updates the rows in place, and a ragged last batch steps in
-    groups of equal size on copies of its models' rows, written back. Each
-    model's outcome is therefore the one it gets when trained alone.
+    model's own rows. Every step is one in-place call on all models, W =
+    min(batch_size, N) rows each: a model with r < W rows left fills up with
+    inert pad rows and takes the mean over its r real rows, and one past its
+    last batch gets its rows back after the Adam step. Each model's outcome
+    is therefore the one it gets when trained alone.
 
     Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
     so ties keep the earliest epoch. A model with a non-finite loss or
@@ -309,20 +303,20 @@ def train_models(
                      np.zeros(n_models, dtype=np.int64), config.lr)
     grad = ParamBundle(np.empty(flat.shape), params.bundle.layout)
 
-    def gather(rows: np.ndarray) -> tuple[ModelParams, AdamState]:
-        return params.with_flat(flat[rows]), AdamState(
-            adam.m[rows], adam.v[rows], adam.step[rows], config.lr)
-
-    resampling = (method.loss_kind in losses_mod.HARD_TARGET_LOSSES
-                  and config.tie_policy == TIE_POLICY_RESAMPLE)
+    # row `pad` fills short batches: zero features, class 1 (not 0: sord_soft_label) or zeros
+    pad, hard = len(dataset), method.loss_kind in losses_mod.HARD_TARGET_LOSSES
+    features = np.vstack([dataset.features, np.zeros((1, dataset.num_features))])
+    resampling = hard and config.tie_policy == TIE_POLICY_RESAMPLE
     shuffles = [np.random.default_rng([s, _STREAM_SHUFFLE]) for s in seeds]
     tie_rngs = [np.random.default_rng([s, _STREAM_TIE_RESAMPLE]) for s in seeds]
-    labels = np.empty((n_models, len(dataset)), dtype=np.int64) if resampling else None
+    labels = np.ones((n_models, pad + 1), dtype=np.int64) if resampling else None
     targets_of = {losses_mod.LOSS_CE_SOFT: dataset.soft,
                   losses_mod.LOSS_OR_SOFT: dataset.exceed}.get(method.loss_kind, dataset.hard)
+    targets_of = np.concatenate([targets_of, np.full_like(targets_of[:1], int(hard))])
     n_train = np.array([idx.size for idx in train_idx])
-    order = np.zeros((n_models, n_train.max()), dtype=np.int64)
-    everyone, shortest = np.arange(n_models), int(n_train.min())
+    width = min(config.batch_size, len(dataset))  # no other job changes a model's step shape
+    order = np.full((n_models, -(-int(n_train.max()) // width) * width), pad, dtype=np.int64)
+    everyone = np.arange(n_models)
 
     n_val = np.array([idx.size for idx in val_idx])
     vidx = np.stack([np.resize(idx, n_val.max()) for idx in val_idx])  # own rows repeat as padding
@@ -330,13 +324,6 @@ def train_models(
     val_weight = class_max(dataset.soft[vidx])
     weight_sum = np.array([w[:n].sum() for w, n in zip(val_weight, n_val)])
     decode_rule = config.effective_decode
-    schedule = []  # each batch start with its (size, rows) groups, fixed for the run
-    for start in range(0, int(n_train.max()), config.batch_size):
-        if start + config.batch_size <= shortest:
-            schedule.append((start, [(config.batch_size, everyone)]))  # a full batch for all
-        else:
-            sizes = np.minimum(n_train - start, config.batch_size)
-            schedule.append((start, _size_groups(sizes, everyone[sizes > 0])))
 
     alive = np.ones(n_models, dtype=bool)
     failed: dict[int, TrainingDiverged] = {}
@@ -356,26 +343,24 @@ def train_models(
             break
         for i in range(n_models):
             if resampling:
-                labels[i] = ties.sample_hard_labels(tie_rngs[i])
+                labels[i, :pad] = ties.sample_hard_labels(tie_rngs[i])
             order[i, : n_train[i]] = train_idx[i][shuffles[i].permutation(n_train[i])]
         loss_sum = np.zeros(n_models)
-        for start, groups in schedule:
-            for size, rows in groups:
-                idx = order[rows, start : start + size]
-                targets = labels[rows[:, None], idx] if resampling else targets_of[idx]
-                batch = Batch(dataset.features[idx], targets)
-                whole = rows.size == n_models
-                step_params, step_adam = (params, adam) if whole else gather(rows)
-                step_grad = grad if whole else ParamBundle(grad.flat[: rows.size], grad.layout)
-                loss, _ = loss_and_gradient(step_params, batch, method.loss_kind, out=step_grad)
-                finite = np.isfinite(loss)
-                if not finite.all():
-                    diverge(rows[~finite], "loss")
-                adam_step(step_params, step_grad, step_adam, out=(step_params, step_adam))
-                if not whole:
-                    flat[rows], adam.m[rows], adam.v[rows], adam.step[rows] = (
-                        step_params.bundle.flat, step_adam.m, step_adam.v, step_adam.step)
-                loss_sum[rows] += loss * size
+        for start in range(0, order.shape[1], width):
+            idx = order[:, start : start + width]
+            targets = labels[everyone[:, None], idx] if resampling else targets_of[idx]
+            real = np.maximum(np.minimum(n_train - start, width), 0)  # not np.clip: slower
+            idle = np.flatnonzero(real == 0)  # past its last batch: a model keeps its rows
+            kept = (flat[idle], adam.m[idle], adam.v[idle], adam.step[idle]) if idle.size else ()
+            loss, _ = loss_and_gradient(params, Batch(features[idx], targets, real),
+                                        method.loss_kind, out=grad)
+            finite = np.isfinite(loss)
+            if not finite.all():
+                diverge(everyone[~finite], "loss")
+            adam_step(params, grad, adam, out=(params, adam))
+            if kept:
+                flat[idle], adam.m[idle], adam.v[idle], adam.step[idle] = kept
+            loss_sum += loss * real
         train_loss = (loss_sum / n_train).tolist()
 
         probs = predict_prob_matrix(params, config.method, val_x)

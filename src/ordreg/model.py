@@ -70,12 +70,12 @@ class EncoderConfig:
     activation: str = ACT_RELU
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise InputError(f"input_dim must be >= 1, got {self.input_dim}")
-        dims = tuple(int(d) for d in self.hidden_dims)
-        if any(d < 1 for d in dims):
-            raise InputError(f"hidden dims must all be >= 1, got {dims}")
-        object.__setattr__(self, "hidden_dims", dims)
+        for name, sizes in (("input_dim", (self.input_dim,)), ("hidden_dims", self.hidden_dims)):
+            if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+                       for d in sizes):
+                raise InputError(f"{name} must hold integers >= 1, got {getattr(self, name)!r}")
+        object.__setattr__(self, "input_dim", int(self.input_dim))
+        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if self.activation not in (ACT_RELU, ACT_TANH):
             raise InputError(f"unknown activation {self.activation!r}")
 
@@ -302,15 +302,19 @@ class Batch:
     ``features`` is (B, input_dim). ``targets`` is a (B,) array of hard
     labels, or (B, K-1) exceedance rows for ``or_soft``, or (B, K) rating
     rows for ``ce_soft``. A stacked batch, for stacked params, puts a
-    leading model axis on both: M models with B examples each.
+    leading model axis on both: M models with B examples each. ``rows``
+    counts the real leading examples, one int per model (None: all B); the
+    rows after them are padding that adds nothing to a loss or gradient.
     """
 
     features: np.ndarray
     targets: np.ndarray
+    rows: Optional[Union[int, np.ndarray]] = None
 
     def __len__(self) -> int:
-        """The number of examples, over every model of a stacked batch."""
-        return math.prod(np.shape(self.features)[:-1])
+        """The number of real examples, over every model of a stacked batch."""
+        examples = np.shape(self.features)[:-1]
+        return math.prod(examples) if self.rows is None else int(np.sum(self.rows))
 
 
 def _stack(rows: list, what: str, dtype: Optional[type] = np.float64) -> np.ndarray:
@@ -339,11 +343,12 @@ def loss_and_gradient(
     """Mini-batch loss and its exact gradient.
 
     ``batch`` is a :class:`Batch` or a sequence of ``(features, target)``
-    pairs (see :func:`batch_from_pairs`). The loss is the MEAN over examples
-    of the per-example loss (tasks summed within an example), so
-    learning-rate semantics do not depend on batch size. ``corn`` is
-    inherently batch-level (per-task subset means, summed) and is returned
-    as-is; duplicating a batch leaves every loss kind's value unchanged.
+    pairs (see :func:`batch_from_pairs`). The loss is the MEAN over a model's
+    real examples (``Batch.rows``) of the per-example loss (tasks summed
+    within an example), so learning-rate semantics do not depend on batch
+    size. ``corn`` is inherently batch-level (per-task subset means, summed)
+    and is returned as-is; duplicating a batch leaves every loss kind's value
+    unchanged. Pad rows add exact zeros; a model without real rows gets 0.
 
     Stacked params take a stacked :class:`Batch` and give the (M,) losses
     and an (M, P) gradient; every model reduces over its own B rows only,
@@ -351,10 +356,17 @@ def loss_and_gradient(
 
     The gradient fills a fresh bundle, or ``out`` (shaped like ``params.bundle``),
     whose caller vouches for a non-empty :class:`Batch`, a loss kind fitting the
-    head and, for hard targets, labels in 1..K. Without ``out`` those are checked.
+    head, row counts in 0..B and, for hard targets, labels in 1..K. Without ``out``
+    those are checked.
     """
     task_head = loss_kind in _TASK_LOSSES
     if out is None:
+        if isinstance(batch, Batch) and batch.rows is not None:
+            examples, rows = np.shape(batch.features)[:-1], np.asarray(batch.rows)
+            if examples and (rows.shape != examples[:-1] or rows.dtype.kind not in "iu"
+                             or not ((rows >= 0) & (rows <= examples[-1])).all()):
+                raise InputError(f"batch rows must be integer counts in 0..{examples[-1]}"
+                                 f" of shape {examples[:-1]}, got {rows.tolist()}")
         if len(batch) == 0:
             raise InputError("batch must be non-empty")
         if loss_kind not in losses_mod.ALL_LOSS_KINDS:
@@ -377,6 +389,9 @@ def loss_and_gradient(
     x = np.asarray(batch.features, dtype=np.float64)
     _check_features(params, x, "batch features")
     n = x.shape[-2]
+    rows = np.asarray(n if batch.rows is None else batch.rows)
+    real = np.arange(n) < rows[..., None]  # each model's real rows; padding adds exact zeros
+    per_model = np.maximum(rows, 1)  # a model without real rows gets loss 0 and gradient 0
     logits, pres, acts = _forward_cached(params, x)
     probs = sigmoid(logits) if task_head else softmax(logits)
 
@@ -390,8 +405,8 @@ def loss_and_gradient(
     else:
         targets = np.asarray(batch.targets, dtype=np.float64)
     if loss_kind == losses_mod.LOSS_CORN:
-        # task k sees the examples with y >= k; a term is divided by its model's subset size
-        subset = ys[..., None] >= np.arange(1, k)
+        # task k sees the real examples with y >= k; a term is divided by its model's subset size
+        subset = (ys[..., None] >= np.arange(1, k)) & real[..., None]
         loss = losses_mod.corn_rows_loss(probs, targets, subset)
         sizes = np.maximum(subset.sum(axis=-2, keepdims=True), 1)
         dlogits = np.where(subset, (probs - targets) / sizes, 0.0)
@@ -399,8 +414,8 @@ def loss_and_gradient(
         # every model's rows as one (M*B, n) array; on hard rows a 0 target adds an exact 0
         soft_loss = losses_mod.or_soft_loss if task_head else losses_mod.ce_soft_loss
         per_example = soft_loss(*(a.reshape(-1, a.shape[-1]) for a in (probs, targets)))
-        loss = per_example.reshape(probs.shape[:-1]).sum(axis=-1) / n
-        dlogits = (probs - targets) / n
+        loss = np.where(real, per_example.reshape(probs.shape[:-1]), 0.0).sum(axis=-1) / per_model
+        dlogits = np.where(real[..., None], probs - targets, 0.0) / per_model[..., None, None]
     if not params.stacked:
         loss = float(loss)
     return loss, _backward(params, dlogits, pres, acts, out)

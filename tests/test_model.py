@@ -140,6 +140,16 @@ def test_encoder_config_validation():
         EncoderConfig(3, (), activation="gelu")
 
 
+def test_encoder_sizes_must_be_integers_not_floats_or_bools():
+    for args, field in (((3.5, ()), "input_dim"), ((True, ()), "input_dim"),
+                        ((3, (2.7,)), "hidden_dims"), ((3, (4, False)), "hidden_dims")):
+        with pytest.raises(InputError, match=f"^{field} must hold integers >= 1, got "):
+            EncoderConfig(*args)
+    config = EncoderConfig(np.int64(3), (np.int32(4),))  # NumPy integers are sizes too
+    assert (config.input_dim, config.hidden_dims) == (3, (4,))
+    assert type(config.input_dim) is int and type(config.hidden_dims[0]) is int
+
+
 # ---- forward ----
 
 
@@ -279,6 +289,25 @@ def test_a_hard_label_between_classes_is_rejected_not_truncated(loss_kind):
     # a whole number given as a float is its class
     loss, _ = loss_and_gradient(params, Batch(x, np.array([1.0, 2.0, 3.0])), loss_kind)
     assert loss == loss_and_gradient(params, Batch(x, np.array([1, 2, 3])), loss_kind)[0]
+
+
+def test_a_batch_row_count_is_checked_where_it_enters_and_counts_real_examples():
+    params = init_params(EncoderConfig(2, ()), HEAD_SOFTMAX, ProblemSpec(3), 0)
+    stack = params.with_flat(np.stack([params.bundle.flat] * 2))
+    x, y = np.zeros((2, 4, 2)), np.ones((2, 4), dtype=np.int64)
+    assert len(Batch(x, y)) == 8 and len(Batch(x, y, np.array([4, 1]))) == 5
+    assert len(Batch(x[0], y[0], 3)) == 3 and len(Batch(x[0], y[0])) == 4
+    # a count of the wrong shape, outside 0..4, or not an integer
+    bad = [(stack, Batch(x, y, rows)) for rows in (3, np.array([1, 2, 3]), np.array([5, 1]),
+                                                   np.array([-1, 2]), np.array([1.0, 2.0]),
+                                                   np.array([True, True]))]
+    bad += [(params, Batch(x[0], y[0], np.array([2]))), (params, Batch(x[0], y[0], 5))]
+    for model, batch in bad:
+        with pytest.raises(InputError, match=r"^batch rows must be integer counts in 0\.\.4"):
+            loss_and_gradient(model, batch, LOSS_CE)
+    for model, batch in ((stack, Batch(x, y, np.array([0, 0]))), (params, Batch(x[0], y[0], 0))):
+        with pytest.raises(InputError, match="^batch must be non-empty$"):
+            loss_and_gradient(model, batch, LOSS_CE)
 
 
 # ---- adam ----

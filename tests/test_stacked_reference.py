@@ -1,19 +1,23 @@
 """Stacked training against the one-model-at-a-time loop it replaced.
 
 ``_ref_train_one`` below is the earlier ``train_one``: one model, one
-mini-batch and one Adam step at a time, validated once per epoch. Training
-every (fold, seed) model as one stacked model must give exactly the same
-bits for every model: parameters, histories, best epochs and test
-probabilities, also when train sizes, last batches and validation sets
-differ between the models, and when one model of a group diverges.
+mini-batch and one Adam step at a time, validated once per epoch. A short
+last mini-batch steps min(batch_size, N) rows wide, padded with zero rows
+and given its count of real rows. Training every (fold, seed) model as one
+stacked model must give exactly the same bits for every model: parameters,
+histories, best epochs and test probabilities, also when train sizes, last
+batches and validation sets differ between the models, when a model has no
+rows left at a batch start, and when one model of a group diverges.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordreg.core import ProblemSpec
+from ordreg.core import ProblemSpec, exceedance_from_soft
 from ordreg.data import (
     TIE_POLICY_LOWEST,
     TIE_POLICY_RESAMPLE,
@@ -35,8 +39,17 @@ from ordreg.harness import (
     train_models,
     train_one,
 )
-from ordreg.losses import HARD_TARGET_LOSSES, LOSS_CE_SOFT, LOSS_OR_SOFT
+from ordreg.losses import (
+    ALL_LOSS_KINDS,
+    HARD_TARGET_LOSSES,
+    LOSS_CE_SOFT,
+    LOSS_CORN,
+    LOSS_OR_CNN,
+    LOSS_OR_SOFT,
+)
 from ordreg.model import (
+    ALL_HEAD_KINDS,
+    HEAD_SOFTMAX,
     AdamState,
     Batch,
     EncoderConfig,
@@ -75,11 +88,12 @@ def _ref_train_one(dataset, config, train_indices, val_indices, seed):
     val_h = dataset.hard[val_keep].astype(np.float64)
     shuffle_rng = np.random.default_rng([int(seed), _STREAM_SHUFFLE])
     tie_rng = np.random.default_rng([int(seed), _STREAM_TIE_RESAMPLE])
-    resampling = (method.loss_kind in HARD_TARGET_LOSSES
-                  and config.tie_policy == TIE_POLICY_RESAMPLE)
+    hard_kind = method.loss_kind in HARD_TARGET_LOSSES
+    resampling = hard_kind and config.tie_policy == TIE_POLICY_RESAMPLE
     train_idx = np.asarray(train_indices, dtype=np.int64)
     n_train = len(train_idx)
     train_x = dataset.features[train_idx]
+    width = min(config.batch_size, len(dataset))
     best_mae, best_params, best_epoch, history = np.inf, params, 0, []
     for epoch in range(1, config.epochs + 1):
         hard = ties.sample_hard_labels(tie_rng) if resampling else dataset.hard
@@ -88,8 +102,14 @@ def _ref_train_one(dataset, config, train_indices, val_indices, seed):
         loss_sum = 0.0
         for start in range(0, n_train, config.batch_size):
             chunk = perm[start : start + config.batch_size]
-            loss, grad = loss_and_gradient(params, Batch(train_x[chunk], targets[chunk]),
-                                           method.loss_kind)
+            # a short last chunk steps W rows wide: zero pad rows, class 1 or a zero
+            # target row, and its count of real rows
+            pad = width - len(chunk)
+            pad_targets = np.full((pad, *targets.shape[1:]), 1 if hard_kind else 0.0)
+            batch = Batch(np.vstack([train_x[chunk], np.zeros((pad, train_x.shape[1]))]),
+                          np.concatenate([targets[chunk], pad_targets]),
+                          len(chunk) if pad else None)
+            loss, grad = loss_and_gradient(params, batch, method.loss_kind)
             if not np.isfinite(loss):
                 return TrainingDiverged(
                     f"{config.method} seed {seed}: non-finite loss at epoch {epoch}")
@@ -122,6 +142,8 @@ SETTINGS = [
     pytest.param((), "relu", TIE_POLICY_LOWEST, 5, False, id="linear-lowest"),
     pytest.param((8, 4), "tanh", TIE_POLICY_RESAMPLE, 6, False, id="tanh8x4-paper"),
     pytest.param((5,), "relu", TIE_POLICY_RESAMPLE, 9, True, id="relu5-other-decode"),
+    # train sizes 36, 38 and 39: the 36-row model is idle at the last batch start
+    pytest.param((6,), "tanh", TIE_POLICY_LOWEST, 12, False, id="tanh6-lowest-idle"),
 ]
 
 
@@ -428,3 +450,63 @@ def test_a_rows_prediction_does_not_depend_on_the_rows_beside_it(method, hidden,
     stack = params.with_flat(np.stack([flat * 0.5, flat]))
     in_stack = predict_prob_matrix(stack, method, np.stack([rng.normal(size=(m, d)), b]))
     assert np.array_equal(in_stack[1].view(np.int64), in_b)
+
+
+# ---- masked steps ----
+
+# every loss kind on each head it fits
+_KIND_HEADS = [(kind, head) for kind in ALL_LOSS_KINDS for head in ALL_HEAD_KINDS
+               if (head == HEAD_SOFTMAX) == (kind not in (LOSS_OR_CNN, LOSS_OR_SOFT, LOSS_CORN))]
+
+
+def _random_targets(rng, kind, k, shape):
+    if kind == LOSS_CE_SOFT:
+        return rng.dirichlet(np.ones(k), size=shape)
+    if kind == LOSS_OR_SOFT:
+        soft = rng.dirichlet(np.ones(k), size=math.prod(shape))
+        return exceedance_from_soft(soft).reshape(*shape, k - 1)
+    return rng.integers(1, k + 1, size=shape)
+
+
+@pytest.mark.parametrize("kind,head", _KIND_HEADS)
+def test_pad_rows_are_inert_and_a_model_means_over_its_real_rows(kind, head):
+    """Model r of a stack has r real rows of B = 6, for r = 0..6. Whatever its pad
+    rows hold, it gets the bits of zero pad rows, and the same bits as its W-row batch
+    alone; it matches its r-row batch to rounding, and with r = 0 it gets 0."""
+    rng = np.random.default_rng(ALL_LOSS_KINDS.index(kind) * 3 + ALL_HEAD_KINDS.index(head))
+    k, d, b = 5, 3, 6
+    params = init_params(EncoderConfig(d, (4,), "tanh"), head, ProblemSpec(k), 0)
+    flat = params.bundle.flat + rng.normal(scale=0.3, size=(b + 1, params.bundle.flat.size))
+    stack, rows = params.with_flat(flat), np.arange(b + 1)
+    x, t = rng.normal(size=(b + 1, b, d)), _random_targets(rng, kind, k, (b + 1, b))
+    real = np.arange(b) < rows[:, None]
+    zero_x = np.where(real[..., None], x, 0.0)
+    if kind in HARD_TARGET_LOSSES:
+        zero_t = np.where(real, t, 1)
+    else:
+        zero_t = np.where(real[..., None], t, 0.0)
+
+    loss, grad = loss_and_gradient(stack, Batch(x, t, rows), kind)
+    zero_loss, zero_grad = loss_and_gradient(stack, Batch(zero_x, zero_t, rows), kind)
+    assert np.array_equal(loss, zero_loss) and np.array_equal(grad.flat, zero_grad.flat)
+    assert loss[0] == 0.0 and not grad.flat[0].any()
+    for r in rows[1:]:
+        one = params.with_flat(flat[r])
+        alone, alone_grad = loss_and_gradient(one, Batch(zero_x[r], zero_t[r], r), kind)
+        assert alone == loss[r] and np.array_equal(alone_grad.flat, grad.flat[r])
+        plain, plain_grad = loss_and_gradient(one, Batch(x[r, :r], t[r, :r]), kind)
+        assert loss[r] == pytest.approx(plain, rel=1e-12)
+        error = np.linalg.norm(grad.flat[r] - plain_grad.flat)
+        assert error <= 1e-12 * np.linalg.norm(plain_grad.flat)
+
+    # the masked gradient against central finite differences, as in criterion 02
+    one, batch = params.with_flat(flat[3]), Batch(x[3], t[3], 3)
+    _, analytic = loss_and_gradient(one, batch, kind)
+    fd = np.empty(flat.shape[1])
+    for i in range(fd.size):
+        step = np.zeros(fd.size)
+        step[i] = 1e-5
+        up, down = (loss_and_gradient(one.with_flat(flat[3] + s), batch, kind)[0]
+                    for s in (step, -step))
+        fd[i] = (up - down) / 2e-5
+    assert np.linalg.norm(analytic.flat - fd) / np.linalg.norm(fd) < 1e-4
