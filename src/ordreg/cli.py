@@ -177,11 +177,13 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
 def _check_methods(names: Sequence[str]) -> list[str]:
     if not names:
         raise InputError("field 'methods': at least one method is required")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in METHODS:
             raise InputError(
                 f"unknown method {name!r}; valid methods: {', '.join(sorted(METHODS))}"
             )
+        if name in names[:i]:
+            raise InputError(f"field 'methods': method {name!r} is listed twice")
     return list(names)
 
 

@@ -28,7 +28,7 @@ from .core import (
     class_max,
     exceedance_from_soft,
 )
-from .ioutil import atomic_write_text, csv_rows
+from .ioutil import atomic_write_text, csv_field, csv_rows
 from .metrics import _frozen, qwk_from_pairs
 
 TIE_POLICY_RESAMPLE = "paper"
@@ -406,7 +406,7 @@ def save_csv(dataset: Dataset, path) -> None:
     header = ["id"] + [f"f_{j + 1}" for j in range(d)] + [f"r_{j + 1}" for j in range(max_votes)]
     lines = [",".join(header)]
     for i in range(len(dataset)):
-        fields = [dataset.ids[i]]
+        fields = [csv_field(dataset.ids[i])]
         fields += [repr(float(x)) for x in dataset.features[i]]  # round-trip exact
         row_votes = dataset.votes[i]
         fields += [str(v) for v in row_votes] + [""] * (max_votes - len(row_votes))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import re
 import time
 import warnings
 from array import array
@@ -56,7 +55,7 @@ from .data import (
     stratified_k_fold,
     train_val_split,
 )
-from .ioutil import atomic_write_text, canonical_json, csv_rows
+from .ioutil import atomic_write_text, canonical_json, csv_field, csv_rows
 from .metrics import (
     ALPHA,
     DEFAULT_NUM_BINS,
@@ -79,6 +78,7 @@ from .model import (
     ParamBundle,
     _check_features,
     adam_step,
+    class_rows,
     forward,
     init_params,
     loss_and_gradient,
@@ -303,16 +303,19 @@ def train_models(
                      np.zeros(n_models, dtype=np.int64), config.lr)
     grad = ParamBundle(np.empty(flat.shape), params.bundle.layout)
 
-    # row `pad` fills short batches: zero features, class 1 (not 0: sord_soft_label) or zeros
+    # every kind steps on float target rows, a hard label y on row y-1 of its class rows;
+    # row `pad` fills short batches: zero features and a zero target row
     pad, hard = len(dataset), method.loss_kind in losses_mod.HARD_TARGET_LOSSES
+    table = class_rows(method.loss_kind, dataset.spec.num_classes) if hard else None
+    targets_of = table[dataset.hard - 1] if hard else (
+        dataset.soft if method.loss_kind == losses_mod.LOSS_CE_SOFT else dataset.exceed)
+    targets_of = np.vstack([targets_of, np.zeros_like(targets_of[:1])])
     features = np.vstack([dataset.features, np.zeros((1, dataset.num_features))])
     resampling = hard and config.tie_policy == TIE_POLICY_RESAMPLE
+    if resampling:  # each model's own rows, rewritten every epoch
+        targets_of = np.repeat(targets_of[None], n_models, axis=0)
     shuffles = [np.random.default_rng([s, _STREAM_SHUFFLE]) for s in seeds]
     tie_rngs = [np.random.default_rng([s, _STREAM_TIE_RESAMPLE]) for s in seeds]
-    labels = np.ones((n_models, pad + 1), dtype=np.int64) if resampling else None
-    targets_of = {losses_mod.LOSS_CE_SOFT: dataset.soft,
-                  losses_mod.LOSS_OR_SOFT: dataset.exceed}.get(method.loss_kind, dataset.hard)
-    targets_of = np.concatenate([targets_of, np.full_like(targets_of[:1], int(hard))])
     n_train = np.array([idx.size for idx in train_idx])
     width = min(config.batch_size, len(dataset))  # no other job changes a model's step shape
     order = np.full((n_models, -(-int(n_train.max()) // width) * width), pad, dtype=np.int64)
@@ -343,12 +346,12 @@ def train_models(
             break
         for i in range(n_models):
             if resampling:
-                labels[i, :pad] = ties.sample_hard_labels(tie_rngs[i])
+                targets_of[i, :pad] = table[ties.sample_hard_labels(tie_rngs[i]) - 1]
             order[i, : n_train[i]] = train_idx[i][shuffles[i].permutation(n_train[i])]
         loss_sum = np.zeros(n_models)
         for start in range(0, order.shape[1], width):
             idx = order[:, start : start + width]
-            targets = labels[everyone[:, None], idx] if resampling else targets_of[idx]
+            targets = targets_of[everyone[:, None], idx] if resampling else targets_of[idx]
             real = np.maximum(np.minimum(n_train - start, width), 0)  # not np.clip: slower
             idle = np.flatnonzero(real == 0)  # past its last batch: a model keeps its rows
             kept = (flat[idle], adam.m[idle], adam.v[idle], adam.step[idle]) if idle.size else ()
@@ -657,14 +660,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))  # shortest round-trip decimal
 
 
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted only when it holds a comma, a quote or a line break."""
-    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
-
-
 def records_csv_text(records: Records) -> str:
     if not records:
         raise InputError("no records to export")
@@ -679,7 +674,7 @@ def records_csv_text(records: Records) -> str:
     numbers = np.column_stack([t.weight, t.soft, t.pred]).tolist()
     lines = [",".join(header)]
     lines += [
-        f"{_csv_field(example_id)},{hard},{pred_hard}," + ",".join(map(repr, row))
+        f"{csv_field(example_id)},{hard},{pred_hard}," + ",".join(map(repr, row))
         for example_id, hard, pred_hard, row in zip(
             t.ids, t.hard.tolist(), t.pred_hard.tolist(), numbers
         )

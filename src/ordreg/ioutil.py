@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,6 +21,14 @@ def canonical_json(obj: Any) -> str:
     caller so that serialized output stays byte-reproducible.
     """
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -14,8 +14,10 @@ kind                     target                 scored against
 =======================  =====================  ===================================
 
 Training scores every kind on these rows through ``or_soft_loss``, ``ce_soft_loss`` or
-``corn_rows_loss``: the hard losses' bits. Hard labels are checked where they enter: by
-each public function here, and by a ``model.loss_and_gradient`` call without ``out=``.
+``corn_rows_loss``: the hard losses' bits. A run builds a hard kind's K class rows once
+(``model.class_rows``), and ``corn`` reads its task subsets off them (:func:`corn_subsets`).
+Hard labels are checked where they enter: by each public function here, and by a
+``model.loss_and_gradient`` call without ``out=``.
 
 CORAL and its soft variant reuse ``or_cnn``/``or_soft`` on a shared-slope head;
 there is no separate loss kind for them. All probabilities are clamped to
@@ -108,10 +110,15 @@ def _bce(p: np.ndarray, target: np.ndarray) -> np.ndarray:
     return -(target * _log(p) + (1.0 - target) * _log(1.0 - p))
 
 
-def label_rows(labels: Union[int, np.ndarray], k: int, one_hot: bool = False) -> np.ndarray:
-    """Unchecked labels in 1..k as float rows: indicators 1(y > j), or one-hot rows."""
-    y = np.asarray(labels)[..., None]
-    return (y == np.arange(1, k + 1) if one_hot else y > np.arange(1, k)).astype(np.float64)
+def label_rows(labels: Union[int, np.ndarray], k: int) -> np.ndarray:
+    """Unchecked labels in 1..k as float rows of the indicators 1(y > j), j = 1..k-1."""
+    return (np.asarray(labels)[..., None] > np.arange(1, k)).astype(np.float64)
+
+
+def corn_subsets(rows: np.ndarray) -> np.ndarray:
+    """Which examples each ``corn`` task sees, read off indicator rows 1(y > j): task j
+    takes the examples with y >= j, i.e. every one for j = 1, else those with 1(y > j-1)."""
+    return np.concatenate([np.ones_like(rows[..., :1], dtype=bool), rows[..., :-1] > 0], axis=-1)
 
 
 def or_cnn_loss(
@@ -184,8 +191,8 @@ def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> Union[float, np.
         raise InputError(f"task probabilities of shape {p.shape} need labels of shape"
                          f" {p.shape[:-1]} (at most 3 axes), got {labels.shape}")
     k = p.shape[-1] + 1
-    labels = check_class_indices(labels.ravel(), ProblemSpec(k)).reshape(labels.shape)
-    return corn_rows_loss(p, label_rows(labels, k), labels[..., None] >= np.arange(1, k))
+    rows = label_rows(check_class_indices(labels.ravel(), ProblemSpec(k)).reshape(labels.shape), k)
+    return corn_rows_loss(p, rows, corn_subsets(rows))
 
 
 def corn_rows_loss(p: np.ndarray, targets: np.ndarray,

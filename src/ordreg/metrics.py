@@ -533,71 +533,24 @@ def missing_classes(records: Records) -> tuple[int, ...]:
 # ===== Student-t machinery for fold-level significance tests =====
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    # modified Lentz evaluation of the incomplete-beta continued fraction
-    max_iter = 300
-    tiny = 1e-300
-    tol = 1e-16
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < tol:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), deterministic to ~1e-14 via the Lentz continued fraction."""
-    if not 0.0 <= x <= 1.0:
-        raise InputError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
 def student_t_cdf(t: float, dof: int) -> float:
-    """P(T <= t) for Student's t with ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise InputError(f"degrees of freedom must be >= 1, got {dof}")
-    if t == 0.0:
-        return 0.5
-    x = dof / (dof + t * t)
-    half_tail = 0.5 * regularized_incomplete_beta(0.5 * dof, 0.5, x)
-    return half_tail if t < 0.0 else 1.0 - half_tail
+    """P(T <= t) for Student's t with an integer ``dof`` >= 1 degrees of freedom.
+
+    The finite series of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even
+    dof) for A = P(|T| <= t), signed with t: theta = atan(t / sqrt(dof)), and
+    the CDF is (1 + A) / 2, clamped to [0, 1].
+    """
+    if math.isnan(t) or not (float(dof).is_integer() and dof >= 1):
+        raise InputError(f"need t and an integer dof >= 1 degrees of freedom, got {t}, {dof}")
+    odd = int(dof) % 2
+    theta = math.atan2(t, math.sqrt(dof))
+    sin, cos = math.sin(theta), math.cos(theta)
+    term, total = 1.0, 0.0
+    for j in range(int(dof) // 2):
+        total += term
+        term *= cos * cos * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    a = 2.0 / math.pi * (theta + sin * cos * total) if odd else sin * total
+    return min(max(0.5 + 0.5 * a, 0.0), 1.0)
 
 
 def paired_t_test_one_sided(

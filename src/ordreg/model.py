@@ -301,10 +301,11 @@ class Batch:
 
     ``features`` is (B, input_dim). ``targets`` is a (B,) array of hard
     labels, or (B, K-1) exceedance rows for ``or_soft``, or (B, K) rating
-    rows for ``ce_soft``. A stacked batch, for stacked params, puts a
-    leading model axis on both: M models with B examples each. ``rows``
-    counts the real leading examples, one int per model (None: all B); the
-    rows after them are padding that adds nothing to a loss or gradient.
+    rows for ``ce_soft``; an ``out=`` step takes float rows for every kind,
+    label y as row y-1 of :func:`class_rows`. A stacked batch puts a leading
+    model axis on both: M models with B examples each. ``rows`` counts the real
+    leading examples, one int per model (None: all B); the rows after them are
+    padding that adds nothing to a loss or gradient.
     """
 
     features: np.ndarray
@@ -336,6 +337,18 @@ def batch_from_pairs(pairs: Sequence[tuple], loss_kind: str) -> Batch:
     return Batch(features, _stack(targets, "targets", None if hard else np.float64))
 
 
+def class_rows(loss_kind: str, k: int) -> np.ndarray:
+    """Row y-1 of this (K, n) table is the float target row of class y for a hard-label
+    loss kind: its one-hot row (``ce``), its indicators 1(y > j) (``or_cnn``, ``corn``)
+    or its SORD row (``sord_ae``, ``sord_se``)."""
+    if loss_kind == losses_mod.LOSS_CE:
+        return np.eye(k)
+    if loss_kind in (losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
+        distance = DISTANCE_AE if loss_kind == losses_mod.LOSS_SORD_AE else DISTANCE_SE
+        return sord_soft_label(np.arange(1, k + 1), ProblemSpec(k), distance)
+    return losses_mod.label_rows(np.arange(1, k + 1), k)
+
+
 def loss_and_gradient(
     params: ModelParams, batch: Union["Batch", Sequence[tuple]], loss_kind: str,
     *, out: Optional[ParamBundle] = None,
@@ -355,9 +368,9 @@ def loss_and_gradient(
     so each row equals that model's unstacked result bit for bit.
 
     The gradient fills a fresh bundle, or ``out`` (shaped like ``params.bundle``),
-    whose caller vouches for a non-empty :class:`Batch`, a loss kind fitting the
-    head, row counts in 0..B and, for hard targets, labels in 1..K. Without ``out``
-    those are checked.
+    whose caller vouches for a non-empty :class:`Batch` of float target rows, a loss
+    kind fitting the head and row counts in 0..B. Without ``out`` those are checked,
+    and hard labels in 1..K are checked and looked up in :func:`class_rows`.
     """
     task_head = loss_kind in _TASK_LOSSES
     if out is None:
@@ -382,10 +395,11 @@ def loss_and_gradient(
             labels, examples = np.asarray(batch.targets), np.shape(batch.features)[:-1]
             if labels.shape != examples:
                 raise InputError(f"hard labels of shape {labels.shape} for {examples} examples")
-            check_class_indices(labels.ravel(), ProblemSpec(params.num_classes))
+            labels = check_class_indices(labels.ravel(), ProblemSpec(params.num_classes))
+            table = class_rows(loss_kind, params.num_classes)
+            batch = Batch(batch.features, table[labels - 1].reshape(*examples, -1), batch.rows)
         out = ParamBundle(np.empty(params.bundle.flat.shape), params.bundle.layout)
 
-    k = params.num_classes
     x = np.asarray(batch.features, dtype=np.float64)
     _check_features(params, x, "batch features")
     n = x.shape[-2]
@@ -394,19 +408,10 @@ def loss_and_gradient(
     per_model = np.maximum(rows, 1)  # a model without real rows gets loss 0 and gradient 0
     logits, pres, acts = _forward_cached(params, x)
     probs = sigmoid(logits) if task_head else softmax(logits)
-
-    if loss_kind in losses_mod.HARD_TARGET_LOSSES:
-        ys = np.asarray(batch.targets, dtype=np.int64)
-        if loss_kind in (losses_mod.LOSS_SORD_AE, losses_mod.LOSS_SORD_SE):
-            distance = DISTANCE_AE if loss_kind == losses_mod.LOSS_SORD_AE else DISTANCE_SE
-            targets = sord_soft_label(ys.ravel(), ProblemSpec(k), distance).reshape(probs.shape)
-        else:
-            targets = losses_mod.label_rows(ys, k, one_hot=loss_kind == losses_mod.LOSS_CE)
-    else:
-        targets = np.asarray(batch.targets, dtype=np.float64)
+    targets = np.asarray(batch.targets, dtype=np.float64)
     if loss_kind == losses_mod.LOSS_CORN:
-        # task k sees the real examples with y >= k; a term is divided by its model's subset size
-        subset = (ys[..., None] >= np.arange(1, k)) & real[..., None]
+        # a task sees its model's real rows in its subset; a term is divided by the subset size
+        subset = losses_mod.corn_subsets(targets) & real[..., None]
         loss = losses_mod.corn_rows_loss(probs, targets, subset)
         sizes = np.maximum(subset.sum(axis=-2, keepdims=True), 1)
         dlogits = np.where(subset, (probs - targets) / sizes, 0.0)

@@ -120,6 +120,14 @@ def test_unknown_method_exits_one_and_lists_valid_names(ws, tmp_path, capsys):
     assert "coral_soft" in err  # the message enumerates the valid table
 
 
+def test_a_method_listed_twice_exits_one_naming_it(ws, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run(["cv", "--config", ws.exp, "--methods", "ce,ce,or_soft", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'methods'" in err and "'ce'" in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_one_and_names_it(ws, tmp_path, capsys):
     cfg = write_json(tmp_path / "bad.json", {**EXP, "data": str(ws.data),
                                              "out": str(tmp_path / "r"), "leaning_rate": 5})

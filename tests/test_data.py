@@ -368,13 +368,17 @@ def test_dataset_from_votes_rejects_non_finite_features_naming_the_example():
 def test_save_then_load_round_trips_exactly(tmp_path):
     cfg = SyntheticConfig.from_dict({**NOISELESS.to_dict(), "rater_noise_sd": 0.8, "n_examples": 40})
     ds = generate_synthetic(cfg)
-    path = tmp_path / "out.csv"
-    save_csv(ds, path)
-    back = load_csv(path, ProblemSpec(num_classes=4))
-    assert back.ids == ds.ids
-    np.testing.assert_array_equal(back.features, ds.features)  # repr round-trip, bit exact
-    assert back.votes == ds.votes
-    np.testing.assert_array_equal(back.soft, ds.soft)
+    # ids the writer must quote: a comma, a double quote, line breaks, all three at once
+    ids = ["ex,1", 'say "hi"', "two\nlines", "crlf\r\nend", 'a, "b"\nc']
+    quoted = dataset_from_votes(ds.spec, ds.features[:5], ds.votes[:5], ids)
+    for i, data in enumerate((ds, quoted)):
+        path = tmp_path / f"out{i}.csv"
+        save_csv(data, path)
+        back = load_csv(path, ProblemSpec(num_classes=4))
+        assert back.ids == data.ids
+        np.testing.assert_array_equal(back.features, data.features)  # repr round-trip, bit exact
+        assert back.votes == data.votes
+        np.testing.assert_array_equal(back.soft, data.soft)
 
 
 # ---- tie resolution ----

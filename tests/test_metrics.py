@@ -36,7 +36,6 @@ from ordreg.metrics import (
     paired_t_test_one_sided,
     qwk,
     qwk_from_pairs,
-    regularized_incomplete_beta,
     risk_coverage,
     spearman,
     student_t_cdf,
@@ -568,17 +567,17 @@ def test_t_cdf_matches_numerical_integration_of_the_density():
         assert student_t_cdf(t, dof) == pytest.approx(tail, abs=1e-9)
 
 
-def test_incomplete_beta_matches_scipy():
-    import scipy.special
+def test_t_cdf_is_exact_for_large_dof_and_far_tails():
+    for dof in (*range(1, 60), 100, 999):
+        for t in (-40.0, -12.0, -3.3, -0.05, 0.8, 12.0, 40.0):
+            assert student_t_cdf(t, dof) == pytest.approx(scipy.stats.t.cdf(t, dof), abs=1e-13)
+    assert student_t_cdf(4.0, np.int64(3)) == student_t_cdf(4.0, 3.0) == student_t_cdf(4.0, 3)
 
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        a = rng.uniform(0.5, 20)
-        b = rng.uniform(0.5, 20)
-        x = rng.uniform(0, 1)
-        assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-            scipy.special.betainc(a, b, x), abs=1e-12
-        )
+
+@pytest.mark.parametrize("dof", [0, -1, 2.5, float("nan"), float("inf")])
+def test_t_cdf_rejects_a_dof_that_is_not_an_integer_of_one_or_more(dof):
+    with pytest.raises(InputError, match="dof"):
+        student_t_cdf(1.0, dof)
 
 
 def test_constant_positive_differences_are_certain_improvement():

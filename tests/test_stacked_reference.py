@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordreg.core import ProblemSpec, exceedance_from_soft
+import ordreg.harness as harness_mod
+import ordreg.losses as losses_mod
+import ordreg.model as model_mod
+from ordreg.core import ProblemSpec, exceedance_from_soft, sord_soft_label
 from ordreg.data import (
     TIE_POLICY_LOWEST,
     TIE_POLICY_RESAMPLE,
@@ -42,10 +45,13 @@ from ordreg.harness import (
 from ordreg.losses import (
     ALL_LOSS_KINDS,
     HARD_TARGET_LOSSES,
+    LOSS_CE,
     LOSS_CE_SOFT,
     LOSS_CORN,
     LOSS_OR_CNN,
     LOSS_OR_SOFT,
+    LOSS_SORD_AE,
+    LOSS_SORD_SE,
 )
 from ordreg.model import (
     ALL_HEAD_KINDS,
@@ -53,7 +59,9 @@ from ordreg.model import (
     AdamState,
     Batch,
     EncoderConfig,
+    ParamBundle,
     adam_step,
+    class_rows,
     init_adam_state,
     init_params,
     loss_and_gradient,
@@ -510,3 +518,86 @@ def test_pad_rows_are_inert_and_a_model_means_over_its_real_rows(kind, head):
                     for s in (step, -step))
         fd[i] = (up - down) / 2e-5
     assert np.linalg.norm(analytic.flat - fd) / np.linalg.norm(fd) < 1e-4
+
+
+# ---- class rows ----
+
+
+def _single_label_row(kind, y, k):
+    if kind == LOSS_CE:
+        return np.array([float(c == y) for c in range(1, k + 1)])
+    if kind in (LOSS_SORD_AE, LOSS_SORD_SE):
+        return sord_soft_label(y, ProblemSpec(k), "ae" if kind == LOSS_SORD_AE else "se").probs
+    return np.array([float(y > j) for j in range(1, k)])
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("kind", HARD_TARGET_LOSSES)
+def test_each_class_row_is_the_row_of_its_single_label(kind, k):
+    table = class_rows(kind, k)
+    assert table.dtype == np.float64 and table.shape == (k, k - (kind in (LOSS_OR_CNN, LOSS_CORN)))
+    for y in range(1, k + 1):
+        assert np.array_equal(table[y - 1], _single_label_row(kind, y, k))
+
+
+def _no_label_work(*args, **kwargs):
+    raise AssertionError("a step with out= turned labels into rows")
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("kind,head", [(kind, head) for kind, head in _KIND_HEADS
+                                       if kind in HARD_TARGET_LOSSES])
+def test_an_out_step_on_class_rows_equals_the_public_hard_label_call(kind, head, k, monkeypatch):
+    """Model r of a stack has r real rows of W = 6, r = 0..6. The public call takes the
+    labels, the out= step their class rows with a zero row at every pad; both give the
+    same bits, and the out= step does no label work. The last model's labels are all 1,
+    so its corn tasks 2..K-1 see no example."""
+    rng = np.random.default_rng([k, ALL_LOSS_KINDS.index(kind), ALL_HEAD_KINDS.index(head)])
+    w, d = 6, 3
+    params = init_params(EncoderConfig(d, (4,), "tanh"), head, ProblemSpec(k), 0)
+    flat = params.bundle.flat + rng.normal(scale=0.3, size=(w + 1, params.bundle.flat.size))
+    stack, rows = params.with_flat(flat), np.arange(w + 1)
+    x, labels = rng.normal(size=(w + 1, w, d)), rng.integers(1, k + 1, size=(w + 1, w))
+    labels[-1] = 1
+    real = np.arange(w) < rows[:, None]
+    targets = np.where(real[..., None], class_rows(kind, k)[labels - 1], 0.0)
+
+    loss, grad = loss_and_gradient(stack, Batch(x, labels, rows), kind)
+    out = ParamBundle(np.empty(flat.shape), stack.bundle.layout)
+    with monkeypatch.context() as patch:
+        for name in ("sord_soft_label", "check_class_indices", "class_rows"):
+            patch.setattr(model_mod, name, _no_label_work)
+        patch.setattr(losses_mod, "label_rows", _no_label_work)
+        out_loss, out_grad = loss_and_gradient(stack, Batch(x, targets, rows), kind, out=out)
+    assert out_grad is out
+    assert np.array_equal(out_loss, loss) and np.array_equal(out.flat, grad.flat)
+    assert loss[0] == 0.0 and not grad.flat[0].any()
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_training_steps_on_float_target_rows_with_a_zero_pad_row(method, monkeypatch):
+    """Every step of a run takes float target rows, zero on every pad row; a SORD run
+    builds its rows once."""
+    steps, sord_calls = [], []
+    step, sord = harness_mod.loss_and_gradient, model_mod.sord_soft_label
+
+    def spy_step(params, batch, kind, *, out=None):
+        steps.append((np.array(batch.targets), np.array(batch.rows)))
+        return step(params, batch, kind, out=out)
+
+    def spy_sord(*args):
+        sord_calls.append(args)
+        return sord(*args)
+
+    monkeypatch.setattr(harness_mod, "loss_and_gradient", spy_step)
+    monkeypatch.setattr(model_mod, "sord_soft_label", spy_sord)
+    cfg = _config(method, (4,), "tanh", TIE_POLICY_RESAMPLE, 7, epochs=2)
+    split = stratified_k_fold(NOISY, 3, seed=4, val_fraction=cfg.val_fraction)
+    jobs = [ModelJob(f.train, f.val, seed) for f in split.folds for seed in cfg.seeds]
+    assert not any(isinstance(o, TrainingDiverged) for o in train_models(NOISY, cfg, jobs))
+    n = NOISY.spec.num_classes - (METHODS[method].head_kind != HEAD_SOFTMAX)
+    assert any((r < 7).any() for _, r in steps)
+    for targets, r in steps:
+        assert targets.dtype == np.float64 and targets.shape == (len(jobs), 7, n)
+        assert not targets[np.arange(7) >= r[:, None]].any()
+    assert len(sord_calls) == METHODS[method].loss_kind.startswith("sord")
