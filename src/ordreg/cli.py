@@ -58,7 +58,7 @@ from .harness import (
     write_experiment_result,
     write_summary,
 )
-from .ioutil import atomic_write_text, canonical_json, read_json
+from .ioutil import atomic_write_text, canonical_json, json_number, read_json
 from .metrics import (
     DEFAULT_NUM_BINS,
     DIRECTION_HIGHER,
@@ -116,35 +116,27 @@ def _load_config(path: Optional[str]) -> dict:
     return _typed_config(cfg)
 
 
-# numeric config fields, converted once where the config enters
+# numeric config fields, read once where the config enters (ioutil.json_number)
 _INT_FIELDS = ("folds", "split_seed", "epochs", "batch_size", "num_bins")
 _FLOAT_FIELDS = ("lr", "val_fraction")
 _INT_LIST_FIELDS = ("seeds", "hidden_dims")
 
 
-def _converted(name: str, value, kind: type):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise InputError(f"field {name!r}: expected {what}, got {value!r}") from None
-
-
 def _typed_config(cfg: dict) -> dict:
     for name in _INT_FIELDS:
-        cfg[name] = _converted(name, cfg[name], int)
+        cfg[name] = json_number(name, cfg[name], integer=True)
     for name in _FLOAT_FIELDS:
-        cfg[name] = _converted(name, cfg[name], float)
+        cfg[name] = json_number(name, cfg[name])
     for name in _INT_LIST_FIELDS:
         if not isinstance(cfg[name], list):
             raise InputError(f"field {name!r}: expected a list of integers, got {cfg[name]!r}")
-        cfg[name] = [_converted(name, v, int) for v in cfg[name]]
+        cfg[name] = [json_number(name, v, integer=True) for v in cfg[name]]
     # seeds feed numpy.random.default_rng, which takes non-negative integers only
     for name, values in (("split_seed", [cfg["split_seed"]]), ("seeds", cfg["seeds"])):
         if any(v < 0 for v in values):
             raise InputError(f"field {name!r}: seeds must be >= 0, got {cfg[name]!r}")
     if cfg["num_classes"] is not None:
-        cfg["num_classes"] = _converted("num_classes", cfg["num_classes"], int)
+        cfg["num_classes"] = json_number("num_classes", cfg["num_classes"], integer=True)
     for name in ("data", "out", "activation", "decode", "ties"):
         if cfg[name] is not None and not isinstance(cfg[name], str):
             raise InputError(f"field {name!r}: expected a string, got {cfg[name]!r}")
@@ -442,17 +434,17 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"ordreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, jobs: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, cv: bool = False) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--data", help="input data CSV")
         p.add_argument("--methods", help="comma-separated method names")
         p.add_argument("--out", help="output path")
         p.add_argument("--seed", type=int, help="override all configured seeds")
-        p.add_argument("--folds", type=int, help="number of cross-validation folds")
         p.add_argument("--decode", choices=ALL_DECODES, help="decode rule override")
         p.add_argument("--ties", choices=ALL_TIE_POLICIES,
                        help="tie policy: paper = exclude from eval, resample in training")
-        if jobs:
+        if cv:  # train fits one split, so folds and jobs are cv's alone
+            p.add_argument("--folds", type=int, help="number of cross-validation folds")
             p.add_argument("--jobs", type=int, default=1,
                            help="processes for cv, at most one per CPU: each runs whole"
                                 " methods, this one and forked children; the output does not"
@@ -470,7 +462,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("cv", help="cross-validated experiment over a method list")
-    common(p, jobs=True)
+    common(p, cv=True)
     p.set_defaults(func=_cmd_cv)
 
     def num_bins(p: argparse.ArgumentParser) -> None:

@@ -69,9 +69,12 @@ def _checked_vector(field: str, values, wording: str, min_size: int, size_messag
     entries, at least ``min_size`` of them, in [0, 1], summing to 1 if ``sums_to_one``,
     non-increasing if ``non_increasing``.
 
-    Wrappers are built per example inside training and evaluation loops. For
-    vectors of a few entries, checks on the plain list cost far less than one
-    NumPy reduction per check.
+    Training and evaluation work on matrices. A wrapper is built one example at
+    a time only by a single-example public call, by the reader of a records.csv
+    that is not plain text (one row at a time), and by a failing RecordTable,
+    which rebuilds its first bad row to name the check it fails. For vectors
+    of a few entries, checks on the plain list cost far less than one NumPy
+    reduction per check.
     """
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:

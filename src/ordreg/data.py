@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .core import (
     class_max,
     exceedance_from_soft,
 )
-from .ioutil import atomic_write_text, csv_field, csv_rows
+from .ioutil import atomic_write_text, csv_field, csv_rows, json_number
 from .metrics import _frozen, qwk_from_pairs
 
 TIE_POLICY_RESAMPLE = "paper"
@@ -149,11 +150,14 @@ def dataset_from_votes(
     if len(votes) != n:
         raise InputError("features and votes disagree on the number of examples")
     if ids is None:
-        ids = tuple(str(i + 1) for i in range(n))
+        ids = range(1, n + 1)
     elif len(ids) != n:
         raise InputError("ids and features disagree on the number of examples")
+    ids = tuple(map(str, ids))  # compared as stored: 1 and "1" are one id
     if len(set(ids)) != n:
-        raise InputError("example ids must be unique")
+        seen = Counter(ids)
+        repeated = next(i for i in ids if seen[i] > 1)
+        raise InputError(f"example ids must be unique; {repeated!r} repeats")
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -162,7 +166,7 @@ def dataset_from_votes(
     counts, clean_votes = _vote_matrix(votes, spec)
     return Dataset(
         spec=spec,
-        ids=tuple(str(s) for s in ids),
+        ids=ids,
         features=feats,
         votes=clean_votes,
         soft=counts / counts.sum(axis=1, keepdims=True),
@@ -222,21 +226,23 @@ class SyntheticConfig:
             if name not in doc:
                 raise InputError(f"synthetic config is missing field {name!r}")
             try:
-                fields[name] = kind(doc[name])
-            except (TypeError, ValueError, OverflowError):
-                raise InputError(
-                    f"synthetic config field {name!r}: malformed value {doc[name]!r}"
-                ) from None
+                fields[name] = kind(name, doc[name])
+            except InputError as err:
+                raise InputError(f"synthetic config {err}") from None
         return SyntheticConfig(**fields)
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _floats(name: str, values) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"field {name!r}: expected a list of numbers, got {values!r}")
+    return tuple(json_number(name, v) for v in values)
 
 
+_int = partial(json_number, integer=True)
 _SYNTHETIC_FIELDS = {
-    "n_examples": int, "n_features": int, "num_classes": int, "n_raters": int,
-    "thresholds": _floats, "feature_noise_sd": float, "rater_noise_sd": float, "seed": int,
+    "n_examples": _int, "n_features": _int, "num_classes": _int, "n_raters": _int,
+    "thresholds": _floats, "feature_noise_sd": json_number, "rater_noise_sd": json_number,
+    "seed": _int,
 }
 
 
@@ -329,7 +335,7 @@ def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
     except StopIteration:
         raise InputError("line 1: empty file") from None
     id_col, f_cols, r_cols, c_cols = _split_header(header, top)
-    ids: list[str] = []
+    id_lines: dict[str, int] = {}  # each id read so far, in order, and its line
     features: list[list[float]] = []
     votes: list[tuple[int, ...]] = []
     read = reader.line_num  # lines read so far; a quoted field may span lines
@@ -388,7 +394,11 @@ def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
         if not row_votes:
             raise InputError(f"line {line_no}: example has no votes")
         votes.append(tuple(row_votes))
-        ids.append(row[id_col].strip() if id_col is not None else str(len(ids) + 1))
+        example_id = row[id_col].strip() if id_col is not None else str(len(votes))
+        if example_id in id_lines:
+            raise InputError(f"line {line_no}: example id {example_id!r}"
+                             f" repeats line {id_lines[example_id]}")
+        id_lines[example_id] = line_no
     if not votes:
         raise InputError("no examples")
     if spec is None:
@@ -396,7 +406,7 @@ def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
         if k < 2:
             raise InputError("could not infer at least two classes")
         spec = ProblemSpec(k)
-    return dataset_from_votes(spec, features, votes, ids)
+    return dataset_from_votes(spec, features, votes, list(id_lines))
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -187,10 +187,13 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class TrainOutcome:
+    """A model's best snapshot, its history, and the snapshot's (len(job.test), K) test rows."""
+
     seed: int
     params: ModelParams
     history: tuple[EpochStats, ...]
     best_epoch: int
+    test_probs: np.ndarray
 
 
 def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) -> np.ndarray:
@@ -252,18 +255,27 @@ def decode_distribution(
 
 @dataclass(frozen=True)
 class ModelJob:
-    """One model to train: its training rows, its validation rows and its seed."""
+    """One model to train: its training rows, its validation rows, its seed, and
+    the rows its best snapshot scores once training ends (none by default)."""
 
     train: Sequence[int]
     val: Sequence[int]
     seed: int
+    test: Sequence[int] = ()
+
+
+def _own_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Each model's example indices, padded to the widest with copies of its own."""
+    width = max(r.size for r in rows)
+    return np.stack([np.resize(r, width) for r in rows])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is reported, not warned
 def train_models(
     dataset: Dataset, config: TrainConfig, jobs: Sequence[ModelJob]
 ) -> list[Union[TrainOutcome, TrainingDiverged]]:
-    """Train one model per job, all of them as one stacked model.
+    """Train one model per job, all of them as one stacked model, and score
+    each job's test rows with its best snapshot.
 
     Row i of the run's parameters, Adam state, gradient buffer and best
     snapshot is job i from the first step to the outcome. Each model keeps
@@ -278,12 +290,14 @@ def train_models(
     Snapshot rule: strictly lower validation UW-MAE replaces the incumbent,
     so ties keep the earliest epoch. A model with a non-finite loss or
     validation prediction fails as a :class:`TrainingDiverged`; its row keeps
-    stepping unread, and its overflow prints no NumPy warning.
+    stepping unread, and its overflow prints no NumPy warning. The run ends
+    with one stacked prediction of the best snapshots on every job's test rows,
+    which each outcome holds as ``test_probs``; a diverged job carries none.
     """
     method = METHODS[config.method]
     ties = resolve_ties(dataset, config.tie_policy)
     mask = ties.eval_mask()
-    train_idx, val_idx = [], []
+    train_idx, val_idx, test_idx = [], [], []
     for job in jobs:
         if len(job.train) == 0 or len(job.val) == 0:
             raise InputError("train and validation sets must be non-empty")
@@ -292,6 +306,7 @@ def train_models(
             raise InputError("every validation example is tie-excluded; cannot select a model")
         train_idx.append(np.asarray(job.train, dtype=np.int64))
         val_idx.append(np.asarray(keep, dtype=np.int64))
+        test_idx.append(np.asarray(job.test, dtype=np.int64))
     if not jobs:
         return []
     seeds = [int(job.seed) for job in jobs]
@@ -322,7 +337,7 @@ def train_models(
     everyone = np.arange(n_models)
 
     n_val = np.array([idx.size for idx in val_idx])
-    vidx = np.stack([np.resize(idx, n_val.max()) for idx in val_idx])  # own rows repeat as padding
+    vidx = _own_rows(val_idx)
     val_x, val_hard = dataset.features[vidx], dataset.hard[vidx].astype(np.float64)
     val_weight = class_max(dataset.soft[vidx])
     weight_sum = np.array([w[:n].sum() for w, n in zip(val_weight, n_val)])
@@ -386,10 +401,13 @@ def train_models(
         best_mae[better] = maes[improved]
         best_epoch[better] = epoch
 
+    test_probs = predict_prob_matrix(params.with_flat(best), config.method,
+                                     dataset.features[_own_rows(test_idx)])
     return [
         failed[i] if i in failed else TrainOutcome(
             seed=seeds[i], params=inits[i].with_flat(best[i].copy()),
-            history=tuple(histories[i]), best_epoch=int(best_epoch[i]))
+            history=tuple(histories[i]), best_epoch=int(best_epoch[i]),
+            test_probs=test_probs[i, : test_idx[i].size])
         for i in range(n_models)
     ]
 
@@ -454,26 +472,6 @@ class ExperimentResult:
         return _aggregate(reports) if reports else ({}, {})
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _test_probabilities(
-    dataset: Dataset, config: TrainConfig, tests: Sequence[np.ndarray],
-    outcomes: Sequence[Union[TrainOutcome, TrainingDiverged]],
-) -> list[Optional[np.ndarray]]:
-    """Each model's distributions on its test rows (None if it diverged), in one stacked
-    call padded to the widest test set."""
-    probs: list[Optional[np.ndarray]] = [None] * len(outcomes)
-    rows = [i for i, o in enumerate(outcomes) if isinstance(o, TrainOutcome)]
-    if not rows:
-        return probs
-    width = max(tests[i].size for i in rows)
-    params = outcomes[rows[0]].params.with_flat(
-        np.stack([outcomes[i].params.bundle.flat for i in rows]))
-    features = dataset.features[np.stack([np.resize(tests[i], width) for i in rows])]
-    for i, p in zip(rows, predict_prob_matrix(params, config.method, features)):
-        probs[i] = p[: tests[i].size]
-    return probs
-
-
 def _log_progress(config: TrainConfig, trained: Sequence, seconds: float) -> None:
     """One info line per model, in job order; ``seconds`` is the stacked run's."""
     if not log.isEnabledFor(logging.INFO):
@@ -518,8 +516,9 @@ def run_cv(
     The folds are ``split``, which a run of several methods makes once, or
     else ``stratified_k_fold(dataset, k, split_seed, config.val_fraction)``.
     Every (fold, seed) model trains in one stacked run in this process
-    (:func:`train_models`); ``jobs`` is accepted for compatibility and
-    changes neither the work nor its result.
+    (:func:`train_models`), which also predicts each model's test fold; a
+    fold's ensemble is the mean of its seeds' ``test_probs``. ``jobs`` is
+    accepted for compatibility and changes neither the work nor its result.
     """
     if split is None:
         split = stratified_k_fold(dataset, k, split_seed, config.val_fraction)
@@ -529,27 +528,27 @@ def run_cv(
     start = time.perf_counter()
     trained = train_models(
         dataset, config,
-        [ModelJob(fold.train, fold.val, seed) for fold in split.folds for seed in config.seeds],
+        [ModelJob(fold.train, fold.val, seed, fold.test)
+         for fold in split.folds for seed in config.seeds],
     )
     _log_progress(config, trained, time.perf_counter() - start)
-    tests = [np.asarray(fold.test, dtype=np.int64) for fold in split.folds]
-    probs = _test_probabilities(dataset, config, [t for t in tests for _ in config.seeds], trained)
 
     fold_outcomes: list[FoldOutcome] = []
-    for fi in range(k):
-        own = slice(fi * n_seeds, (fi + 1) * n_seeds)
-        done = [o for o in trained[own] if isinstance(o, TrainOutcome)]
-        failures = [o for o in trained[own] if isinstance(o, TrainingDiverged)]
-        keep = mask[tests[fi]]  # tie-excluded examples leave evaluation
+    for fi, fold in enumerate(split.folds):
+        own = trained[fi * n_seeds : (fi + 1) * n_seeds]
+        done = [o for o in own if isinstance(o, TrainOutcome)]
+        failures = [o for o in own if isinstance(o, TrainingDiverged)]
+        test = np.asarray(fold.test, dtype=np.int64)
+        keep = mask[test]  # tie-excluded examples leave evaluation
         error, report, records = "", None, ()
         if failures:
             error = str(failures[0])
         elif not keep.any():
             error = "no evaluable test examples after tie exclusion"
-        elif not np.isfinite(kept := np.mean(np.asarray(probs[own]), axis=0)[keep]).all():
+        elif not np.isfinite(kept := np.mean([o.test_probs for o in done], axis=0)[keep]).all():
             error = f"{config.method}: non-finite ensemble test prediction"
         else:
-            test_kept = tests[fi][keep]
+            test_kept = test[keep]
             records = eval_record(
                 soft=dataset.soft[test_kept],
                 pred_dist=kept,

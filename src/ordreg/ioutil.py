@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import re
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -29,6 +30,22 @@ _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 def csv_field(text: str) -> str:
     """``text`` as one CSV field, quoted only when it holds a comma, a quote or a line break."""
     return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+
+
+def json_number(name: str, value: Any, integer: bool = False) -> int | float:
+    """The number a JSON field holds: a float, or for an integer field an int.
+
+    A bool or a non-number, and for an integer field a value that is not finite
+    and whole, raise InputError naming the field; a whole float (4.0) reads as 4.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and integer and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    if real and not integer:
+        with suppress(OverflowError):  # an int past the float range
+            return float(value)
+    what = "an integer" if integer else "a number"
+    raise InputError(f"field {name!r}: expected {what}, got {value!r}")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

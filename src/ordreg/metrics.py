@@ -43,6 +43,7 @@ from .core import (
     class_min,
     decode_argmax,
 )
+from .ioutil import json_number
 
 DEFAULT_NUM_BINS = 10
 ALPHA = 0.05
@@ -640,12 +641,13 @@ class MetricReport:
         """The report of a parsed metrics JSON; a missing or mistyped metric is named."""
         try:
             values = {name: doc["metrics"][name] for name in _METRIC_NAMES}
-            num_records = int(doc["num_records"])
+            num_records = doc["num_records"]
             missing = tuple(doc.get("missing_classes", ()))
         except KeyError as err:
             raise InputError(f"metric report is missing field {err}") from None
         except (TypeError, ValueError, AttributeError):
             raise InputError("malformed metric report") from None
+        num_records = json_number("num_records", num_records, integer=True)
         for name, value in values.items():
             if not (value is None or type(value) in (int, float)):
                 raise InputError(f"metric {name!r}: expected a number or null, got {value!r}")

@@ -154,6 +154,10 @@ def test_folds_flag_zero_is_not_ignored(ws, tmp_path, capsys):
     ("ties", ["paper"]),        # string field given a list
     ("seeds", [-2]),            # numpy seeds must be non-negative
     ("split_seed", -1),
+    ("epochs", 2.5),            # an integer field takes a whole number, not a truncated one
+    ("batch_size", True),       # a bool is not a number
+    ("hidden_dims", [4.6]),
+    ("seeds", [0, 1.5]),
 ])
 def test_config_type_errors_exit_one_naming_the_field(ws, tmp_path, capsys, field, value):
     cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data),
@@ -238,6 +242,7 @@ _ROW = b"a,0.5,1,2\n"
     (_bad_config_json, "malformed JSON"),
     (_generate_with({**SYNTH, "n_examples": "abc"}), "'n_examples'"),
     (_generate_with([SYNTH]), "JSON object"),
+    (_generate_with({**SYNTH, "n_examples": 60.5}), "'n_examples'"),
     (_thresholds_not_a_list, "'thresholds'"),
     (_cv_on_data(b"id,f_1,r_1,r_2\n" + _ROW + b"b\xe9,1.0,2,2\n"), "not UTF-8"),
     (_cv_on_data(b"id,f_1,r_1,r_2\n" + _ROW + b"b," + b"1" * 140_000 + b",1,2\n"),
@@ -249,12 +254,14 @@ _ROW = b"a,0.5,1,2\n"
      f"line 3: vote {MAX_INFERRED_CLASSES + 1}"),
     (_compare_with_metrics(lambda text: text[:-5]), "malformed JSON"),
     (_compare_with_metrics(lambda text: text.replace('"mae_uw"', '"mae_w"')), "'mae_uw'"),
+    (_compare_with_metrics(lambda text: re.sub(r'"num_records": \d+', '"num_records": 12.5', text)),
+     "'num_records'"),
     (_cv_with_jobs("-3"), "--jobs"),
     (_cv_with_jobs("0"), "--jobs"),
-], ids=["config-json", "generate-field-type", "generate-json-list", "thresholds-scalar",
-        "data-not-utf8", "data-field-limit", "records-field-limit", "count-over-cap",
-        "vote-over-inferred-class-cap", "metrics-json",
-        "metrics-missing-metric", "jobs-negative", "jobs-zero"])
+], ids=["config-json", "generate-field-type", "generate-json-list", "generate-fractional-count",
+        "thresholds-scalar", "data-not-utf8", "data-field-limit", "records-field-limit",
+        "count-over-cap", "vote-over-inferred-class-cap", "metrics-json",
+        "metrics-missing-metric", "metrics-fractional-count", "jobs-negative", "jobs-zero"])
 def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys, case, named):
     args, path = case(ws, tmp_path)
     assert run(args) == 1
@@ -571,6 +578,16 @@ def test_train_requires_exactly_one_method(ws, tmp_path, capsys):
     cfg = write_json(tmp_path / "t.json", {**EXP, "data": str(ws.data), "out": str(tmp_path)})
     assert run(["train", "--config", cfg]) == 1
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_train_has_no_folds_flag_but_reads_a_config_with_folds(ws, tmp_path, capsys):
+    out = tmp_path / "ckpt"
+    cfg = write_json(tmp_path / "t.json", {**EXP, "methods": ["ce"], "epochs": 1, "folds": 3,
+                                           "data": str(ws.data), "out": str(out)})
+    assert run(["train", "--config", cfg, "--folds", "3"]) == 1
+    assert "unrecognized arguments: --folds 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["train", "--config", cfg]) == 0  # one config file serves train and cv
 
 
 # ---- evaluate ----

@@ -264,6 +264,18 @@ def test_load_csv_names_the_line_a_row_starts_on_after_a_quoted_line_break(tmp_p
     assert str(err.value) == f"{path}: line 5: malformed feature value"
 
 
+def test_load_csv_names_a_repeated_id_and_both_of_its_lines(tmp_path):
+    path = write_csv(tmp_path, 'id,f_1,r_1\na,0.0,1\n"b\nc",0.0,2\n a ,1.0,2\nd,1.0,1\n', "rep.csv")
+    with pytest.raises(InputError) as err:
+        load_csv(path, SPEC4)
+    assert str(err.value) == f"{path}: line 5: example id 'a' repeats line 2"
+    rng = np.random.default_rng(0)
+    with pytest.raises(InputError, match="^example ids must be unique; 'b' repeats$"):
+        dataset_from_votes(SPEC4, rng.normal(size=(4, 1)), [(1,)] * 4, ids=("a", "b", "c", "b"))
+    with pytest.raises(InputError, match="^example ids must be unique; '1' repeats$"):
+        dataset_from_votes(SPEC4, rng.normal(size=(2, 1)), [(1,)] * 2, ids=(1, "1"))  # as stored
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(b"", id="empty-file"),
     pytest.param(b"id,id,f_1,r_1\n", id="duplicate-id-column"),

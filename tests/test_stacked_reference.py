@@ -362,6 +362,40 @@ def test_a_non_finite_test_prediction_fails_its_fold_only():
         assert np.array_equal(outcome.records.pred, np.mean(np.asarray(stack), axis=0))
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_each_outcome_scores_its_own_test_rows_with_its_best_snapshot(method):
+    # the jobs of the mid-epoch divergence test above, each with its own test rows: 70 rows
+    # (two tiles, rows repeating), none, 9 and 12; job 2 trains on the large example
+    ds = _poisoned()
+    rng = np.random.default_rng(5)
+    jobs = []
+    for j, (n, n_test) in enumerate(zip((30, 27, 30, 29), (70, 0, 9, 12))):
+        rows = rng.permutation(40)
+        train = rows[:n].tolist()
+        if j == 2:
+            perm = np.random.default_rng([j, _STREAM_SHUFFLE]).permutation(n)
+            train[perm[10]] = 40
+        test = rng.choice(40, n_test, replace=n_test > 40).tolist()
+        jobs.append(ModelJob(train, sorted(rows[n:].tolist()), seed=j, test=test))
+    jobs.append(ModelJob(jobs[0].train, jobs[0].val, seed=4))  # no test rows: (0, K)
+    cfg = TrainConfig(method=method, encoder=EncoderConfig(3, (8,)), epochs=3, batch_size=8,
+                      lr=1e150, seeds=(0,))
+    got = train_models(ds, cfg, jobs)
+    assert isinstance(got[2], TrainingDiverged)
+    untested = train_models(ds, cfg, [ModelJob(job.train, job.val, job.seed) for job in jobs])
+    for job, outcome, plain in zip(jobs, got, untested):
+        if job.seed == 2:
+            continue
+        # test rows change nothing in training, and each model's rows are its own
+        _assert_outcome(outcome, (plain.params, plain.history, plain.best_epoch))
+        assert plain.test_probs.shape == (0, 3)
+        assert outcome.test_probs.shape == (len(job.test), 3)
+        want = predict_prob_matrix(outcome.params, method, ds.features[list(job.test)])
+        assert np.array_equal(outcome.test_probs, want)
+        assert np.isfinite(outcome.test_probs).all()
+
+
 # ---- generated cases ----
 
 
