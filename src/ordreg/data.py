@@ -1,9 +1,10 @@
 """Datasets for multi-rater ordinal labels: synthetic generation, CSV I/O, splits.
 
-A :class:`Dataset` stores features, the raw per-rater votes and their vote
-fractions, and derives the other label views (modal classes, mode, exceedance
-vector, tie flag) from the fractions. Examples whose vote distribution has no
-unique mode are "tied"; policy for ties lives in :func:`resolve_ties`.
+A :class:`Dataset` stores features, the votes per class and, where the raters
+are known, each rater's vote; the label views (vote fractions, modal classes,
+mode, exceedance vector, tie flag) derive from the counts. Examples whose vote
+distribution has no unique mode are "tied"; policy for ties lives in
+:func:`resolve_ties`.
 
 Every operation that draws randomness builds its own generator from
 ``numpy.random.default_rng([seed, stream])`` with a fixed per-operation
@@ -13,6 +14,7 @@ call order or global state.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -36,9 +38,8 @@ TIE_POLICY_RESAMPLE = "paper"
 TIE_POLICY_LOWEST = "lowest"
 ALL_TIE_POLICIES = (TIE_POLICY_RESAMPLE, TIE_POLICY_LOWEST)
 
-# load_csv caps, checked before a cell is expanded: the votes one count cell
-# may hold, and the number of classes the highest vote may imply without an
-# explicit num_classes
+# load_csv input bounds: the votes one count cell may hold, and the number of
+# classes the highest vote may imply without an explicit num_classes
 MAX_CELL_COUNT = 1000
 MAX_INFERRED_CLASSES = 100
 MAX_SYNTHETIC_CELLS = 1_000_000  # generator: n_examples x (n_features + n_raters)
@@ -54,23 +55,28 @@ _STREAM_TRAIN_VAL = 32
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature/vote table; the label views derive from ``soft``.
+    """Immutable feature/label table; the label views derive from ``counts``.
 
-    ``soft`` holds the vote fractions. The read-only views ``modal`` (the
-    (N, K) mask of each example's modal classes), ``hard`` (the lowest modal
-    class), ``exceed`` and ``tied_mask`` (more than one modal class) are
-    computed from it on first use. Construct through :func:`dataset_from_votes`.
+    ``counts`` is the (N, K) int matrix of votes per class. ``votes`` is the
+    (N, R) int matrix of each rater's vote, 0 where that rater did not vote;
+    it is None for data read as per-class counts, which name no raters. The
+    read-only views ``soft`` (the vote fractions), ``modal`` (the (N, K) mask
+    of each example's modal classes), ``hard`` (the lowest modal class),
+    ``exceed`` and ``tied_mask`` (more than one modal class) are computed on
+    first use. Construct through :func:`dataset_from_votes`, :func:`load_csv`
+    or :func:`generate_synthetic`.
     """
 
     spec: ProblemSpec
     ids: tuple[str, ...]
     features: np.ndarray
-    votes: tuple[tuple[int, ...], ...]
-    soft: np.ndarray
+    counts: np.ndarray
+    votes: Optional[np.ndarray]
 
     def __post_init__(self) -> None:
-        self.features.setflags(write=False)
-        self.soft.setflags(write=False)
+        for arr in (self.features, self.counts, self.votes):
+            if arr is not None:
+                arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -78,6 +84,10 @@ class Dataset:
     @property
     def num_features(self) -> int:
         return int(self.features.shape[1])
+
+    @cached_property
+    def soft(self) -> np.ndarray:
+        return _frozen(self.counts / self.counts.sum(axis=1, keepdims=True), np.float64)
 
     @cached_property
     def modal(self) -> np.ndarray:
@@ -99,11 +109,10 @@ class Dataset:
         return _frozen(self.modal.sum(axis=1) > 1, bool)
 
 
-def _vote_matrix(
-    votes: Sequence[Sequence[int]], spec: ProblemSpec
-) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The (N, K) vote counts and the votes as int tuples.
+def _vote_matrix(votes: Sequence[Sequence[int]], spec: ProblemSpec) -> np.ndarray:
+    """The (N, R) int matrix of per-example vote lists, R the longest list.
 
+    Entry (i, j) is vote j of example i, and 0 past the end of a shorter list.
     Integer votes in range are checked as one array. Anything else goes
     through the per-vote checks of :func:`soft_label_from_votes`, in example
     order, so the first bad example raises that function's message.
@@ -123,31 +132,27 @@ def _vote_matrix(
                 raise InputError("votes must be non-empty")
             checked.extend(check_class_index(x, spec) for x in v)
         flat = np.array(checked, dtype=np.int64)
-    n, k = len(votes), spec.num_classes
-    owner = np.repeat(np.arange(n), lengths)
-    counts = np.bincount(owner * k + flat - 1, minlength=n * k).reshape(n, k)
-    values = flat.tolist()
-    ends = np.cumsum(lengths).tolist()
-    clean = tuple(tuple(values[a:b]) for a, b in zip([0, *ends[:-1]], ends))
-    return counts, clean
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    matrix = np.zeros((len(votes), lengths.max(initial=0)), dtype=np.int64)
+    matrix[np.repeat(np.arange(len(votes)), lengths), np.arange(flat.size) - starts] = flat
+    return matrix
 
 
-def dataset_from_votes(
-    spec: ProblemSpec,
-    features,
-    votes: Sequence[Sequence[int]],
-    ids: Optional[Sequence[str]] = None,
-) -> Dataset:
-    """Assemble a Dataset whose soft labels are the vote fractions.
+def _class_counts(votes: np.ndarray, k: int) -> np.ndarray:
+    """The (N, K) votes per class of an (N, R) vote matrix; a 0 is no vote."""
+    n = len(votes)
+    cells = np.arange(n)[:, None] * (k + 1) + votes
+    return np.bincount(cells.ravel(), minlength=n * (k + 1)).reshape(n, k + 1)[:, 1:]
 
-    The mode is the lowest modal class, as in :func:`core.hard_label_from_soft`,
-    and an example with more than one modal class is tied.
-    """
+
+def _dataset(spec: ProblemSpec, features, ids, counts: np.ndarray,
+             votes: Optional[np.ndarray]) -> Dataset:
+    """The Dataset of checked labels, once its features and ids pass their checks."""
     feats = np.array(features, dtype=np.float64)
     if feats.ndim != 2:
         raise InputError(f"features must be a 2-d array, got shape {feats.shape}")
     n = feats.shape[0]
-    if len(votes) != n:
+    if len(counts) != n:
         raise InputError("features and votes disagree on the number of examples")
     if ids is None:
         ids = range(1, n + 1)
@@ -158,19 +163,31 @@ def dataset_from_votes(
         seen = Counter(ids)
         repeated = next(i for i in ids if seen[i] > 1)
         raise InputError(f"example ids must be unique; {repeated!r} repeats")
+    padded = next((i for i in ids if i != i.strip()), None)
+    if padded is not None:  # a CSV field is read stripped, so it would not load back
+        raise InputError(f"example id {padded!r} has leading or trailing whitespace")
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise InputError(f"example index {i} (id {ids[i]!r}) has a non-finite feature value")
+    return Dataset(spec=spec, ids=ids, features=feats, counts=counts, votes=votes)
 
-    counts, clean_votes = _vote_matrix(votes, spec)
-    return Dataset(
-        spec=spec,
-        ids=ids,
-        features=feats,
-        votes=clean_votes,
-        soft=counts / counts.sum(axis=1, keepdims=True),
-    )
+
+def dataset_from_votes(
+    spec: ProblemSpec,
+    features,
+    votes: Sequence[Sequence[int]],
+    ids: Optional[Sequence[str]] = None,
+) -> Dataset:
+    """Assemble a Dataset whose soft labels are the vote fractions.
+
+    Position j of each vote list is rater j; a shorter list leaves the later
+    raters without a vote. The mode is the lowest modal class, as in
+    :func:`core.hard_label_from_soft`, and an example with more than one
+    modal class is tied.
+    """
+    matrix = _vote_matrix(votes, spec)
+    return _dataset(spec, features, ids, _class_counts(matrix, spec.num_classes), matrix)
 
 
 @dataclass(frozen=True)
@@ -264,9 +281,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     width = len(str(n))
     ids = tuple(f"ex{i + 1:0{width}d}" for i in range(n))
     spec = ProblemSpec(num_classes=config.num_classes)
-    return dataset_from_votes(
-        spec, features, [tuple(int(v) for v in row) for row in votes_mat], ids
-    )
+    return _dataset(spec, features, ids, _class_counts(votes_mat, config.num_classes), votes_mat)
 
 
 # ===== CSV ingestion / export =====
@@ -329,15 +344,20 @@ def load_csv(path, spec: Optional[ProblemSpec] = None) -> Dataset:
 
 def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
     top = spec.num_classes if spec is not None else None
-    high = top or MAX_INFERRED_CLASSES  # the highest vote accepted
     try:
         header = next(reader)
     except StopIteration:
         raise InputError("line 1: empty file") from None
     id_col, f_cols, r_cols, c_cols = _split_header(header, top)
+    # each label cell holds an int in low..cap; a blank cell is 0, no vote or no votes
+    if r_cols:
+        cells, kind, low, cap = r_cols, "vote", 1, top or MAX_INFERRED_CLASSES
+        hint = "" if top else " (set num_classes to allow more classes)"
+    else:
+        cells, kind, low, cap, hint = c_cols, "count", 0, MAX_CELL_COUNT, ""
     id_lines: dict[str, int] = {}  # each id read so far, in order, and its line
     features: list[list[float]] = []
-    votes: list[tuple[int, ...]] = []
+    label_rows: list[list[int]] = []  # per line, the R votes or the K counts
     read = reader.line_num  # lines read so far; a quoted field may span lines
     for row in reader:
         line_no, read = read + 1, reader.line_num
@@ -358,69 +378,52 @@ def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
                 f" in column {header[p].strip()!r}"
             )
         features.append(values)
-        row_votes: list[int] = []
-        if r_cols:
-            for p in r_cols:
-                field = row[p].strip()
-                if not field:
-                    continue  # blank = missing rater
-                try:
-                    v = int(field)
-                except ValueError:
-                    raise InputError(
-                        f"line {line_no}: malformed vote {field!r}"
-                    ) from None
-                if not 1 <= v <= high:
-                    raise InputError(
-                        f"line {line_no}: vote {v} outside 1..{high}"
-                        + ("" if top else " (set num_classes to allow more classes)")
-                    )
-                row_votes.append(v)
-        else:
-            for cls, p in enumerate(c_cols, start=1):
-                field = row[p].strip()
-                count = 0
-                if field:
-                    try:
-                        count = int(field)
-                    except ValueError:
-                        raise InputError(
-                            f"line {line_no}: malformed count {field!r}"
-                        ) from None
-                if not 0 <= count <= MAX_CELL_COUNT:
-                    raise InputError(f"line {line_no}: count {count} in column"
-                                     f" {header[p].strip()!r} outside 0..{MAX_CELL_COUNT}")
-                row_votes.extend([cls] * count)
-        if not row_votes:
+        labels: list[int] = []
+        for p in cells:
+            field = row[p].strip()
+            try:
+                value = int(field) if field else 0
+            except ValueError:
+                raise InputError(f"line {line_no}: malformed {kind} {field!r}") from None
+            if field and not low <= value <= cap:
+                raise InputError(f"line {line_no}: {kind} {value} in column"
+                                 f" {header[p].strip()!r} outside {low}..{cap}{hint}")
+            labels.append(value)
+        if not any(labels):
             raise InputError(f"line {line_no}: example has no votes")
-        votes.append(tuple(row_votes))
-        example_id = row[id_col].strip() if id_col is not None else str(len(votes))
+        label_rows.append(labels)
+        example_id = row[id_col].strip() if id_col is not None else str(len(label_rows))
         if example_id in id_lines:
             raise InputError(f"line {line_no}: example id {example_id!r}"
                              f" repeats line {id_lines[example_id]}")
         id_lines[example_id] = line_no
-    if not votes:
+    if not label_rows:
         raise InputError("no examples")
+    table = np.array(label_rows, dtype=np.int64)
+    votes = table if r_cols else None
     if spec is None:
-        k = len(c_cols) or max(map(max, votes), default=0)
+        k = len(c_cols) or int(table.max())
         if k < 2:
             raise InputError("could not infer at least two classes")
         spec = ProblemSpec(k)
-    return dataset_from_votes(spec, features, votes, list(id_lines))
+    counts = table if votes is None else _class_counts(votes, spec.num_classes)
+    return _dataset(spec, features, list(id_lines), counts, votes)
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write a Dataset as an id / f_* / r_* CSV that load_csv round-trips."""
-    d = dataset.num_features
-    max_votes = max(len(v) for v in dataset.votes)
-    header = ["id"] + [f"f_{j + 1}" for j in range(d)] + [f"r_{j + 1}" for j in range(max_votes)]
-    lines = [",".join(header)]
-    for i in range(len(dataset)):
-        fields = [csv_field(dataset.ids[i])]
-        fields += [repr(float(x)) for x in dataset.features[i]]  # round-trip exact
-        row_votes = dataset.votes[i]
-        fields += [str(v) for v in row_votes] + [""] * (max_votes - len(row_votes))
-        lines.append(",".join(fields))
+    """Write a Dataset as a CSV that load_csv round-trips, each vote under its rater.
+
+    The columns are id, f_*, then r_* (the votes), or c_* (the counts) for a
+    Dataset without raters. A 0, no vote or no votes, is a blank cell, and a
+    feature is written as its repr, which round-trips a float exactly.
+    """
+    table, prefix = (dataset.counts, "c") if dataset.votes is None else (dataset.votes, "r")
+    header = ["id", *(f"f_{j + 1}" for j in range(dataset.num_features)),
+              *(f"{prefix}_{j + 1}" for j in range(table.shape[1]))]
+    lines = [",".join(header)] + [
+        ",".join([csv_field(i), *map(repr, f), *(str(v) if v else "" for v in row)])
+        for i, f, row in zip(dataset.ids, dataset.features.tolist(), table.tolist())
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -568,27 +571,18 @@ def stratified_k_fold(
 
 
 def mean_pairwise_rater_qwk(dataset: Dataset) -> Optional[float]:
-    """Mean quadratic kappa over all rater-position pairs; None if undefined.
+    """Mean quadratic kappa over all rater pairs; None if undefined or without raters.
 
-    A pair contributes when both positions voted on at least one shared
-    example and its kappa is defined.
+    A pair contributes when both raters voted on at least one shared example
+    and its kappa, over the examples both rated, is defined.
     """
-    max_votes = max(len(v) for v in dataset.votes)
-    if max_votes < 2:
+    if dataset.votes is None:
         return None
     values = []
-    for a in range(max_votes):
-        for b in range(a + 1, max_votes):
-            la, lb = [], []
-            for v in dataset.votes:
-                if len(v) > b:
-                    la.append(v[a])
-                    lb.append(v[b])
-            if not la:
-                continue
-            kappa = qwk_from_pairs(la, lb, dataset.spec.num_classes)
+    for a, b in itertools.combinations(dataset.votes.T, 2):
+        both = (a > 0) & (b > 0)
+        if both.any():
+            kappa = qwk_from_pairs(a[both], b[both], dataset.spec.num_classes)
             if kappa is not None:
                 values.append(kappa)
-    if not values:
-        return None
-    return float(np.mean(values))
+    return float(np.mean(values)) if values else None

@@ -638,7 +638,7 @@ class MetricReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "MetricReport":
-        """The report of a parsed metrics JSON; a missing or mistyped metric is named."""
+        """The report of a parsed metrics JSON; a missing or mistyped field is named."""
         try:
             values = {name: doc["metrics"][name] for name in _METRIC_NAMES}
             num_records = doc["num_records"]
@@ -648,9 +648,13 @@ class MetricReport:
         except (TypeError, ValueError, AttributeError):
             raise InputError("malformed metric report") from None
         num_records = json_number("num_records", num_records, integer=True)
-        for name, value in values.items():
-            if not (value is None or type(value) in (int, float)):
-                raise InputError(f"metric {name!r}: expected a number or null, got {value!r}")
+        if num_records < 1:
+            raise InputError(f"field 'num_records': expected an integer >= 1, got {num_records}")
+        for name, value in values.items():  # json reads NaN and Infinity
+            finite = type(value) is int or (type(value) is float and math.isfinite(value))
+            if not (value is None or finite):
+                raise InputError(f"metric {name!r}: expected a finite number or null,"
+                                 f" got {value!r}")
         return MetricReport(values=values, num_records=num_records, missing_classes=missing)
 
 

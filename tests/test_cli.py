@@ -256,12 +256,19 @@ _ROW = b"a,0.5,1,2\n"
     (_compare_with_metrics(lambda text: text.replace('"mae_uw"', '"mae_w"')), "'mae_uw'"),
     (_compare_with_metrics(lambda text: re.sub(r'"num_records": \d+', '"num_records": 12.5', text)),
      "'num_records'"),
+    (_compare_with_metrics(lambda text: re.sub(r'"num_records": \d+', '"num_records": 0', text)),
+     "'num_records'"),
+    (_compare_with_metrics(lambda text: re.sub(r'"mae_uw": [^,\n]+', '"mae_uw": NaN', text)),
+     "'mae_uw'"),
+    (_compare_with_metrics(lambda text: re.sub(r'"mae_uw": [^,\n]+', '"mae_uw": Infinity', text)),
+     "'mae_uw'"),
     (_cv_with_jobs("-3"), "--jobs"),
     (_cv_with_jobs("0"), "--jobs"),
 ], ids=["config-json", "generate-field-type", "generate-json-list", "generate-fractional-count",
         "thresholds-scalar", "data-not-utf8", "data-field-limit", "records-field-limit",
         "count-over-cap", "vote-over-inferred-class-cap", "metrics-json",
-        "metrics-missing-metric", "metrics-fractional-count", "jobs-negative", "jobs-zero"])
+        "metrics-missing-metric", "metrics-fractional-count", "metrics-zero-count",
+        "metrics-nan", "metrics-infinity", "jobs-negative", "jobs-zero"])
 def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys, case, named):
     args, path = case(ws, tmp_path)
     assert run(args) == 1

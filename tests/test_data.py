@@ -109,7 +109,7 @@ def test_noiseless_generator_yields_unanimous_raters():
     ds = generate_synthetic(NOISELESS)
     assert len(ds) == 200
     # zero rater noise: every vote equals the true class, soft labels one-hot
-    assert all(len(set(v)) == 1 for v in ds.votes)
+    assert ds.votes.shape == (200, 5) and (ds.votes == ds.hard[:, None]).all()
     assert np.all(np.isclose(ds.soft.max(axis=1), 1.0))
     assert not ds.tied_mask.any()
     assert mean_pairwise_rater_qwk(ds) == pytest.approx(1.0)
@@ -130,7 +130,7 @@ def test_generator_is_deterministic_per_seed():
     a = generate_synthetic(NOISELESS)
     b = generate_synthetic(NOISELESS)
     np.testing.assert_array_equal(a.features, b.features)
-    assert a.votes == b.votes
+    assert np.array_equal(a.votes, b.votes) and np.array_equal(a.counts, b.counts)
     c = generate_synthetic(SyntheticConfig.from_dict({**NOISELESS.to_dict(), "seed": 14}))
     assert not np.array_equal(a.features, c.features)
 
@@ -201,7 +201,7 @@ def test_load_csv_vote_columns(tmp_path):
     ds = load_csv(path, SPEC4)
     assert ds.ids == ("a", "b")
     np.testing.assert_allclose(ds.soft[0], [0.0, 2 / 3, 1 / 3, 0.0])
-    assert ds.votes[1] == (1,)  # blank rater cells are missing votes
+    assert ds.votes.tolist() == [[2, 2, 3], [1, 0, 0]]  # blank rater cells are missing votes
     np.testing.assert_array_equal(ds.features, [[0.5, -1.0], [1.5, 0.25]])
 
 
@@ -213,8 +213,8 @@ def test_load_csv_count_columns(tmp_path):
         "1.0,3,,,\n",
     )
     ds = load_csv(path, SPEC4)
-    assert ds.votes[0] == (2, 2, 3)
-    assert ds.votes[1] == (1, 1, 1)
+    assert ds.votes is None  # counts name no raters
+    assert ds.counts.tolist() == [[0, 2, 1, 0], [3, 0, 0, 0]]
     assert ds.ids == ("1", "2")  # generated when no id column exists
 
 
@@ -311,14 +311,14 @@ def test_load_csv_infers_the_class_count_from_count_columns(tmp_path):
     path = write_csv(tmp_path, "f_1,c_1,c_2,c_3,c_4,c_5\n0.0,0,2,1,0,0\n1.0,3,,,,\n")
     ds = load_csv(path)
     assert ds.spec.num_classes == 5  # from the columns, though no vote is above 3
-    assert ds.votes == ((2, 2, 3), (1, 1, 1))
+    assert ds.votes is None and ds.counts.tolist() == [[0, 2, 1, 0, 0], [3, 0, 0, 0, 0]]
 
 
 def test_load_csv_infers_the_class_count_from_the_highest_vote(tmp_path):
     path = write_csv(tmp_path, "id,f_1,r_1,r_2,r_3\na,0.5,2,,3\nb,1.5,,1,\nc,0.0,,,2\n")
     ds = load_csv(path)
     assert ds.spec.num_classes == 3
-    assert ds.votes == ((2, 3), (1,), (2,))
+    assert ds.votes.tolist() == [[2, 0, 3], [0, 1, 0], [0, 0, 2]]
     assert load_csv(path, SPEC4).spec.num_classes == 4  # a given spec wins
 
 
@@ -340,7 +340,7 @@ def test_load_csv_without_a_spec_still_checks_each_line(tmp_path):
 
 def test_load_csv_caps_a_count_cell_and_an_inferred_class_count(tmp_path):
     at_cap = load_csv(write_csv(tmp_path, f"f_1,c_1,c_2\n0.0,{MAX_CELL_COUNT},1\n", "c.csv"))
-    assert len(at_cap.votes[0]) == MAX_CELL_COUNT + 1
+    assert at_cap.counts.tolist() == [[MAX_CELL_COUNT, 1]]
     top = load_csv(write_csv(tmp_path, f"f_1,r_1\n0.0,1\n1.0,{MAX_INFERRED_CLASSES}\n", "v.csv"))
     assert top.spec.num_classes == MAX_INFERRED_CLASSES
     for text, match in (
@@ -354,7 +354,7 @@ def test_load_csv_caps_a_count_cell_and_an_inferred_class_count(tmp_path):
     # an explicit class count lifts the vote cap
     above = MAX_INFERRED_CLASSES + 1
     wide = write_csv(tmp_path, f"f_1,r_1\n0.0,1\n1.0,{above}\n", "wide.csv")
-    assert load_csv(wide, ProblemSpec(above)).votes[1] == (above,)
+    assert load_csv(wide, ProblemSpec(above)).votes.tolist() == [[1], [above]]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -389,8 +389,83 @@ def test_save_then_load_round_trips_exactly(tmp_path):
         back = load_csv(path, ProblemSpec(num_classes=4))
         assert back.ids == data.ids
         np.testing.assert_array_equal(back.features, data.features)  # repr round-trip, bit exact
-        assert back.votes == data.votes
+        assert np.array_equal(back.votes, data.votes)
         np.testing.assert_array_equal(back.soft, data.soft)
+
+
+
+def test_an_id_with_outer_whitespace_is_rejected_naming_it():
+    # a CSV field is read stripped, so such an id would not survive save_csv -> load_csv
+    rng = np.random.default_rng(0)
+    for ids, bad in (([" a", "a"], " a"), (["a", "b "], "b "), (["a", "\tc"], "\tc")):
+        with pytest.raises(InputError) as err:
+            dataset_from_votes(SPEC4, rng.normal(size=(2, 1)), [(1,), (2,)], ids=ids)
+        assert str(err.value) == f"example id {bad!r} has leading or trailing whitespace"
+    assert dataset_from_votes(SPEC4, rng.normal(size=(1, 1)), [(1,)], ids=["a b"]).ids == ("a b",)
+
+
+def test_blank_rater_cells_keep_each_vote_at_its_rater_through_save_and_load(tmp_path):
+    text = ("id,f_1,r_1,r_2,r_3\n"
+            "a,0.5,,2,3\n"
+            "b,1.5,1,,4\n"
+            "c,-1.0,2,3,\n"
+            "d,0.0,,,1\n")
+    ds = load_csv(write_csv(tmp_path, text), SPEC4)
+    assert ds.votes.tolist() == [[0, 2, 3], [1, 0, 4], [2, 3, 0], [0, 0, 1]]
+    assert ds.counts.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0]]
+    save_csv(ds, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text() == text
+    back = load_csv(tmp_path / "out.csv", SPEC4)
+    assert np.array_equal(back.votes, ds.votes) and np.array_equal(back.soft, ds.soft)
+
+
+def _ref_rater_qwk(votes, k):
+    """Per rater pair, qwk over the examples both rated (0 = no vote); the mean of those defined."""
+    from ordreg.metrics import qwk_from_pairs
+
+    kappas = []
+    r = len(votes[0])
+    for a in range(r):
+        for b in range(a + 1, r):
+            pairs = [(row[a], row[b]) for row in votes if row[a] and row[b]]
+            if pairs:
+                kappa = qwk_from_pairs([x for x, _ in pairs], [y for _, y in pairs], k)
+                kappas += [] if kappa is None else [kappa]
+    return sum(kappas) / len(kappas)
+
+
+def test_rater_kappa_pairs_the_votes_of_each_rater_pair(tmp_path):
+    cfg = SyntheticConfig.from_dict({**NOISELESS.to_dict(), "n_examples": 300, "n_raters": 3,
+                                     "rater_noise_sd": 0.68, "feature_noise_sd": 0.1})
+    full = generate_synthetic(cfg)
+    votes = full.votes.tolist()
+    assert mean_pairwise_rater_qwk(full) == pytest.approx(_ref_rater_qwk(votes, 4), abs=1e-12)
+    blank = np.random.default_rng(5).random(len(full)) < 0.3  # about 30% of r_1
+    assert 60 < blank.sum() < 120
+    for row, gone in zip(votes, blank):
+        row[0] = 0 if gone else row[0]
+    lines = ["id,f_1,r_1,r_2,r_3"] + [f"{i},0.0," + ",".join(str(v or "") for v in row)
+                                      for i, row in zip(full.ids, votes)]
+    ds = load_csv(write_csv(tmp_path, "\n".join(lines) + "\n"), ProblemSpec(4))
+    assert ds.votes.tolist() == votes
+    want = _ref_rater_qwk(votes, 4)
+    assert mean_pairwise_rater_qwk(ds) == pytest.approx(want, abs=1e-12)
+    assert abs(want - _ref_rater_qwk(full.votes.tolist(), 4)) > 1e-3  # the blanks matter
+
+
+def test_count_data_has_no_raters_and_saves_as_count_columns(tmp_path):
+    text = ("id,f_1,c_1,c_2,c_3\n"
+            "a,0.5,0,2,1\n"
+            "b,1.5,3,,\n")
+    ds = load_csv(write_csv(tmp_path, text))
+    assert ds.votes is None and ds.spec.num_classes == 3
+    assert ds.counts.tolist() == [[0, 2, 1], [3, 0, 0]]
+    assert mean_pairwise_rater_qwk(ds) is None
+    save_csv(ds, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text() == text.replace(",0,2,1", ",,2,1")
+    back = load_csv(tmp_path / "out.csv")
+    assert back.votes is None and np.array_equal(back.counts, ds.counts)
+    assert np.array_equal(back.soft, ds.soft)
 
 
 # ---- tie resolution ----
@@ -604,6 +679,12 @@ def _ref_label_views(votes, spec):
     return soft, hard, tuple(modal), exceed, tuple(clean)
 
 
+def _padded(clean):
+    """Vote tuples as rows of the rater matrix: 0 past the end of a shorter tuple."""
+    width = max(map(len, clean))
+    return [list(v) + [0] * (width - len(v)) for v in clean]
+
+
 def _ref_error(votes, spec):
     try:
         _ref_label_views(votes, spec)
@@ -625,7 +706,7 @@ def test_label_views_are_the_bits_of_the_per_example_derivation(k):
     assert ds.modal.dtype == bool
     assert [tuple((np.flatnonzero(row) + 1).tolist()) for row in ds.modal] == list(modal)
     np.testing.assert_array_equal(ds.tied_mask, [len(m) > 1 for m in modal])
-    assert ds.votes == clean
+    assert ds.votes.tolist() == _padded(clean)
     assert any(len(m) == k for m in modal)
 
 
@@ -650,4 +731,4 @@ def test_vote_errors_and_conversions_follow_the_per_example_checks(votes):
         assert want is None
         soft, hard, modal, exceed, clean = _ref_label_views(votes, spec)
         assert np.array_equal(ds.soft, soft) and np.array_equal(ds.hard, hard)
-        assert ds.votes == clean and all(type(x) is int for v in ds.votes for x in v)
+        assert ds.votes.tolist() == _padded(clean) and ds.votes.dtype == np.int64

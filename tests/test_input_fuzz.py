@@ -3,9 +3,8 @@
 Whatever the bytes, ``load_csv``, the experiment-config loader and
 ``generate --config`` either accept the input or raise InputError (exit 1);
 no other exception may escape. Generated count and vote cells stay at or
-below 20: ``load_csv`` expands a count into that many votes and an inferred
-class count into that many columns, so a huge cell would allocate that much
-memory instead of testing the parser.
+below 20, so that most cells pass the caps of ``load_csv`` and the fuzzing
+reaches the path that builds a Dataset, not only the range checks.
 """
 
 import contextlib
