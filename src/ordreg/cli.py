@@ -310,8 +310,11 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     dataset, dataset_doc = _load_dataset(cfg, args.seed)
     configs = [_train_config(cfg, method, dataset.num_features) for method in methods]
     # one split for every method, called by the name run_cv uses, which traces count
-    split = harness.stratified_k_fold(dataset, cfg["folds"], cfg["split_seed"],
-                                      configs[0].val_fraction)
+    with warnings.catch_warnings(record=True) as caught:
+        split = harness.stratified_k_fold(dataset, cfg["folds"], cfg["split_seed"],
+                                          configs[0].val_fraction)
+    for warning in caught:
+        log.warning("%s", warning.message)
     finished: list[tuple[str, dict]] = []
     meta = _meta(args)
     failure: Optional[Exception] = None

@@ -15,7 +15,8 @@ kind                     target                 scored against
 
 Training scores every kind on these rows through ``or_soft_loss``, ``ce_soft_loss`` or
 ``corn_rows_loss``: the hard losses' bits. A run builds a hard kind's K class rows once
-(``model.class_rows``), and ``corn`` reads its task subsets off them (:func:`corn_subsets`).
+(``model.class_rows``); ``corn`` reads its task subsets off them (:func:`corn_subsets`) and
+adds each task's terms in row order, so a stacked call has the bits of one call per model.
 Hard labels are checked where they enter: by each public function here, and by a
 ``model.loss_and_gradient`` call without ``out=``.
 
@@ -182,30 +183,24 @@ def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> Union[float, np.
     A stacked (M, B, K-1) array with (M, B) labels gives the (M,) losses of
     M separate batches; each task subset stays inside its own batch.
     """
-    if isinstance(task_cond_probs, np.ndarray):
-        p = np.atleast_2d(task_cond_probs.astype(np.float64, copy=False))
-    else:
-        p = np.atleast_2d([_probs(row, "task_cond_probs") for row in task_cond_probs])
+    p = np.atleast_2d(np.asarray(task_cond_probs, dtype=np.float64))
     labels = np.asarray(ys)
     if p.ndim > 3 or labels.shape != p.shape[:-1]:
         raise InputError(f"task probabilities of shape {p.shape} need labels of shape"
                          f" {p.shape[:-1]} (at most 3 axes), got {labels.shape}")
     k = p.shape[-1] + 1
     rows = label_rows(check_class_indices(labels.ravel(), ProblemSpec(k)).reshape(labels.shape), k)
-    return corn_rows_loss(p, rows, corn_subsets(rows))
+    subset = corn_subsets(rows)
+    return corn_rows_loss(p, rows, subset, np.maximum(subset.sum(axis=-2, keepdims=True), 1))
 
 
-def corn_rows_loss(p: np.ndarray, targets: np.ndarray,
-                   subset: np.ndarray) -> Union[float, np.ndarray]:
+def corn_rows_loss(p: np.ndarray, targets: np.ndarray, subset: np.ndarray,
+                   sizes: np.ndarray) -> Union[float, np.ndarray]:
     """:func:`corn_loss` of (B, K-1) or (M, B, K-1) probabilities against unchecked indicator
-    rows, task k over the rows where ``subset`` is true. Each (model, task) sum is one float
-    sum over that task's subset alone, compressed and in order: the bits of per-model calls."""
-    b = p.shape[-2]
-    bce = _bce(p, targets).swapaxes(-1, -2).reshape(-1, b)  # one (model, task) per row
-    keep = subset.swapaxes(-1, -2)
-    sums = [float(row[mask].sum()) for row, mask in zip(bce, keep.reshape(-1, b))]
-    means = np.reshape(sums, keep.shape[:-1]) / np.maximum(keep.sum(axis=-1), 1)
-    total = np.add.accumulate(means, axis=-1)[..., -1]  # the task means added in task order
+    rows: task k over the rows where ``subset`` is true, its terms added in row order (0
+    elsewhere) and divided by its (..., 1, K-1) ``sizes``, the subset counts or 1 if empty."""
+    sums = np.add.accumulate(np.where(subset, _bce(p, targets), 0.0), axis=-2)[..., -1:, :]
+    total = np.add.accumulate(sums / sizes, axis=-1)[..., 0, -1]  # task means in task order
     return float(total) if p.ndim == 2 else total
 
 

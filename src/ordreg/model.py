@@ -412,8 +412,8 @@ def loss_and_gradient(
     if loss_kind == losses_mod.LOSS_CORN:
         # a task sees its model's real rows in its subset; a term is divided by the subset size
         subset = losses_mod.corn_subsets(targets) & real[..., None]
-        loss = losses_mod.corn_rows_loss(probs, targets, subset)
         sizes = np.maximum(subset.sum(axis=-2, keepdims=True), 1)
+        loss = losses_mod.corn_rows_loss(probs, targets, subset, sizes)
         dlogits = np.where(subset, (probs - targets) / sizes, 0.0)
     else:
         # every model's rows as one (M*B, n) array; on hard rows a 0 target adds an exact 0

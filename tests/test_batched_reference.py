@@ -95,7 +95,10 @@ def _ref_corn_loss(p, labels):
         if n == 0:
             continue
         targets = (labels[subset] > k).astype(np.float64)
-        total += float(_ref_bce(p[subset, k - 1], targets).sum()) / n
+        task = 0.0
+        for term in _ref_bce(p[subset, k - 1], targets):  # the subset's terms in row order
+            task += term
+        total += task / n
     return total
 
 

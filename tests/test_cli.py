@@ -323,6 +323,22 @@ def test_the_folds_failed_warning_is_one_plain_line(tmp_path, jobs):
     assert ".py:" not in proc.stderr
 
 
+def test_the_fold_split_warning_is_a_log_line(tmp_path):
+    synth = write_json(tmp_path / "synth.json", {**SYNTH, "n_examples": 40})
+    data = tmp_path / "data.csv"
+    assert run(["generate", "--config", synth, "--out", str(data)]) == 0
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(data), "out": str(tmp_path / "r"),
+                                             "methods": ["ce"], "folds": 12, "epochs": 1})
+    default_env = {k: v for k, v in os.environ.items() if k != "ORDREG_LOG"}
+    for env, lines in ((default_env, ["WARNING ordreg: k=12 exceeds the smallest class count 8;"
+                                      " some folds will miss that class"]),
+                       ({**default_env, "ORDREG_LOG": "error"}, [])):
+        proc = subprocess.run(CLI + ["cv", "--config", cfg], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == lines  # no UserWarning and no source line
+
+
 def test_a_gap_in_the_count_columns_exits_one_naming_line_one(tmp_path, capsys):
     data = tmp_path / "gap.csv"
     data.write_text("f_1,c_1,c_3\n0.0,1,1\n1.0,2,0\n")

@@ -175,7 +175,9 @@ def test_corn_task_subsets_follow_the_labels():
     probs = np.array([[0.3, 0.8], [0.6, 0.7]])
     # task 1 sees both (targets 0, 1); task 2 sees only y=3 (target 1)
     expected = (_bce(0.3, 0.0) + _bce(0.6, 1.0)) / 2 + _bce(0.7, 1.0)
-    assert corn_loss(probs, [1, 3]) == pytest.approx(expected, abs=1e-12)
+    got = corn_loss(probs, [1, 3])
+    assert got == pytest.approx(expected, abs=1e-12)
+    assert corn_loss(probs.tolist(), [1, 3]).hex() == got.hex()  # a list gives the same bits
 
 
 def test_corn_is_batch_order_invariant():
@@ -192,7 +194,8 @@ def _clamped_log(p):
 
 
 def _ref_corn_loss(p, labels):
-    """The per-task loop: each task's BCE summed over its compressed subset, in task order."""
+    """The per-task loop: each task's BCE terms added one by one over its subset in row
+    order, the task means added in task order."""
     total = 0.0
     for k in range(1, p.shape[1] + 1):
         subset = labels >= k
@@ -200,7 +203,10 @@ def _ref_corn_loss(p, labels):
             targets = (labels[subset] > k).astype(np.float64)
             p_k = p[subset, k - 1]
             bce = -(targets * _clamped_log(p_k) + (1.0 - targets) * _clamped_log(1.0 - p_k))
-            total += float(bce.sum()) / int(subset.sum())
+            task = 0.0
+            for term in bce:
+                task += term
+            total += task / int(subset.sum())
     return total
 
 
