@@ -47,7 +47,6 @@ from .harness import (
     ExperimentResult,
     FoldOutcome,
     TrainConfig,
-    build_summary,
     compare_methods,
     history_csv_text,
     read_records_csv,
@@ -56,13 +55,13 @@ from .harness import (
     run_cv,
     train_single,
     write_experiment_result,
-    write_summary,
 )
-from .ioutil import atomic_write_text, canonical_json, json_number, read_json
+from .ioutil import atomic_write_json, atomic_write_text, canonical_json, json_number, read_json
 from .metrics import (
     DEFAULT_NUM_BINS,
     DIRECTION_HIGHER,
     DIRECTION_LOWER,
+    MAX_NUM_BINS,
     MetricReport,
     calibration_curve,
     compute_metric_report,
@@ -264,7 +263,6 @@ def _cmd_train(args: argparse.Namespace) -> None:
     config = _train_config(cfg, methods[0], dataset.num_features)
     outcomes = train_single(dataset, config, split_seed=cfg["split_seed"])
     out = Path(cfg["out"]) / methods[0]
-    out.mkdir(parents=True, exist_ok=True)
     histories = {o.seed: o.history for o in outcomes}
     atomic_write_text(out / "history.csv", history_csv_text(histories))
     for outcome in outcomes:
@@ -333,10 +331,9 @@ def _cmd_cv(args: argparse.Namespace) -> None:
             mae_uw = block["mean"].get("mae_uw")
             log.info("%s: mean UW-MAE %s", method, "n/a" if mae_uw is None else f"{mae_uw:.4f}")
     if finished:
-        summary = build_summary(
-            dict(finished), _config_echo(cfg, dataset.spec.num_classes), dataset_doc, meta
-        )
-        write_summary(cfg["out"], summary)
+        atomic_write_json(Path(cfg["out"]) / SUMMARY_FILE, {
+            "meta": meta, "config": _config_echo(cfg, dataset.spec.num_classes),
+            "dataset": dataset_doc, "methods": dict(finished)})
     if failure is not None:
         if finished:
             log.warning("%s; %s keeps the %d method(s) that finished",
@@ -346,8 +343,8 @@ def _cmd_cv(args: argparse.Namespace) -> None:
 
 
 def _num_bins(args: argparse.Namespace) -> int:
-    if args.num_bins < 1:
-        raise InputError(f"--num-bins: num_bins must be >= 1, got {args.num_bins}")
+    if not 1 <= args.num_bins <= MAX_NUM_BINS:
+        raise InputError(f"--num-bins: num_bins must lie in 1..{MAX_NUM_BINS}, got {args.num_bins}")
     return args.num_bins
 
 
@@ -396,14 +393,13 @@ def _cmd_compare(args: argparse.Namespace) -> None:
         f"p = {cmp.p_value:.6g} ({verdict} at alpha = {cmp.alpha})"
     )
     if args.out:
-        atomic_write_text(args.out, canonical_json(cmp.to_dict()))
+        atomic_write_json(args.out, cmp.to_dict())
 
 
 def _cmd_curves(args: argparse.Namespace) -> None:
     num_bins = _num_bins(args)
     records = read_records_csv(_records_path(args.data))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     bins = calibration_curve(records, num_bins)
     lines = ["bin_low,bin_high,mean_confidence,mean_true_accuracy,count"]

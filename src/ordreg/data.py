@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     InputError,
     ProblemSpec,
+    _argmax_rows,
     check_class_index,
     class_max,
     exceedance_from_soft,
@@ -96,7 +97,7 @@ class Dataset:
 
     @cached_property
     def hard(self) -> np.ndarray:
-        return _frozen(np.argmax(self.modal, axis=1) + 1, np.int64)
+        return _frozen(_argmax_rows(self.soft), np.int64)
 
     @cached_property
     def exceed(self) -> np.ndarray:
@@ -235,9 +236,12 @@ class SyntheticConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SyntheticConfig":
-        """A config from a parsed JSON object; a missing or mistyped field is named."""
+        """A config from a parsed JSON object; an unknown, missing or mistyped field is named."""
         if not isinstance(doc, dict):
             raise InputError("synthetic config must be a JSON object")
+        for name in doc:
+            if name not in _SYNTHETIC_FIELDS:
+                raise InputError(f"synthetic config has unknown field {name!r}")
         fields = {}
         for name, kind in _SYNTHETIC_FIELDS.items():
             if name not in doc:

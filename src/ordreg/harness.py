@@ -59,6 +59,7 @@ from .ioutil import atomic_write_text, canonical_json, csv_field, csv_rows
 from .metrics import (
     ALPHA,
     DEFAULT_NUM_BINS,
+    MAX_NUM_BINS,
     EvalRecord,
     MetricReport,
     RecordRowError,
@@ -170,8 +171,8 @@ class TrainConfig:
             raise InputError(
                 f"tie_policy must be one of {ALL_TIE_POLICIES}, got {self.tie_policy!r}"
             )
-        if self.num_bins < 1:
-            raise InputError("num_bins must be >= 1")
+        if not 1 <= self.num_bins <= MAX_NUM_BINS:
+            raise InputError(f"num_bins must lie in 1..{MAX_NUM_BINS}, got {self.num_bins}")
 
     @property
     def effective_decode(self) -> str:
@@ -872,17 +873,3 @@ def result_summary_block(result: ExperimentResult) -> dict:
              for fold in result.folds]
     return {"mean": result.mean, "std": result.std, "partial": result.partial, "folds": folds}
 
-
-def build_summary(blocks: dict[str, dict], config_doc: dict, dataset_doc: dict,
-                  meta: dict) -> dict:
-    """Assemble summary.json from each method's :func:`result_summary_block`.
-
-    Everything volatile must arrive inside ``meta``.
-    """
-    return {"meta": meta, "config": config_doc, "dataset": dataset_doc, "methods": blocks}
-
-
-def write_summary(out_dir, doc: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / SUMMARY_FILE, canonical_json(doc))

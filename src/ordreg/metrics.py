@@ -46,6 +46,7 @@ from .core import (
 from .ioutil import json_number
 
 DEFAULT_NUM_BINS = 10
+MAX_NUM_BINS = 10_000  # input bound: evaluation time grows linearly with the bin count
 ALPHA = 0.05
 
 DIRECTION_LOWER = "lower"
@@ -277,6 +278,13 @@ def accuracy(records: Records, use_weights: bool = True) -> float:
     return _weighted_mean(t.correct.astype(np.float64), t.weight, use_weights)
 
 
+def _pair_table(a: np.ndarray, b: np.ndarray, k: int,
+                weights: Optional[Sequence[float]] = None) -> np.ndarray:
+    """The float64 K x K table of (a, b) label pairs, 1-based: counts, or ``weights`` summed."""
+    return np.bincount((a - 1) * k + (b - 1), weights=weights,
+                       minlength=k * k).reshape(k, k).astype(np.float64, copy=False)
+
+
 def qwk_from_pairs(
     labels_a: Sequence[int],
     labels_b: Sequence[int],
@@ -301,9 +309,7 @@ def qwk_from_pairs(
         raise InputError("label sequences must be equal-length, 1-d, non-empty")
     if np.any(a < 1) or np.any(a > num_classes) or np.any(b < 1) or np.any(b > num_classes):
         raise InputError(f"labels must lie in 1..{num_classes}")
-    w = np.ones(a.size) if weights is None else np.asarray(weights, dtype=np.float64)
-    table = np.bincount((a - 1) * num_classes + (b - 1), weights=w,
-                        minlength=num_classes * num_classes).reshape(num_classes, num_classes)
+    table = _pair_table(a, b, num_classes, weights)
     idx = np.arange(num_classes, dtype=np.float64)
     penalty = (idx[:, None] - idx[None, :]) ** 2
     mass = table.sum()
@@ -514,9 +520,7 @@ def confusion_matrix(records: Records, row_normalize: bool = False) -> np.ndarra
     absent from the records) stay zero.
     """
     t = record_table(records)
-    k = t.num_classes
-    cells = (t.hard - 1) * k + (t.pred_hard - 1)
-    table = np.bincount(cells, minlength=k * k).reshape(k, k).astype(np.float64)
+    table = _pair_table(t.hard, t.pred_hard, t.num_classes)
     if row_normalize:
         sums = table.sum(axis=1, keepdims=True)
         nonzero = sums[:, 0] > 0

@@ -15,6 +15,8 @@ from ordreg.cli import run
 from ordreg.core import ProblemSpec
 from ordreg.data import MAX_CELL_COUNT, MAX_INFERRED_CLASSES, dataset_from_votes, save_csv
 from ordreg.harness import METHODS
+from ordreg.ioutil import canonical_json
+from ordreg.metrics import MAX_NUM_BINS
 
 SYNTH = {
     "n_examples": 60,
@@ -76,6 +78,14 @@ def test_generate_missing_config_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_a_stray_config_key_exits_one_naming_it(tmp_path, capsys):
+    synth = write_json(tmp_path / "synth.json", {**SYNTH, "n_rater": 9})
+    out = tmp_path / "x.csv"
+    assert run(["generate", "--config", synth, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: synthetic config has unknown field 'n_rater'\n"
+    assert not out.exists()
+
+
 # ---- cv ----
 
 def test_cv_writes_summary_and_per_fold_files(ws):
@@ -101,8 +111,10 @@ def test_summary_structure_and_config_echo(ws):
     assert set(doc["meta"]) == {"created_at", "argv", "jobs", "out", "version"}
     for method in ("or_soft", "ce"):
         block = doc["methods"][method]
+        assert set(block) == {"folds", "mean", "std", "partial"}
         assert [f["fold"] for f in block["folds"]] == [1, 2]
         assert all(f["status"] == "ok" for f in block["folds"])
+        assert set(block["folds"][0]["best_epochs"]) == {"0", "1"}
         assert block["partial"] is False
 
 
@@ -133,6 +145,15 @@ def test_unknown_config_key_exits_one_and_names_it(ws, tmp_path, capsys):
                                              "out": str(tmp_path / "r"), "leaning_rate": 5})
     assert run(["cv", "--config", cfg]) == 1
     assert "leaning_rate" in capsys.readouterr().err
+
+
+def test_an_unknown_synthetic_key_exits_one_naming_it(tmp_path, capsys):
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "bad.json",
+                     {**EXP, "out": str(out), "synthetic": {**SYNTH, "n_rater": 9}})
+    assert run(["cv", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: synthetic config has unknown field 'n_rater'\n"
+    assert not out.exists()
 
 
 def test_folds_flag_zero_is_not_ignored(ws, tmp_path, capsys):
@@ -716,6 +737,24 @@ def test_a_bin_count_below_one_exits_one(ws, tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "curves", "cv"])
+def test_a_bin_count_over_the_bound_exits_one_before_any_work(ws, tmp_path, capsys, command):
+    out = tmp_path / "x"
+    if command == "cv":
+        cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data), "out": str(out),
+                                                 "num_bins": MAX_NUM_BINS + 1})
+        args = ["cv", "--config", cfg]
+    else:
+        args = [command, "--data", str(ws.results / "ce" / "fold_1"), "--out", str(out),
+                "--num-bins", str(MAX_NUM_BINS + 1)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"num_bins must lie in 1..{MAX_NUM_BINS}" in err
+    assert not out.exists()
+    if command != "cv":  # the bound itself is accepted
+        assert run(args[:-1] + [str(MAX_NUM_BINS)]) == 0
+
+
 # ---- compare ----
 
 def test_compare_prints_a_verdict_line_and_optional_json(ws, tmp_path, capsys):
@@ -743,6 +782,22 @@ def test_compare_rejects_mismatched_result_dirs(ws, tmp_path, capsys):
     assert run(["compare", str(ws.results / "or_soft"), str(lonely),
                 "--metric", "mae_uw", "--direction", "lower"]) == 1
     assert "folds" in capsys.readouterr().err
+
+
+def test_every_json_output_is_canonical_text(ws, tmp_path):
+    fold = ws.results / "ce" / "fold_1"
+    report, cmp, ckpt = tmp_path / "report.json", tmp_path / "cmp.json", tmp_path / "ckpt"
+    assert run(["evaluate", "--data", str(fold), "--out", str(report)]) == 0
+    assert run(["compare", str(ws.results / "or_soft"), str(ws.results / "ce"),
+                "--metric", "mae_uw", "--direction", "lower", "--out", str(cmp)]) == 0
+    cfg = write_json(tmp_path / "train.json", {**EXP, "methods": ["ce"], "epochs": 1,
+                                               "data": str(ws.data), "out": str(ckpt)})
+    assert run(["train", "--config", cfg]) == 0
+    paths = [ws.results / "summary.json", fold / "metrics.json", report, cmp,
+             ckpt / "ce" / "seed_0_params.json"]
+    for path in paths:
+        text = path.read_text()
+        assert text == canonical_json(json.loads(text)), path
 
 
 # ---- curves ----

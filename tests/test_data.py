@@ -171,6 +171,8 @@ def test_config_validation():
         SyntheticConfig.from_dict({**base, "rater_noise_sd": -0.1})
     with pytest.raises(InputError, match="missing"):
         SyntheticConfig.from_dict({k: v for k, v in base.items() if k != "seed"})
+    with pytest.raises(InputError, match="unknown field 'n_rater'$"):
+        SyntheticConfig.from_dict({**base, "n_rater": 9})
 
 
 def test_a_generator_block_too_large_to_hold_exits_before_drawing():

@@ -23,14 +23,12 @@ from ordreg.harness import (
     TrainConfig,
     TrainingDiverged,
     _aggregate,
-    build_summary,
     compare_methods,
     decode_distribution,
     predict_prob_matrix,
     read_records_csv,
     records_csv_text,
     render_experiment_result,
-    result_summary_block,
     run_cv,
     train_one,
     train_single,
@@ -488,24 +486,6 @@ def test_result_directory_layout_and_metric_file_consistency(tmp_path):
         from ordreg.ioutil import canonical_json
 
         assert canonical_json(report.to_dict()).encode() == stored
-
-
-def test_summary_document_shape():
-    result = run_cv(SMALL, small_config(epochs=2), k=3, split_seed=0)
-    doc = build_summary(
-        {result.method: result_summary_block(result)},
-        config_doc={"folds": 3},
-        dataset_doc={"num_examples": len(SMALL)},
-        meta={"created_at": "t", "argv": [], "jobs": 1, "out": "x", "version": "0"},
-    )
-    assert set(doc) == {"meta", "config", "dataset", "methods"}
-    block = doc["methods"]["or_soft"]
-    assert set(block) == {"folds", "mean", "std", "partial"}
-    assert len(block["folds"]) == 3
-    fold0 = block["folds"][0]
-    assert fold0["status"] == "ok"
-    assert set(fold0["best_epochs"]) == {"0"}
-    json.dumps(doc)
 
 
 def test_history_lengths_match_epochs():
