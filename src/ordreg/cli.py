@@ -24,6 +24,7 @@ import os
 import sys
 import warnings
 from contextlib import closing
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -160,6 +161,8 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     if getattr(args, "ties", None):
         cfg["ties"] = args.ties
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise InputError(f"--seed: must be at least 0, got {args.seed}")
         cfg["seeds"] = [args.seed + i for i in range(len(cfg["seeds"]))]
         cfg["split_seed"] = args.seed
     return cfg
@@ -178,6 +181,28 @@ def _check_methods(names: Sequence[str]) -> list[str]:
     return list(names)
 
 
+def _train_configs(cfg: dict) -> list[TrainConfig]:
+    """Every configured method's checked settings, made before any data is read; the
+    encoder's ``input_dim`` is 1 until the read gives the feature count."""
+    methods = _check_methods(cfg["methods"] or [])
+    if cfg["out"] is None:
+        raise InputError("field 'out': an output directory is required")
+    if cfg["ties"] not in ALL_TIE_POLICIES:
+        raise InputError(f"field 'ties': must be 'paper' or 'lowest', got {cfg['ties']!r}")
+    encoder = EncoderConfig(input_dim=1, hidden_dims=tuple(cfg["hidden_dims"]),
+                            activation=cfg["activation"])
+    shared = {name: cfg[name] for name in ("epochs", "batch_size", "lr", "val_fraction",
+                                           "decode", "num_bins")}
+    return [TrainConfig(method=method, encoder=encoder, seeds=tuple(cfg["seeds"]),
+                        tie_policy=cfg["ties"], **shared) for method in methods]
+
+
+def _synthetic(doc, seed: Optional[int]) -> SyntheticConfig:
+    """A synthetic config from its JSON object; a ``--seed`` flag replaces its seed."""
+    synth = SyntheticConfig.from_dict(doc)
+    return synth if seed is None else replace(synth, seed=seed)
+
+
 def _load_dataset(cfg: dict, seed_override: Optional[int]) -> tuple[Dataset, dict]:
     """Dataset plus a summary block describing its source."""
     if cfg["data"] is not None:
@@ -185,10 +210,7 @@ def _load_dataset(cfg: dict, seed_override: Optional[int]) -> tuple[Dataset, dic
         dataset = load_csv(cfg["data"], ProblemSpec(k) if k else None)
         source = str(cfg["data"])
     elif cfg["synthetic"] is not None:
-        synth = SyntheticConfig.from_dict(cfg["synthetic"])
-        if seed_override is not None:
-            synth = SyntheticConfig.from_dict({**synth.to_dict(), "seed": seed_override})
-        dataset = generate_synthetic(synth)
+        dataset = generate_synthetic(_synthetic(cfg["synthetic"], seed_override))
         source = "synthetic"
     else:
         raise InputError("field 'data': a data CSV (--data) or a synthetic block is required")
@@ -200,28 +222,6 @@ def _load_dataset(cfg: dict, seed_override: Optional[int]) -> tuple[Dataset, dic
         "num_tied": int(dataset.tied_mask.sum()),
     }
     return dataset, info
-
-
-def _train_config(cfg: dict, method: str, input_dim: int) -> TrainConfig:
-    if cfg["ties"] not in ALL_TIE_POLICIES:
-        raise InputError(f"field 'ties': must be 'paper' or 'lowest', got {cfg['ties']!r}")
-    encoder = EncoderConfig(
-        input_dim=input_dim,
-        hidden_dims=tuple(cfg["hidden_dims"]),
-        activation=cfg["activation"],
-    )
-    return TrainConfig(
-        method=method,
-        encoder=encoder,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        seeds=tuple(cfg["seeds"]),
-        val_fraction=cfg["val_fraction"],
-        decode=cfg["decode"],
-        tie_policy=cfg["ties"],
-        num_bins=cfg["num_bins"],
-    )
 
 
 def _config_echo(cfg: dict, num_classes: int) -> dict:
@@ -244,43 +244,45 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
-    synth = SyntheticConfig.from_dict(read_json(args.config))
-    if args.seed is not None:
-        synth = SyntheticConfig.from_dict({**synth.to_dict(), "seed": args.seed})
-    dataset = generate_synthetic(synth)
+    dataset = generate_synthetic(_synthetic(read_json(args.config), args.seed))
     save_csv(dataset, args.out)
     log.info("wrote %d examples to %s", len(dataset), args.out)
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
     cfg = _apply_flags(_load_config(args.config), args)
-    methods = _check_methods(cfg["methods"] or [])
-    if len(methods) != 1:
+    configs = _train_configs(cfg)
+    if len(configs) != 1:
         raise InputError("field 'methods': train takes exactly one method")
-    if cfg["out"] is None:
-        raise InputError("field 'out': an output directory is required")
     dataset, _ = _load_dataset(cfg, args.seed)
-    config = _train_config(cfg, methods[0], dataset.num_features)
+    config = replace(configs[0], encoder=replace(configs[0].encoder,
+                                                  input_dim=dataset.num_features))
     outcomes = train_single(dataset, config, split_seed=cfg["split_seed"])
-    out = Path(cfg["out"]) / methods[0]
+    out = Path(cfg["out"]) / config.method
     histories = {o.seed: o.history for o in outcomes}
     atomic_write_text(out / "history.csv", history_csv_text(histories))
     for outcome in outcomes:
         save_params(outcome.params, out / f"seed_{outcome.seed}_params.json")
         log.info(
             "%s seed %d: best epoch %d, val UW-MAE %.6f",
-            methods[0], outcome.seed, outcome.best_epoch,
+            config.method, outcome.seed, outcome.best_epoch,
             min(h.val_uw_mae for h in outcome.history),
         )
-    print(f"trained {methods[0]} on {len(dataset)} examples; checkpoints in {out}")
+    print(f"trained {config.method} on {len(dataset)} examples; checkpoints in {out}")
+
+
+def _warnings_logged(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, each warning it raises written as a log line."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(*args, **kwargs)
+    for warning in caught:
+        log.warning("%s", warning.message)
+    return result
 
 
 def _method_output(dataset: Dataset, config: TrainConfig, split) -> tuple[dict, dict]:
     """One method's summary block and rendered files; each warning of its run is a log line."""
-    with warnings.catch_warnings(record=True) as caught:
-        result = run_cv(dataset, config, split=split)
-    for warning in caught:
-        log.warning("%s", warning.message)
+    result = _warnings_logged(run_cv, dataset, config, split=split)
     return result_summary_block(result), render_experiment_result(result)
 
 
@@ -300,19 +302,16 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     if args.jobs < 1:
         raise InputError(f"--jobs: must be at least 1, got {args.jobs}")
     cfg = _apply_flags(_load_config(args.config), args)
-    methods = _check_methods(cfg["methods"] or [])
-    if cfg["out"] is None:
-        raise InputError("field 'out': an output directory is required")
+    configs = _train_configs(cfg)
     if cfg["folds"] < 2:
         raise InputError(f"field 'folds': cv needs at least 2 folds, got {cfg['folds']}")
     dataset, dataset_doc = _load_dataset(cfg, args.seed)
-    configs = [_train_config(cfg, method, dataset.num_features) for method in methods]
+    encoder = replace(configs[0].encoder, input_dim=dataset.num_features)
+    configs = [replace(config, encoder=encoder) for config in configs]
+    methods = [config.method for config in configs]
     # one split for every method, called by the name run_cv uses, which traces count
-    with warnings.catch_warnings(record=True) as caught:
-        split = harness.stratified_k_fold(dataset, cfg["folds"], cfg["split_seed"],
-                                          configs[0].val_fraction)
-    for warning in caught:
-        log.warning("%s", warning.message)
+    split = _warnings_logged(harness.stratified_k_fold, dataset, cfg["folds"],
+                             cfg["split_seed"], configs[0].val_fraction)
     finished: list[tuple[str, dict]] = []
     meta = _meta(args)
     failure: Optional[Exception] = None
@@ -496,13 +495,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     level = os.environ.get("ORDREG_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
         return 0
     except (InputError, OSError) as err:

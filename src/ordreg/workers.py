@@ -4,9 +4,11 @@
 children, and yields the results in index order, each as soon as it is in.
 No process starts a thread of its own.
 
-- A pipe holds one token per task index, written before the fork. Every
-  process reads the next token when it is free, so tasks go out in index
-  order. This process takes task 0 before it forks.
+- A pipe holds one token per task index, written before the fork, so the
+  tasks must fit one pipe buffer (2,048 in Linux's smallest, 4 KiB; ``cv``
+  hands over at most nine). Every process reads the next token when it is
+  free, so tasks go out in index order. This process takes task 0 before it
+  forks.
 - A child pickles each task's result, or the exception it raised, to a file
   in a private temporary directory. Over its own pipe it sends 3-byte
   ``start j`` and ``done j`` messages; a write that short is atomic and fits
@@ -35,18 +37,12 @@ from typing import Callable, Iterator, Sequence, TypeVar
 T = TypeVar("T")
 
 _TOKEN = 2  # bytes per task index in the token pipe and in a child's messages
-# every token is written before any is read, and a Linux pipe holds at least
-# one 4 KiB page; a longer task list runs in this process alone
-MAX_TASKS = 4096 // _TOKEN
 
 
 def in_order(fn: Callable[[int], T], names: Sequence[str], children: int) -> Iterator[T]:
     """``fn(i)`` for each i in ``range(len(names))``, in order; ``names`` label the tasks
     in the error of a child that dies."""
     n = len(names)
-    if n > MAX_TASKS:
-        yield from map(fn, range(n))
-        return
     with tempfile.TemporaryDirectory(prefix="ordreg-") as folder:
         tokens, write_end = os.pipe()
         try:

@@ -401,6 +401,34 @@ def test_seed_flag_rewrites_seed_list_and_split_seed(ws, tmp_path):
     assert doc["config"]["split_seed"] == 5
 
 
+@pytest.mark.parametrize("command", ["cv", "train"])
+def test_a_negative_seed_flag_exits_one_naming_it_before_any_data_is_read(tmp_path, capsys,
+                                                                           command):
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["ce"],
+                                             "data": str(tmp_path / "absent.csv"), "out": str(out)})
+    assert run([command, "--config", cfg, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed: must be at least 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("field,value", [
+    ("lr", -1), ("activation", "sigmoid"), ("num_bins", 20_000), ("hidden_dims", [0]),
+])
+def test_a_bad_training_field_is_named_even_when_the_data_is_bad_too(tmp_path, capsys,
+                                                                      command, field, value):
+    data = tmp_path / "bad.csv"
+    data.write_text("id,f_1,r_1,r_2\na,0.5,1,2\nb,x,2,2\n")  # line 3: feature x
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["ce"], "data": str(data),
+                                             "out": str(out), field: value})
+    assert run([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "line 3" not in err
+    assert not out.exists()
+
+
 def test_rerunning_cv_reproduces_everything_but_meta(ws, tmp_path):
     docs = []
     for name in ("r1", "r2"):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordreg.cli import _check_methods, _load_config, _train_config, run
+from ordreg.cli import _load_config, _train_configs, run
 from ordreg.core import InputError, ProblemSpec
 from ordreg.data import load_csv
 
@@ -111,9 +111,7 @@ def test_experiment_config_loads_or_raises_input_error(scratch, text):
     path = scratch / "exp.json"
     path.write_text(text)
     try:
-        cfg = _load_config(str(path))
-        for method in _check_methods(cfg["methods"] or []):
-            _train_config(cfg, method, input_dim=2)
+        _train_configs(_load_config(str(path)))
     except InputError:
         pass
 
