@@ -160,12 +160,17 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["decode"] = args.decode
     if getattr(args, "ties", None):
         cfg["ties"] = args.ties
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise InputError(f"--seed: must be at least 0, got {args.seed}")
+    if _seed_flag(args) is not None:
         cfg["seeds"] = [args.seed + i for i in range(len(cfg["seeds"]))]
         cfg["split_seed"] = args.seed
     return cfg
+
+
+def _seed_flag(args: argparse.Namespace) -> Optional[int]:
+    """The ``--seed`` flag, or None; numpy.random.default_rng takes seeds >= 0 only."""
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"--seed: must be at least 0, got {args.seed}")
+    return args.seed
 
 
 def _check_methods(names: Sequence[str]) -> list[str]:
@@ -244,7 +249,8 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
-    dataset = generate_synthetic(_synthetic(read_json(args.config), args.seed))
+    seed = _seed_flag(args)
+    dataset = generate_synthetic(_synthetic(read_json(args.config), seed))
     save_csv(dataset, args.out)
     log.info("wrote %d examples to %s", len(dataset), args.out)
 

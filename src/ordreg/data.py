@@ -114,28 +114,14 @@ def _vote_matrix(votes: Sequence[Sequence[int]], spec: ProblemSpec) -> np.ndarra
     """The (N, R) int matrix of per-example vote lists, R the longest list.
 
     Entry (i, j) is vote j of example i, and 0 past the end of a shorter list.
-    Integer votes in range are checked as one array. Anything else goes
-    through the per-vote checks of :func:`soft_label_from_votes`, in example
-    order, so the first bad example raises that function's message.
+    Each vote is checked as in :func:`soft_label_from_votes`, in example order,
+    so the first bad example raises that function's message.
     """
-    lengths = np.array([len(v) for v in votes], dtype=np.int64)
-    try:
-        flat = np.array([x for v in votes for x in v])
-    except (OverflowError, TypeError, ValueError):
-        flat = np.array([], dtype=object)
-    if (
-        flat.dtype.kind not in "iu" or not lengths.all()
-        or flat.min() < 1 or flat.max() > spec.num_classes
-    ):
-        checked: list[int] = []
-        for v in votes:
-            if len(v) == 0:
-                raise InputError("votes must be non-empty")
-            checked.extend(check_class_index(x, spec) for x in v)
-        flat = np.array(checked, dtype=np.int64)
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    matrix = np.zeros((len(votes), lengths.max(initial=0)), dtype=np.int64)
-    matrix[np.repeat(np.arange(len(votes)), lengths), np.arange(flat.size) - starts] = flat
+    matrix = np.zeros((len(votes), max(map(len, votes), default=0)), dtype=np.int64)
+    for i, v in enumerate(votes):
+        if len(v) == 0:
+            raise InputError("votes must be non-empty")
+        matrix[i, : len(v)] = [check_class_index(x, spec) for x in v]
     return matrix
 
 

@@ -26,7 +26,6 @@ import logging
 import math
 import time
 import warnings
-from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
@@ -739,14 +738,6 @@ def _record_columns(path, header: list[str]) -> _RecordColumns:
                           soft=columns[:k], pred=columns[k:])
 
 
-def _record_table(ids: list[str], numbers: np.ndarray, classes: np.ndarray) -> RecordTable:
-    """The checked table of rows of numbers (weight, soft_1..soft_K, pred_1..pred_K) and
-    classes (hard, pred_hard); a failing row raises RecordRowError."""
-    k = (numbers.shape[1] - 1) // 2
-    return RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k], pred=numbers[:, 1 + k :],
-                       hard=classes[:, 0], pred_hard=classes[:, 1], weight=numbers[:, 0])
-
-
 def _each_once(convert, column: list[str]) -> list:
     """``convert`` of each field, called once per distinct string (votes and labels repeat)."""
     memo = {field: convert(field) for field in dict.fromkeys(column)}
@@ -786,17 +777,18 @@ def _read_plain_records(path) -> Optional[RecordTable]:
             return None
     if not ids:
         return None
+    numbers, classes, k = np.concatenate(numbers), np.concatenate(classes), len(cols.soft)
     try:
-        return _record_table(ids, np.concatenate(numbers), np.concatenate(classes))
+        return RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k], pred=numbers[:, 1 + k :],
+                           hard=classes[:, 0], pred_hard=classes[:, 1], weight=numbers[:, 0])
     except RecordRowError as err:  # row i of a plain file is its line i + 2
         raise InputError(f"{path} line {err.row + 2}: {err}") from None
 
 
 def _read_record_rows(path) -> RecordTable:
-    """The table of a records.csv read row by row: each row is checked as an EvalRecord
-    and kept only as its numbers (keeping the records triples the peak memory). The
-    first row that fails raises InputError naming the line it starts on."""
-    ids, numbers, classes = [], array("d"), array("q")
+    """The table of a records.csv read row by row, each row checked as an EvalRecord.
+    The first row that fails raises InputError naming the line it starts on."""
+    records = []
     with csv_rows(path) as reader:
         try:
             cols = _record_columns(path, next(reader))
@@ -808,17 +800,12 @@ def _read_record_rows(path) -> RecordTable:
             if not row:
                 continue
             try:
-                record = cols.record(row)
+                records.append(cols.record(row))
             except ValueError as err:  # InputError included
                 raise InputError(f"{path} line {line_no}: {err}") from None
-            ids.append(record.example_id)
-            numbers.extend([record.weight, *record.soft.probs.tolist(),
-                            *record.pred_dist.probs.tolist()])
-            classes.extend((record.hard, record.pred_hard))
-    if not ids:
+    if not records:
         raise InputError(f"{path}: no records")
-    return _record_table(ids, np.frombuffer(numbers).reshape(len(ids), -1),
-                         np.frombuffer(classes, np.int64).reshape(-1, 2))
+    return record_table(records)
 
 
 def read_records_csv(path) -> RecordTable:

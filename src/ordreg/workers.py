@@ -6,9 +6,9 @@ No process starts a thread of its own.
 
 - A pipe holds one token per task index, written before the fork, so the
   tasks must fit one pipe buffer (2,048 in Linux's smallest, 4 KiB; ``cv``
-  hands over at most nine). Every process reads the next token when it is
-  free, so tasks go out in index order. This process takes task 0 before it
-  forks.
+  hands over at most nine). Every process reads the next token only when it
+  is free to start that task, so tasks go out in index order and none waits
+  behind a busy process. This process takes task 0 before it forks.
 - A child pickles each task's result, or the exception it raised, to a file
   in a private temporary directory. Over its own pipe it sends 3-byte
   ``start j`` and ``done j`` messages; a write that short is atomic and fits
@@ -18,10 +18,11 @@ No process starts a thread of its own.
   result at its ``done``. A child that dies fails the task it started and
   did not finish.
 - The first failed task raises its exception in its turn; no later result is
-  yielded. Leaving the generator in any way kills and reaps every child, and
-  then removes the directory.
+  yielded, though later tasks may have run by then. Leaving the generator in
+  any way kills and reaps every child, and then removes the directory.
 
-``cli`` imports this module only when it forks.
+``cli`` imports this module only when it forks, so no other command pays for
+the import.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def in_order(fn: Callable[[int], T], names: Sequence[str], children: int) -> Ite
         started: dict[int, int] = {}  # task -> pid of the child running it, until it is done
         done: dict[int, tuple[bool, object]] = {}  # task -> (ok, result or exception)
         try:
-            mine = _take(tokens)
+            mine = _take(tokens)  # task 0 runs here; any later task is taken as it starts
             for stream in (sys.stdout, sys.stderr):
                 stream.flush()  # so that no child holds a copy of buffered output
             for _ in range(children):
@@ -69,17 +70,19 @@ def in_order(fn: Callable[[int], T], names: Sequence[str], children: int) -> Ite
                     _serve(fn, tokens, write_end, folder)
                 os.close(write_end)
                 pipes[read_end] = pid
+            free = True  # until this process finds no token left
             for i in range(n):
                 while i not in done:
-                    busy = mine is not None and all(ok for j, (ok, _) in done.items() if j < mine)
-                    if not busy and not pipes:
+                    if not free and not pipes:
                         done[i] = False, RuntimeError(
                             f"a worker process exited before it ran {names[i]}")
                         break
-                    ready = select.select(list(pipes), [], [], 0 if busy else None)[0]
+                    ready = select.select(list(pipes), [], [], 0 if free else None)[0]
                     if not ready:
-                        done[mine] = _attempt(fn, mine)
-                        mine = _take(tokens)
+                        task = _take(tokens) if mine is None else mine
+                        mine, free = None, task is not None
+                        if free:
+                            done[task] = _attempt(fn, task)
                     for fd in ready:
                         message = os.read(fd, 1 + _TOKEN)
                         if not message:  # the pipe closes when the child exits

@@ -256,6 +256,23 @@ def _cv_with_jobs(jobs: str):
     return case
 
 
+def _cv_with_ties(ws, tmp_path):
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(ws.data), "ties": "highest",
+                                             "out": str(tmp_path / "r")})
+    return ["cv", "--config", cfg], None
+
+
+def _cv_without_data(ws, tmp_path):
+    return ["cv", "--config", write_json(tmp_path / "exp.json",
+                                         {**EXP, "out": str(tmp_path / "r")})], None
+
+
+def _compare_without_folds(ws, tmp_path):
+    (tmp_path / "empty" / "fold_1").mkdir(parents=True)
+    return (["compare", str(ws.results / "ce"), str(tmp_path / "empty"), "--metric", "mae_uw",
+             "--direction", "lower"], str(tmp_path / "empty"))
+
+
 _ROW = b"a,0.5,1,2\n"
 
 
@@ -285,11 +302,15 @@ _ROW = b"a,0.5,1,2\n"
      "'mae_uw'"),
     (_cv_with_jobs("-3"), "--jobs"),
     (_cv_with_jobs("0"), "--jobs"),
+    (_cv_with_ties, "field 'ties': must be 'paper' or 'lowest', got 'highest'"),
+    (_cv_without_data, "field 'data': a data CSV (--data) or a synthetic block is required"),
+    (_compare_without_folds, ": no fold_*/metrics.json files"),
 ], ids=["config-json", "generate-field-type", "generate-json-list", "generate-fractional-count",
         "thresholds-scalar", "data-not-utf8", "data-field-limit", "records-field-limit",
         "count-over-cap", "vote-over-inferred-class-cap", "metrics-json",
         "metrics-missing-metric", "metrics-fractional-count", "metrics-zero-count",
-        "metrics-nan", "metrics-infinity", "jobs-negative", "jobs-zero"])
+        "metrics-nan", "metrics-infinity", "jobs-negative", "jobs-zero", "ties-unknown",
+        "no-data-source", "compare-no-folds"])
 def test_bad_input_files_exit_one_naming_the_file_or_field(ws, tmp_path, capsys, case, named):
     args, path = case(ws, tmp_path)
     assert run(args) == 1
@@ -401,13 +422,16 @@ def test_seed_flag_rewrites_seed_list_and_split_seed(ws, tmp_path):
     assert doc["config"]["split_seed"] == 5
 
 
-@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("command", ["cv", "train", "generate"])
 def test_a_negative_seed_flag_exits_one_naming_it_before_any_data_is_read(tmp_path, capsys,
                                                                            command):
     out = tmp_path / "r"
-    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["ce"],
-                                             "data": str(tmp_path / "absent.csv"), "out": str(out)})
-    assert run([command, "--config", cfg, "--seed", "-1"]) == 1
+    if command == "generate":  # nothing is drawn or written
+        args = ["--config", write_json(tmp_path / "synth.json", SYNTH), "--out", str(out)]
+    else:
+        args = ["--config", write_json(tmp_path / "exp.json", {
+            **EXP, "methods": ["ce"], "data": str(tmp_path / "absent.csv"), "out": str(out)})]
+    assert run([command, *args, "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: --seed: must be at least 0, got -1\n"
     assert not out.exists()
 
@@ -427,6 +451,35 @@ def test_a_bad_training_field_is_named_even_when_the_data_is_bad_too(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and "line 3" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,key,value", [
+    ("--data", "data", None), ("--decode", "decode", "count"), ("--ties", "ties", "lowest"),
+])
+def test_each_flag_gives_the_output_tree_of_its_config_key(ws, tmp_path, flag, key, value):
+    value = str(ws.data) if value is None else value
+    base = {**EXP, "data": str(ws.data)}
+    trees = []
+    for name, doc, flags in (("key", {**base, key: value}, []),
+                             ("flag", {k: v for k, v in base.items() if k != key}, [flag, value])):
+        cfg = write_json(tmp_path / f"{name}.json", {**doc, "out": str(tmp_path / "r")})
+        assert run(["cv", "--config", cfg] + flags) == 0
+        trees.append(_tree(tmp_path / "r"))
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        echoed = summary["dataset"]["source"] if key == "data" else summary["config"][key]
+        assert echoed == value
+    assert trees[0] == trees[1]
+
+
+def test_a_configured_num_classes_above_the_highest_vote_is_echoed_and_used(ws, tmp_path):
+    out = tmp_path / "r"
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["ce"], "num_classes": 5,
+                                             "data": str(ws.data), "out": str(out)})
+    assert run(["cv", "--config", cfg]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["config"]["num_classes"] == 5 and doc["dataset"]["num_classes"] == 5
+    header = (out / "ce" / "fold_1" / "records.csv").read_text().splitlines()[0]
+    assert header.endswith(",soft_5,pred_1,pred_2,pred_3,pred_4,pred_5")
 
 
 def test_rerunning_cv_reproduces_everything_but_meta(ws, tmp_path):
@@ -877,6 +930,15 @@ def test_version_flag_reports_the_package_version():
     proc = subprocess.run(CLI + ["--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert re.fullmatch(r"ordreg \d+\.\d+\.\d+\n", proc.stdout)
+
+
+def test_importing_the_cli_loads_no_forking_machinery():
+    # cv --jobs imports ordreg.workers when it forks; every other command skips the import
+    code = ("import sys, ordreg.cli; print(sorted(set(sys.modules) & {'ordreg.workers',"
+            " 'multiprocessing', 'concurrent.futures'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_log_env_var_enables_info_logging(tmp_path):

@@ -2,6 +2,7 @@
 leave no process behind (the conftest fixture checks the last)."""
 
 import os
+import select
 import signal
 import sys
 import tempfile
@@ -82,6 +83,41 @@ def task_one_in_a_child(then):
     finally:
         os.close(read_end)
         os.close(write_end)
+
+
+def test_a_process_takes_a_task_only_when_it_starts_it():
+    """Task 0, which this process takes before it forks, ends while the child is in
+    task 1. This process must not take task 2 then: the caller holds result 0, so
+    task 2 runs only if the child, once free, can take it."""
+    begun_r, begun_w = os.pipe()  # task 1 has begun
+    held_r, held_w = os.pipe()  # the caller holds result 0
+    ran_r, ran_w = os.pipe()  # task 2 has begun
+
+    def fn(i):
+        if i == 0:
+            assert os.read(begun_r, 1) == b"1"
+            return "zero"
+        if i == 1:
+            os.write(begun_w, b"1")
+            assert os.read(held_r, 1) == b"0"
+            return "one"
+        os.write(ran_w, b"2")
+        return "two"
+
+    try:
+        fds = _open_fds()
+        with time_limit(60):
+            results = in_order(fn, ["task 0", "task 1", "task 2"], children=1)
+            assert next(results) == "zero"
+            os.write(held_w, b"0")
+            ran = select.select([ran_r], [], [], 10)[0]
+            rest = list(results)
+        assert _open_fds() == fds
+    finally:
+        for fd in (begun_r, begun_w, held_r, held_w, ran_r, ran_w):
+            os.close(fd)
+    assert ran == [ran_r], "task 2 did not run within 10 s of result 0"
+    assert rest == ["one", "two"]
 
 
 def test_a_child_killed_by_a_signal_fails_its_task_after_the_earlier_results():
