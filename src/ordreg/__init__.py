@@ -23,8 +23,6 @@ from .core import (
     decode_argmax,
     decode_count,
     exceedance_from_soft,
-    hard_label_from_soft,
-    soft_label_from_votes,
     sord_soft_label,
 )
 from .losses import (

@@ -42,8 +42,10 @@ from .data import (
 )
 from .harness import (
     ALL_DECODES,
+    HISTORY_FILE,
     METHODS,
     METRICS_FILE,
+    RECORDS_FILE,
     SUMMARY_FILE,
     ExperimentResult,
     FoldOutcome,
@@ -148,12 +150,16 @@ def _typed_config(cfg: dict) -> dict:
 
 
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "data", None):
-        cfg["data"] = args.data
-    if getattr(args, "methods", None):
-        cfg["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
+    # a flag given empty is an error, not the config's value: Path("") is the current directory
+    for name in ("data", "methods", "out"):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if name == "methods":
+            value = [m.strip() for m in value.split(",") if m.strip()]
+        if not value:
+            raise InputError(f"--{name}: must not be empty")
+        cfg[name] = value
     if getattr(args, "folds", None) is not None:
         cfg["folds"] = args.folds
     if getattr(args, "decode", None):
@@ -266,7 +272,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
     outcomes = train_single(dataset, config, split_seed=cfg["split_seed"])
     out = Path(cfg["out"]) / config.method
     histories = {o.seed: o.history for o in outcomes}
-    atomic_write_text(out / "history.csv", history_csv_text(histories))
+    atomic_write_text(out / HISTORY_FILE, history_csv_text(histories))
     for outcome in outcomes:
         save_params(outcome.params, out / f"seed_{outcome.seed}_params.json")
         log.info(
@@ -355,7 +361,7 @@ def _num_bins(args: argparse.Namespace) -> int:
 
 def _records_path(data: str) -> str | Path:
     """``--data`` of ``evaluate`` and ``curves``: a records.csv, or a fold directory holding one."""
-    return Path(data) / "records.csv" if Path(data).is_dir() else data
+    return Path(data) / RECORDS_FILE if Path(data).is_dir() else data
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:

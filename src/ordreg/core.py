@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "ClassDistribution",
     "DISTANCE_AE",
     "DISTANCE_SE",
-    "soft_label_from_votes",
-    "hard_label_from_soft",
     "exceedance_from_soft",
     "class_distribution_from_tasks",
     "decode_count",
@@ -123,10 +121,6 @@ class ExceedanceLabel:
             "ExceedanceLabel.exceed", self.exceed, "exceedance entries", 1,
             "an exceedance label needs at least one entry", non_increasing=True))
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.exceed.size) + 1
-
 
 @dataclass(frozen=True)
 class TaskProbabilities:
@@ -145,10 +139,6 @@ class TaskProbabilities:
         object.__setattr__(self, "probs", _checked_vector(
             "TaskProbabilities.probs", self.probs, "task probabilities", 1,
             "task probabilities need at least one entry"))
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.probs.size) + 1
 
 
 @dataclass(frozen=True)
@@ -176,23 +166,6 @@ def check_class_index(label: int, spec: ProblemSpec) -> int:
     return idx
 
 
-def soft_label_from_votes(votes: Sequence[int], spec: ProblemSpec) -> RatingDistribution:
-    """Empirical rating distribution: entry k is the fraction of votes for class k.
-
-    Parameters
-    ----------
-    votes : sequence of int
-        One class index in 1..K per rater. Must be non-empty.
-    spec : ProblemSpec
-    """
-    if len(votes) == 0:
-        raise InputError("votes must be non-empty")
-    counts = np.zeros(spec.num_classes, dtype=np.float64)
-    for v in votes:
-        counts[check_class_index(v, spec) - 1] += 1.0
-    return RatingDistribution(counts / len(votes))
-
-
 def _argmax_rows(p: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximum: the lowest class on an exact tie
     return np.argmax(p, axis=-1) + 1
@@ -206,11 +179,6 @@ def class_max(a: np.ndarray) -> np.ndarray:
 
 def class_min(a: np.ndarray) -> np.ndarray:
     return np.asarray(np.minimum.reduce(a.T.copy(), axis=0).T, order="C")
-
-
-def hard_label_from_soft(dist: RatingDistribution) -> int:
-    """Mode of a rating distribution; an exact tie goes to the lowest class."""
-    return int(_argmax_rows(dist.probs))
 
 
 def _checked_rows(name: str, values, min_width: int, sums_to_one: bool = False) -> np.ndarray:

@@ -114,8 +114,8 @@ def _vote_matrix(votes: Sequence[Sequence[int]], spec: ProblemSpec) -> np.ndarra
     """The (N, R) int matrix of per-example vote lists, R the longest list.
 
     Entry (i, j) is vote j of example i, and 0 past the end of a shorter list.
-    Each vote is checked as in :func:`soft_label_from_votes`, in example order,
-    so the first bad example raises that function's message.
+    Votes are checked in example order, so the first bad example raises its message:
+    ``votes must be non-empty``, or that of :func:`core.check_class_index`.
     """
     matrix = np.zeros((len(votes), max(map(len, votes), default=0)), dtype=np.int64)
     for i, v in enumerate(votes):
@@ -169,8 +169,8 @@ def dataset_from_votes(
     """Assemble a Dataset whose soft labels are the vote fractions.
 
     Position j of each vote list is rater j; a shorter list leaves the later
-    raters without a vote. The mode is the lowest modal class, as in
-    :func:`core.hard_label_from_soft`, and an example with more than one
+    raters without a vote. The mode is the lowest modal class, the argmax
+    rule of :func:`core.decode_argmax`, and an example with more than one
     modal class is tied.
     """
     matrix = _vote_matrix(votes, spec)

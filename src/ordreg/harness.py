@@ -71,6 +71,9 @@ from .metrics import (
     record_table,
 )
 from .model import (
+    HEAD_INDEPENDENT,
+    HEAD_SHARED_SLOPE_BIAS,
+    HEAD_SOFTMAX,
     AdamState,
     Batch,
     EncoderConfig,
@@ -119,15 +122,15 @@ class MethodSpec:
 METHODS: dict[str, MethodSpec] = {
     m.name: m
     for m in (
-        MethodSpec("ce", losses_mod.LOSS_CE, "softmax", DECODE_ARGMAX),
-        MethodSpec("ce_soft", losses_mod.LOSS_CE_SOFT, "softmax", DECODE_ARGMAX),
-        MethodSpec("or_cnn", losses_mod.LOSS_OR_CNN, "independent", DECODE_COUNT),
-        MethodSpec("or_soft", losses_mod.LOSS_OR_SOFT, "independent", DECODE_COUNT),
-        MethodSpec("coral", losses_mod.LOSS_OR_CNN, "shared-slope-bias", DECODE_COUNT),
-        MethodSpec("coral_soft", losses_mod.LOSS_OR_SOFT, "shared-slope-bias", DECODE_COUNT),
-        MethodSpec("corn", losses_mod.LOSS_CORN, "independent", DECODE_COUNT),
-        MethodSpec("sord_ae", losses_mod.LOSS_SORD_AE, "softmax", DECODE_ARGMAX),
-        MethodSpec("sord_se", losses_mod.LOSS_SORD_SE, "softmax", DECODE_ARGMAX),
+        MethodSpec("ce", losses_mod.LOSS_CE, HEAD_SOFTMAX, DECODE_ARGMAX),
+        MethodSpec("ce_soft", losses_mod.LOSS_CE_SOFT, HEAD_SOFTMAX, DECODE_ARGMAX),
+        MethodSpec("or_cnn", losses_mod.LOSS_OR_CNN, HEAD_INDEPENDENT, DECODE_COUNT),
+        MethodSpec("or_soft", losses_mod.LOSS_OR_SOFT, HEAD_INDEPENDENT, DECODE_COUNT),
+        MethodSpec("coral", losses_mod.LOSS_OR_CNN, HEAD_SHARED_SLOPE_BIAS, DECODE_COUNT),
+        MethodSpec("coral_soft", losses_mod.LOSS_OR_SOFT, HEAD_SHARED_SLOPE_BIAS, DECODE_COUNT),
+        MethodSpec("corn", losses_mod.LOSS_CORN, HEAD_INDEPENDENT, DECODE_COUNT),
+        MethodSpec("sord_ae", losses_mod.LOSS_SORD_AE, HEAD_SOFTMAX, DECODE_ARGMAX),
+        MethodSpec("sord_se", losses_mod.LOSS_SORD_SE, HEAD_SOFTMAX, DECODE_ARGMAX),
     )
 }
 
@@ -218,7 +221,7 @@ def predict_prob_matrix(params: ModelParams, method: str, features: np.ndarray) 
     logits = forward(params.with_flat(np.repeat(flat, tiles, axis=0)), padded.reshape(-1, _TILE, d))
     k = logits.shape[-1]
     logits = logits.reshape(m, -1, k)[:, :n].reshape(-1, k)  # every model's rows as one matrix
-    if spec.head_kind == "softmax":
+    if spec.head_kind == HEAD_SOFTMAX:
         probs = softmax(logits)
     else:
         tasks = sigmoid(logits)

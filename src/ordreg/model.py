@@ -84,44 +84,19 @@ class EncoderConfig:
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
 
-@dataclass(frozen=True)
-class ParamLayout:
+def _layout(config: EncoderConfig, head_kind: str, k: int) -> tuple[tuple[int, ...], ...]:
     """Shapes of the trainable tensors, in flat-vector order.
 
     The order is every encoder weight, every encoder bias, the head weight,
     then the head bias; the flat vector is their C-order ravels concatenated.
     """
-
-    shapes: tuple[tuple[int, ...], ...]
-    n_layers: int
-
-    @cached_property
-    def _bounds(self) -> tuple[tuple[int, int], ...]:
-        ends = tuple(accumulate(math.prod(s) for s in self.shapes))
-        return tuple(zip((0, *ends[:-1]), ends))
-
-    @property
-    def size(self) -> int:
-        return self._bounds[-1][1]
-
-    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Every tensor as a view: shaped ``s`` from one vector, ``(M, *s)`` from (M, P) rows."""
-        lead = flat.shape[:-1]
-        return tuple(flat[..., a:b].reshape(*lead, *s)
-                     for (a, b), s in zip(self._bounds, self.shapes))
-
-
-def _layout(config: "EncoderConfig", head_kind: str, k: int) -> ParamLayout:
     dims = (config.input_dim, *config.hidden_dims)
     w_shape, n_bias = _head_shapes(config, head_kind, k)
-    return ParamLayout(
-        shapes=(
-            *((fan_out, fan_in) for fan_in, fan_out in zip(dims[:-1], dims[1:])),
-            *((fan_out,) for fan_out in dims[1:]),
-            w_shape,
-            (n_bias,),
-        ),
-        n_layers=len(dims) - 1,
+    return (
+        *((fan_out, fan_in) for fan_in, fan_out in zip(dims[:-1], dims[1:])),
+        *((fan_out,) for fan_out in dims[1:]),
+        w_shape,
+        (n_bias,),
     )
 
 
@@ -136,28 +111,30 @@ class ParamBundle:
     """
 
     flat: np.ndarray
-    layout: ParamLayout
+    layout: tuple[tuple[int, ...], ...]  # the tensor shapes of :func:`_layout`
 
     def __post_init__(self) -> None:
-        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != self.layout.size:
-            raise InputError(
-                f"flat vector must have {self.layout.size} entries, got {self.flat.shape}"
-            )
+        size = sum(math.prod(s) for s in self.layout)
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != size:
+            raise InputError(f"flat vector must have {size} entries, got {self.flat.shape}")
 
     @cached_property
     def _views(self) -> tuple[np.ndarray, ...]:
-        return self.layout.views(self.flat)
+        lead = self.flat.shape[:-1]
+        ends = tuple(accumulate(math.prod(s) for s in self.layout))
+        return tuple(self.flat[..., a:b].reshape(*lead, *s)
+                     for a, b, s in zip((0, *ends[:-1]), ends, self.layout))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return self._views
 
     @property
     def encoder_w(self) -> tuple[np.ndarray, ...]:
-        return self._views[: self.layout.n_layers]
+        return self._views[: len(self.layout) // 2 - 1]
 
     @property
     def encoder_b(self) -> tuple[np.ndarray, ...]:
-        return self._views[self.layout.n_layers : 2 * self.layout.n_layers]
+        return self._views[len(self.layout) // 2 - 1 : -2]
 
     @property
     def head_w(self) -> np.ndarray:
@@ -218,13 +195,13 @@ def init_params(
     layout = _layout(config, head_kind, spec.num_classes)
     rng = np.random.default_rng([int(seed), _INIT_STREAM])
     enc_w = []
-    for fan_out, fan_in in layout.shapes[: layout.n_layers]:
+    for fan_out, fan_in in layout[: len(config.hidden_dims)]:
         bound = 1.0 / np.sqrt(fan_in)
         enc_w.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-    enc_b = [np.zeros(shape) for shape in layout.shapes[layout.n_layers : -2]]
+    enc_b = [np.zeros(shape) for shape in layout[len(config.hidden_dims) : -2]]
     bound = 1.0 / np.sqrt(config.output_dim)
-    head_w = rng.uniform(-bound, bound, size=layout.shapes[-2])
-    flat = np.concatenate([*enc_w, *enc_b, head_w, np.zeros(layout.shapes[-1])], axis=None)
+    head_w = rng.uniform(-bound, bound, size=layout[-2])
+    flat = np.concatenate([*enc_w, *enc_b, head_w, np.zeros(layout[-1])], axis=None)
     return ModelParams(config, head_kind, spec.num_classes, ParamBundle(flat, layout))
 
 
@@ -440,7 +417,7 @@ def _backward(
         np.matmul(_t(dlogits), acts[-1], out=out.head_w)
         dz = dlogits @ bundle.head_w
 
-    for i in range(bundle.layout.n_layers - 1, -1, -1):
+    for i in range(len(params.encoder.hidden_dims) - 1, -1, -1):
         if params.encoder.activation == ACT_RELU:
             dpre = dz * (pres[i] > 0.0)
         else:
@@ -460,15 +437,13 @@ def init_adam_state(params: ModelParams, lr: float = 1e-5) -> AdamState:
 _BIAS_TABLES: dict[float, np.ndarray] = {}  # beta -> 1 - beta**s for s = 0, 1, ..., grown on demand
 
 
-def _bias_correction(beta: float, t: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
-    """1 - beta**t, the power in Python floats; an (M, 1) column of the table for stacked models."""
-    if isinstance(t, np.ndarray):
-        try:
-            return _BIAS_TABLES[beta][t, None]
-        except (KeyError, IndexError):
-            _BIAS_TABLES[beta] = 1.0 - np.array([beta**s for s in range(2 * int(t.max()) + 1024)])
-            return _BIAS_TABLES[beta][t, None]
-    return 1.0 - beta**t
+def _bias_correction(beta: float, t: Union[int, np.ndarray]) -> np.ndarray:
+    """1 - beta**t from the table: (1,) for an int step, (M, 1) for stacked (M,) steps."""
+    try:
+        return _BIAS_TABLES[beta][t, None]
+    except (KeyError, IndexError):
+        _BIAS_TABLES[beta] = 1.0 - np.array([beta**s for s in range(2 * int(np.max(t)) + 1024)])
+        return _BIAS_TABLES[beta][t, None]
 
 
 def adam_step(
@@ -550,7 +525,7 @@ def load_params(path: str | Path) -> ModelParams:
     tensors = lambda ts: [np.asarray(t, dtype=np.float64) for t in ts]  # noqa: E731
     arrays = [*field("encoder_w", tensors), *field("encoder_b", tensors),
               *field("head_w", lambda w: tensors([w])), *field("head_b", lambda b: tensors([b]))]
-    if tuple(a.shape for a in arrays) != layout.shapes:
+    if tuple(a.shape for a in arrays) != layout:
         raise InputError(f"{path}: parameter shapes do not match the encoder and head")
     flat = np.concatenate(arrays, axis=None)
     return ModelParams(enc, doc["head_kind"], spec.num_classes, ParamBundle(flat, layout))

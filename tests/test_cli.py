@@ -4,6 +4,7 @@ import json
 import os
 import re
 import select
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -437,6 +438,20 @@ def test_a_negative_seed_flag_exits_one_naming_it_before_any_data_is_read(tmp_pa
 
 
 @pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("flag,value", [
+    ("--data", ""), ("--methods", ""), ("--methods", " , "), ("--out", ""),
+])
+def test_an_empty_data_methods_or_out_flag_exits_one_naming_it(ws, tmp_path, monkeypatch, capsys,
+                                                                command, flag, value):
+    monkeypatch.chdir(tmp_path)  # Path("") is the current directory: nothing may land there
+    cfg = write_json(tmp_path / "exp.json", {**EXP, "methods": ["ce"], "data": str(ws.data),
+                                             "out": str(tmp_path / "r")})
+    assert run([command, "--config", cfg, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: must not be empty\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["exp.json"]
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
 @pytest.mark.parametrize("field,value", [
     ("lr", -1), ("activation", "sigmoid"), ("num_bins", 20_000), ("hidden_dims", [0]),
 ])
@@ -469,6 +484,17 @@ def test_each_flag_gives_the_output_tree_of_its_config_key(ws, tmp_path, flag, k
         echoed = summary["dataset"]["source"] if key == "data" else summary["config"][key]
         assert echoed == value
     assert trees[0] == trees[1]
+
+
+def test_cv_from_flags_alone_gives_the_tree_of_the_same_settings_as_a_config(tmp_path):
+    data = tmp_path / "small.csv"  # 20 examples keep the 1,000 default epochs short
+    synth = write_json(tmp_path / "synth.json", {**SYNTH, "n_examples": 20})
+    assert run(["generate", "--config", synth, "--out", str(data)]) == 0
+    assert run(["cv", "--data", str(data), "--methods", "ce", "--out", str(tmp_path / "f")]) == 0
+    cfg = write_json(tmp_path / "exp.json", {"data": str(data), "methods": ["ce"],
+                                             "out": str(tmp_path / "c")})
+    assert run(["cv", "--config", cfg]) == 0
+    assert _tree(tmp_path / "f") == _tree(tmp_path / "c")
 
 
 def test_a_configured_num_classes_above_the_highest_vote_is_echoed_and_used(ws, tmp_path):
@@ -863,6 +889,18 @@ def test_compare_rejects_mismatched_result_dirs(ws, tmp_path, capsys):
     assert run(["compare", str(ws.results / "or_soft"), str(lonely),
                 "--metric", "mae_uw", "--direction", "lower"]) == 1
     assert "folds" in capsys.readouterr().err
+
+
+def test_compare_skips_a_fold_directory_not_numbered(ws, tmp_path, capsys):
+    flags = ["--metric", "mae_uw", "--direction", "lower"]
+    assert run(["compare", str(ws.results / "or_soft"), str(ws.results / "ce"), *flags]) == 0
+    want = capsys.readouterr().out
+    extra = tmp_path / "ce"
+    shutil.copytree(ws.results / "ce", extra)
+    (extra / "fold_x").mkdir()
+    (extra / "fold_x" / "metrics.json").write_text("not JSON")  # read, it would fail compare
+    assert run(["compare", str(ws.results / "or_soft"), str(extra), *flags]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_every_json_output_is_canonical_text(ws, tmp_path):

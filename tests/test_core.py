@@ -18,8 +18,6 @@ from ordreg.core import (
     decode_argmax,
     decode_count,
     exceedance_from_soft,
-    hard_label_from_soft,
-    soft_label_from_votes,
     sord_soft_label,
 )
 
@@ -114,44 +112,6 @@ def test_task_probabilities_allow_saturated_endpoints():
     TaskProbabilities(np.array([1.0, 0.5, 0.0]))
     with pytest.raises(InputError):
         TaskProbabilities(np.array([1.5, 0.5]))
-
-
-# ---- soft_label_from_votes ----
-
-
-def test_votes_to_soft_label_counts_fractions():
-    got = soft_label_from_votes([2, 2, 3], K4)
-    np.testing.assert_allclose(got.probs, [0.0, 2 / 3, 1 / 3, 0.0])
-
-
-def test_single_vote_gives_one_hot():
-    np.testing.assert_array_equal(soft_label_from_votes([1], K4).probs, [1, 0, 0, 0])
-
-
-def test_one_vote_per_class_gives_uniform():
-    np.testing.assert_array_equal(
-        soft_label_from_votes([1, 2, 3, 4], K4).probs, [0.25] * 4
-    )
-
-
-def test_votes_must_be_non_empty_and_in_range():
-    with pytest.raises(InputError):
-        soft_label_from_votes([], K4)
-    with pytest.raises(InputError):
-        soft_label_from_votes([5], K4)
-    with pytest.raises(InputError):
-        soft_label_from_votes([0], K4)
-
-
-# ---- hard_label_from_soft ----
-
-
-def test_mode_of_distribution():
-    assert hard_label_from_soft(dist(0, 2 / 3, 1 / 3, 0)) == 2
-
-
-def test_exact_tie_resolves_to_lowest_class_by_default():
-    assert hard_label_from_soft(dist(0.5, 0.5, 0, 0)) == 1
 
 
 # ---- exceedance_from_soft ----

@@ -266,6 +266,15 @@ def test_load_csv_names_the_line_a_row_starts_on_after_a_quoted_line_break(tmp_p
     assert str(err.value) == f"{path}: line 5: malformed feature value"
 
 
+def test_load_csv_skips_a_blank_line_and_counts_it_in_later_line_numbers(tmp_path):
+    ds = load_csv(write_csv(tmp_path, "id,f_1,r_1\na,0.0,1\n\nb,1.0,2\n", "gap.csv"), SPEC4)
+    assert ds.ids == ("a", "b") and ds.votes.tolist() == [[1], [2]]
+    path = write_csv(tmp_path, "id,f_1,r_1\na,0.0,1\n\nb,x,2\n", "gapbad.csv")
+    with pytest.raises(InputError) as err:
+        load_csv(path, SPEC4)
+    assert str(err.value) == f"{path}: line 4: malformed feature value"
+
+
 def test_load_csv_names_a_repeated_id_and_both_of_its_lines(tmp_path):
     path = write_csv(tmp_path, 'id,f_1,r_1\na,0.0,1\n"b\nc",0.0,2\n a ,1.0,2\nd,1.0,1\n', "rep.csv")
     with pytest.raises(InputError) as err:
@@ -663,15 +672,27 @@ def test_soft_labels_always_sum_to_one_and_match_vote_counts():
 # ---- dataset_from_votes against the per-example derivation it replaced ----
 
 
+def _ref_soft_label(votes, spec):
+    """The earlier per-example vote-fraction rule: entry k is the fraction of votes for class k."""
+    from ordreg.core import RatingDistribution, check_class_index
+
+    if len(votes) == 0:
+        raise InputError("votes must be non-empty")
+    counts = np.zeros(spec.num_classes, dtype=np.float64)
+    for v in votes:
+        counts[check_class_index(v, spec) - 1] += 1.0
+    return RatingDistribution(counts / len(votes))
+
+
 def _ref_label_views(votes, spec):
     """The earlier per-example loop: soft, hard, modal classes, exceed and the int votes."""
-    from ordreg.core import exceedance_from_soft, soft_label_from_votes
+    from ordreg.core import exceedance_from_soft
 
     n, k = len(votes), spec.num_classes
     soft, hard, exceed = np.empty((n, k)), np.empty(n, dtype=np.int64), np.empty((n, k - 1))
     modal, clean = [], []
     for i, v in enumerate(votes):
-        dist = soft_label_from_votes(list(v), spec)
+        dist = _ref_soft_label(list(v), spec)
         clean.append(tuple(int(x) for x in v))
         soft[i] = dist.probs
         top = np.flatnonzero(dist.probs == dist.probs.max())

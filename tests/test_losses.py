@@ -104,6 +104,21 @@ def test_a_label_outside_the_classes_is_named_as_a_plain_number():
             ce_loss(np.array([0.25] * 4), label)
 
 
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_a_hard_label_loss_of_a_matrix_gives_each_row_the_bits_of_its_vector(k):
+    rng = np.random.default_rng(k)
+    labels = rng.integers(1, k + 1, size=50)
+    tasks = rng.uniform(0.01, 0.99, size=(50, k - 1))
+    tasks[:2] = [[0.0], [1.0]]  # saturated rows go through the log clamp
+    dists = rng.dirichlet(np.ones(k), size=50)
+    for loss, probs in ((or_cnn_loss, tasks), (ce_loss, dists)):
+        rows = loss(probs, labels)
+        assert rows.shape == (50,)
+        assert rows.tolist() == [loss(p, int(y)) for p, y in zip(probs, labels)]
+        with pytest.raises(InputError, match=r"^3 hard labels for 50 probability rows$"):
+            loss(probs, labels[:3])
+
+
 def test_soft_ce_reduces_to_ce_on_one_hot_targets():
     rng = np.random.default_rng(1)
     for _ in range(200):
