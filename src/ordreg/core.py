@@ -157,12 +157,15 @@ class ClassDistribution:
         return int(self.probs.size)
 
 
-def check_class_index(label: int, spec: ProblemSpec) -> int:
-    """Validate a 1-based class index against the problem spec."""
-    idx = int(label)
-    if idx != label or not 1 <= idx <= spec.num_classes:
+def check_class_index(label: int, k: int) -> int:
+    """``label`` as an int in 1..k; anything else (1.5, NaN, None, 'a') raises InputError."""
+    try:
+        idx = int(label)
+    except (TypeError, ValueError, OverflowError):  # None, 'a', nan, inf
+        idx = 0
+    if idx != label or not 1 <= idx <= k:
         shown = label.item() if isinstance(label, np.generic) else label  # 5, not np.int64(5)
-        raise InputError(f"class index {shown!r} outside 1..{spec.num_classes}")
+        raise InputError(f"class index {shown!r} outside 1..{k}")
     return idx
 
 
@@ -287,20 +290,19 @@ def decode_argmax(dist: Union[ClassDistribution, np.ndarray]) -> Union[int, np.n
     return _argmax_rows(_checked_rows("class probabilities", dist, 2, sums_to_one=True))
 
 
-def check_class_indices(labels, spec: ProblemSpec) -> np.ndarray:
-    """Validate a 1-d array of 1-based class indices against the problem spec."""
+def check_class_indices(labels, k: int) -> np.ndarray:
+    """``labels`` as a non-empty 1-d int64 array in 1..k, each checked as by check_class_index."""
     arr = np.asarray(labels)
     try:
-        idx = arr.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # NaN or inf casts silently, then fails below
+            idx = arr.astype(np.int64)
     except (TypeError, ValueError):
         raise InputError("class indices must be integers") from None
     if idx.ndim != 1 or idx.size == 0:
         raise InputError(f"class indices must be a non-empty 1-d array, got shape {idx.shape}")
-    bad = (idx != arr) | (idx < 1) | (idx > spec.num_classes)
+    bad = (idx != arr) | (idx < 1) | (idx > k)
     if bad.any():
-        raise InputError(
-            f"class index {arr[bad][0].item()!r} outside 1..{spec.num_classes}"
-        )
+        raise InputError(f"class index {arr[bad][0].item()!r} outside 1..{k}")
     return idx
 
 
@@ -318,9 +320,9 @@ def sord_soft_label(
     """
     single = np.ndim(true_class) == 0
     ys = (
-        np.array([check_class_index(true_class, spec)])
+        np.array([check_class_index(true_class, spec.num_classes)])
         if single
-        else check_class_indices(true_class, spec)
+        else check_class_indices(true_class, spec.num_classes)
     )
     ks = np.arange(1, spec.num_classes + 1, dtype=np.float64)
     if distance == DISTANCE_AE:

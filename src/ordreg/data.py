@@ -121,7 +121,7 @@ def _vote_matrix(votes: Sequence[Sequence[int]], spec: ProblemSpec) -> np.ndarra
     for i, v in enumerate(votes):
         if len(v) == 0:
             raise InputError("votes must be non-empty")
-        matrix[i, : len(v)] = [check_class_index(x, spec) for x in v]
+        matrix[i, : len(v)] = [check_class_index(x, spec.num_classes) for x in v]
     return matrix
 
 
@@ -479,52 +479,49 @@ class FoldSplit:
     folds: tuple[Fold, ...]
 
 
-def _stratified_split(
-    indices: np.ndarray, labels: np.ndarray, fraction: float, rng: np.random.Generator
-) -> tuple[list[int], list[int]]:
-    train: list[int] = []
-    val: list[int] = []
+def _stratified_split(indices: np.ndarray, labels: np.ndarray, fraction: float,
+                      rng: np.random.Generator, fold: Optional[int] = None):
+    """Sorted train and validation tuples of ``indices``: per class, in class order, one
+    ``rng.permutation`` shuffles its members and the first ``max(1, floor(fraction * size))``
+    train. An empty validation part raises, naming the 1-based ``fold`` when given."""
+    if not 0.0 < fraction < 1.0:
+        raise InputError(f"fraction must lie strictly between 0 and 1, got {fraction}")
+    train = np.zeros(indices.size, dtype=bool)
     for cls in np.unique(labels):
-        members = indices[labels == cls]
-        members = members[rng.permutation(members.size)]
-        # every class keeps at least one training example
-        n_train = max(1, int(np.floor(fraction * members.size)))
-        train.extend(int(i) for i in members[:n_train])
-        val.extend(int(i) for i in members[n_train:])
-    return sorted(train), sorted(val)
+        members = np.flatnonzero(labels == cls)
+        n_train = max(1, int(fraction * members.size))  # every class keeps one for training
+        train[members[rng.permutation(members.size)[:n_train]]] = True
+    if train.all():  # no index given, or each class has one
+        where = "" if fold is None else f"fold {fold}: "
+        cause = ("its test set holds every example" if indices.size == 0 else
+                 "each class has a single example to split, and every class keeps one for training")
+        raise InputError(f"{where}validation split is empty: {cause}")
+    return tuple(np.sort(indices[train]).tolist()), tuple(np.sort(indices[~train]).tolist())
 
 
-def train_val_split(
-    indices: Sequence[int], hard_labels, fraction: float = 0.8, seed: int = 0
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def train_val_split(indices: Sequence[int], hard_labels, fraction: float = 0.8,
+                    seed: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Stratified train/validation split of the given indices.
 
     ``hard_labels`` is the full dataset's hard-label array; stratification
     uses the labels at ``indices``. Deterministic per seed.
     """
-    if not 0.0 < fraction < 1.0:
-        raise InputError(f"fraction must lie strictly between 0 and 1, got {fraction}")
     if seed < 0:  # numpy.random.default_rng takes non-negative integers only
         raise InputError(f"split seed must be >= 0, got {seed}")
     idx = np.asarray([int(i) for i in indices], dtype=np.int64)
     if idx.size == 0:
         raise InputError("cannot split an empty index set")
-    labels = np.asarray(hard_labels)[idx]
     rng = np.random.default_rng([seed, _STREAM_TRAIN_VAL])
-    train, val = _stratified_split(idx, labels, fraction, rng)
-    if not val:
-        raise InputError("validation split is empty; lower the fraction or add data")
-    return tuple(train), tuple(val)
+    return _stratified_split(idx, np.asarray(hard_labels)[idx], fraction, rng)
 
 
-def stratified_k_fold(
-    dataset: Dataset, k: int, seed: int, val_fraction: float = 0.8
-) -> FoldSplit:
+def stratified_k_fold(dataset: Dataset, k: int, seed: int, val_fraction: float = 0.8) -> FoldSplit:
     """Stratified k-fold split with a per-fold stratified train/val partition.
 
-    Per hard class, examples are shuffled by seed and dealt round-robin into
-    the k test folds, so per-class test counts differ by at most one across
-    folds. Each fold's remaining examples are split train/val stratified.
+    Per hard class, examples are shuffled by seed and dealt round-robin: the p-th
+    gets fold label ``p % k``, so per-class test counts differ by at most one
+    across folds. Each fold's other examples are cut by :func:`_stratified_split`,
+    ``val_fraction`` of each class training; an empty validation part raises naming the fold.
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
@@ -534,29 +531,20 @@ def stratified_k_fold(
     if k > n:
         raise InputError(f"k={k} exceeds the {n} available examples")
     rng = np.random.default_rng([seed, _STREAM_FOLD_DEAL])
-    test_sets: list[list[int]] = [[] for _ in range(k)]
-    min_class_count = None
-    for cls in np.unique(dataset.hard):
+    classes, sizes = np.unique(dataset.hard, return_counts=True)
+    fold_of = np.empty(n, dtype=np.int64)
+    for cls, size in zip(classes, sizes):
         members = np.flatnonzero(dataset.hard == cls)
-        min_class_count = members.size if min_class_count is None else min(min_class_count, members.size)
-        members = members[rng.permutation(members.size)]
-        for pos, i in enumerate(members):
-            test_sets[pos % k].append(int(i))
-    if min_class_count is not None and k > min_class_count:
-        warnings.warn(
-            f"k={k} exceeds the smallest class count {min_class_count}; "
-            "some folds will miss that class",
-            stacklevel=2,
-        )
+        fold_of[members[rng.permutation(size)]] = np.arange(size) % k
+    if k > sizes.min():
+        warnings.warn(f"k={k} exceeds the smallest class count {sizes.min()}; "
+                      "some folds will miss that class", stacklevel=2)
     folds = []
-    all_indices = set(range(n))
-    for fold_idx, test in enumerate(test_sets):
-        rest = np.asarray(sorted(all_indices - set(test)), dtype=np.int64)
+    for fold_idx in range(k):
+        rest = np.flatnonzero(fold_of != fold_idx)
         fold_rng = np.random.default_rng([seed, _STREAM_TRAIN_VAL, fold_idx])
-        train, val = _stratified_split(rest, dataset.hard[rest], val_fraction, fold_rng)
-        if not val:
-            raise InputError("validation split is empty; lower val_fraction or add data")
-        folds.append(Fold(test=tuple(sorted(test)), train=tuple(train), val=tuple(val)))
+        train, val = _stratified_split(rest, dataset.hard[rest], val_fraction, fold_rng, fold_idx + 1)
+        folds.append(Fold(tuple(np.flatnonzero(fold_of == fold_idx).tolist()), train, val))
     return FoldSplit(folds=tuple(folds))
 
 

@@ -40,7 +40,6 @@ from .core import (
     ClassDistribution,
     ExceedanceLabel,
     InputError,
-    ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
     check_class_index,
@@ -89,8 +88,8 @@ def _probs(x, name: str) -> np.ndarray:
 def _hard_labels(y, p: np.ndarray, k: int) -> Union[int, np.ndarray]:
     """``y`` checked against 1..k: an int for one vector, an int array for a matrix."""
     if p.ndim == 1:
-        return check_class_index(y, ProblemSpec(k))
-    labels = check_class_indices(y, ProblemSpec(k))
+        return check_class_index(y, k)
+    labels = check_class_indices(y, k)
     if labels.shape != p.shape[:1]:
         raise InputError(f"{labels.size} hard labels for {p.shape[0]} probability rows")
     return labels
@@ -189,7 +188,7 @@ def corn_loss(task_cond_probs: ArrayLike, ys: Sequence[int]) -> Union[float, np.
         raise InputError(f"task probabilities of shape {p.shape} need labels of shape"
                          f" {p.shape[:-1]} (at most 3 axes), got {labels.shape}")
     k = p.shape[-1] + 1
-    rows = label_rows(check_class_indices(labels.ravel(), ProblemSpec(k)).reshape(labels.shape), k)
+    rows = label_rows(check_class_indices(labels.ravel(), k).reshape(labels.shape), k)
     subset = corn_subsets(rows)
     return corn_rows_loss(p, rows, subset, np.maximum(subset.sum(axis=-2, keepdims=True), 1))
 

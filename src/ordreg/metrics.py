@@ -39,6 +39,7 @@ from .core import (
     ClassDistribution,
     InputError,
     RatingDistribution,
+    check_class_indices,
     class_max,
     class_min,
     decode_argmax,
@@ -303,12 +304,10 @@ def qwk_from_pairs(
     Returns None when S_E is zero (all mass in one cell of both marginals),
     where agreement-above-chance is undefined.
     """
-    a = np.asarray(labels_a, dtype=np.int64)
-    b = np.asarray(labels_b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise InputError("label sequences must be equal-length, 1-d, non-empty")
-    if np.any(a < 1) or np.any(a > num_classes) or np.any(b < 1) or np.any(b > num_classes):
-        raise InputError(f"labels must lie in 1..{num_classes}")
+    a = check_class_indices(labels_a, num_classes)
+    b = check_class_indices(labels_b, num_classes)
+    if a.size != b.size:
+        raise InputError(f"label sequences must be equal-length, got {a.size} and {b.size}")
     table = _pair_table(a, b, num_classes, weights)
     idx = np.arange(num_classes, dtype=np.float64)
     penalty = (idx[:, None] - idx[None, :]) ** 2

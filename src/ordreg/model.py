@@ -372,7 +372,7 @@ def loss_and_gradient(
             labels, examples = np.asarray(batch.targets), np.shape(batch.features)[:-1]
             if labels.shape != examples:
                 raise InputError(f"hard labels of shape {labels.shape} for {examples} examples")
-            labels = check_class_indices(labels.ravel(), ProblemSpec(params.num_classes))
+            labels = check_class_indices(labels.ravel(), params.num_classes)
             table = class_rows(loss_kind, params.num_classes)
             batch = Batch(batch.features, table[labels - 1].reshape(*examples, -1), batch.rows)
         out = ParamBundle(np.empty(params.bundle.flat.shape), params.bundle.layout)

@@ -382,6 +382,34 @@ def test_the_fold_split_warning_is_a_log_line(tmp_path):
         assert proc.stderr.splitlines() == lines  # no UserWarning and no source line
 
 
+@pytest.mark.parametrize("votes,cause", [
+    ((1, 2, 3, 4), "its test set holds every example"),
+    ((1, 1, 2, 2, 3, 4),
+     "each class has a single example to split, and every class keeps one for training"),
+], ids=["no-example-outside-the-test-set", "one-example-per-class-outside-the-test-set"])
+def test_an_empty_validation_fold_exits_one_naming_the_fold_and_its_cause(tmp_path, capsys,
+                                                                          votes, cause):
+    data = tmp_path / "data.csv"
+    data.write_text("id,f_1,r_1\n" + "".join(f"e{i},{i / 10},{v}\n" for i, v in enumerate(votes)))
+    for fraction in (0.8, 0.1):  # no fraction can help
+        out = tmp_path / f"r{fraction}"
+        cfg = write_json(tmp_path / "exp.json", {**EXP, "data": str(data), "out": str(out),
+                                                 "val_fraction": fraction})
+        assert run(["cv", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: fold 1: validation split is empty: {cause}\n"
+        assert not out.exists()
+
+
+def test_train_on_one_example_per_class_names_the_cause(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("id,f_1,r_1\na,0.1,1\nb,0.2,2\nc,0.3,3\n")
+    assert run(["train", "--data", str(data), "--methods", "ce", "--out", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err == ("error: validation split is empty: each class has a single"
+                                       " example to split, and every class keeps one for training\n")
+    assert not (tmp_path / "t").exists()
+
+
 def test_a_gap_in_the_count_columns_exits_one_naming_line_one(tmp_path, capsys):
     data = tmp_path / "gap.csv"
     data.write_text("f_1,c_1,c_3\n0.0,1,1\n1.0,2,0\n")

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from ordreg.core import (
     ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
+    check_class_index,
+    check_class_indices,
     class_distribution_from_tasks,
     class_max,
     class_min,
@@ -44,6 +48,14 @@ def test_rating_distribution_must_sum_to_one():
         dist(1.2, -0.2)
     d = dist(0.25, 0.25, 0.25, 0.25)
     assert d.num_classes == 4
+
+
+def test_a_rating_distribution_is_a_vector_of_at_least_two_classes():
+    with pytest.raises(InputError, match=r"^RatingDistribution\.probs must be a 1-d vector,"
+                                         r" got shape \(1, 2\)$"):
+        RatingDistribution(np.array([[0.5, 0.5]]))
+    with pytest.raises(InputError, match="^a rating distribution needs at least two classes$"):
+        RatingDistribution(np.array([1.0]))
 
 
 def test_rating_distribution_array_is_read_only():
@@ -288,6 +300,44 @@ def test_sord_rejects_unknown_distance_and_bad_class():
         sord_soft_label(2, K4, distance="rmse")
     with pytest.raises(InputError):
         sord_soft_label(5, K4)
+
+
+# ---- class indices ----
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, None, "a", "2", 1.5, 0, 5,
+                                   np.float64(math.nan), np.int64(5)], ids=repr)
+def test_every_bad_class_index_raises_input_error_naming_it(label):
+    shown = label.item() if isinstance(label, np.generic) else label
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=rf"^class index {re.escape(repr(shown))} outside 1\.\.4$"):
+            check_class_index(label, 4)
+
+
+def test_a_whole_class_index_comes_back_as_an_int():
+    for label in (1, 4, 2.0, np.int64(3), np.float64(3.0), True):
+        got = check_class_index(label, 4)
+        assert type(got) is int and got == label
+    got = check_class_indices([1.0, 4.0, 2.0], 4)
+    assert got.dtype == np.int64 and got.tolist() == [1, 4, 2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e20, -1e20, 2.5, 0.0, 5.0],
+                         ids=repr)
+def test_a_class_index_array_names_its_first_bad_entry_without_a_cast_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=rf"^class index {re.escape(repr(bad))} outside 1\.\.4$"):
+            check_class_indices(np.array([1.0, bad, 2.0, math.nan]), 4)
+
+
+def test_class_index_arrays_must_be_non_empty_1d_integers():
+    for bad, message in ((np.array([], dtype=np.int64), "non-empty 1-d array, got shape (0,)"),
+                         (np.ones((2, 2)), "non-empty 1-d array, got shape (2, 2)"),
+                         (np.array([1, None]), "class indices must be integers")):
+        with pytest.raises(InputError, match=re.escape(message)):
+            check_class_indices(bad, 4)
 
 
 # ---- matrices of rows ----

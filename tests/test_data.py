@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +391,41 @@ def test_dataset_from_votes_rejects_non_finite_features_naming_the_example():
         dataset_from_votes(SPEC4, features, [(1,), (2,), (3,)])
 
 
+def test_dataset_from_votes_checks_the_shapes_of_features_votes_and_ids():
+    cases = [
+        ((np.zeros(3), [(1,), (2,), (3,)], None), "^features must be a 2-d array, got shape \\(3,\\)$"),
+        ((np.zeros((3, 2)), [(1,), (2,)], None),
+         "^features and votes disagree on the number of examples$"),
+        ((np.zeros((2, 2)), [(1,), (2,)], ["a"]),
+         "^ids and features disagree on the number of examples$"),
+    ]
+    for (features, votes, ids), message in cases:
+        with pytest.raises(InputError, match=message):
+            dataset_from_votes(SPEC4, features, votes, ids)
+
+
+@pytest.mark.parametrize("vote", [math.nan, math.inf, -math.inf, None, "a"], ids=repr)
+def test_a_vote_that_is_no_number_raises_input_error_naming_it(vote):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError,
+                           match=rf"^class index {re.escape(repr(vote))} outside 1\.\.4$"):
+            make_dataset([(1, 2), (3, vote)])
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_examples", 0, "n_examples, n_features, n_raters must all be >= 1"),
+    ("num_classes", 1, "num_classes must be >= 2"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+])
+def test_a_synthetic_config_out_of_range_is_rejected(field, value, message):
+    doc = {**NOISELESS.to_dict(), field: value}
+    if field == "num_classes":
+        doc["thresholds"] = []
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        SyntheticConfig.from_dict(doc)
+
+
 def test_save_then_load_round_trips_exactly(tmp_path):
     cfg = SyntheticConfig.from_dict({**NOISELESS.to_dict(), "rater_noise_sd": 0.8, "n_examples": 40})
     ds = generate_synthetic(cfg)
@@ -642,6 +680,38 @@ def test_train_val_split_rejects_fraction_bounds():
         train_val_split([], ds.hard)
 
 
+@pytest.mark.parametrize("fraction", [0.0, -1.0, 1.0, math.nan])
+def test_k_fold_rejects_a_train_fraction_outside_the_open_unit_interval(fraction):
+    ds = _labels_dataset([4, 4])
+    with pytest.raises(InputError, match=re.escape(
+            f"fraction must lie strictly between 0 and 1, got {fraction}")):
+        stratified_k_fold(ds, 2, seed=0, val_fraction=fraction)
+
+
+ONE_EACH = "each class has a single example to split, and every class keeps one for training"
+
+
+@pytest.mark.parametrize("counts,cause", [
+    ([1, 1, 1, 1], "its test set holds every example"),
+    ([2, 2, 1, 1], ONE_EACH),
+], ids=["no-example-outside-the-test-set", "one-example-per-class-outside-the-test-set"])
+def test_an_empty_validation_fold_names_the_fold_and_its_cause(counts, cause):
+    ds = _labels_dataset(counts)
+    for fraction in (0.8, 0.1, 0.99):  # no fraction can help
+        with pytest.warns(UserWarning, match="smallest class"):
+            with pytest.raises(InputError) as err:
+                stratified_k_fold(ds, 2, seed=0, val_fraction=fraction)
+        assert str(err.value) == f"fold 1: validation split is empty: {cause}"
+
+
+def test_an_empty_validation_split_names_its_cause_without_a_fold():
+    ds = _labels_dataset([1, 1, 1])
+    for fraction in (0.8, 0.1):
+        with pytest.raises(InputError) as err:
+            train_val_split(range(3), ds.hard, fraction=fraction)
+        assert str(err.value) == f"validation split is empty: {ONE_EACH}"
+
+
 def test_train_val_split_keeps_one_training_example_per_tiny_class():
     ds = _labels_dataset([1, 9])
     train, val = train_val_split(range(10), ds.hard, fraction=0.8, seed=0)
@@ -680,7 +750,7 @@ def _ref_soft_label(votes, spec):
         raise InputError("votes must be non-empty")
     counts = np.zeros(spec.num_classes, dtype=np.float64)
     for v in votes:
-        counts[check_class_index(v, spec) - 1] += 1.0
+        counts[check_class_index(v, spec.num_classes) - 1] += 1.0
     return RatingDistribution(counts / len(votes))
 
 

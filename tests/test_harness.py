@@ -30,6 +30,7 @@ from ordreg.harness import (
     records_csv_text,
     render_experiment_result,
     run_cv,
+    train_models,
     train_one,
     train_single,
     write_experiment_result,
@@ -113,6 +114,12 @@ def test_config_rejects_bad_fields():
         small_config(decode="nearest")
     with pytest.raises(InputError, match="tie_policy"):
         small_config(tie_policy="drop")
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_config_rejects_zero_epochs_or_batch_size(field):
+    with pytest.raises(InputError, match="^epochs and batch_size must be >= 1$"):
+        small_config(**{field: 0})
 
 
 @pytest.mark.parametrize("field,value", [
@@ -207,6 +214,15 @@ def test_runaway_learning_rate_raises_diverged():
     fold = split.folds[0]
     with pytest.raises(TrainingDiverged, match="epoch"):
         train_one(SMALL, small_config(method="ce", lr=1e200, epochs=5), fold.train, fold.val, 0)
+
+
+def test_train_single_raises_the_first_seeds_divergence():
+    with pytest.raises(TrainingDiverged, match="^ce seed 3: non-finite .* at epoch 1$"):
+        train_single(SMALL, small_config(method="ce", lr=1e200, epochs=5, seeds=(3, 1)))
+
+
+def test_training_no_models_gives_no_outcomes():
+    assert train_models(SMALL, small_config(), []) == []
 
 
 def test_empty_sets_rejected():
@@ -413,6 +429,11 @@ def test_comparison_lists_the_completed_folds_it_paired():
 
 
 # ---- result files ----
+
+
+def test_no_records_export_no_csv():
+    with pytest.raises(InputError, match="^no records to export$"):
+        records_csv_text([])
 
 
 def test_records_csv_round_trips_bit_exact(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +104,26 @@ def test_a_label_outside_the_classes_is_named_as_a_plain_number():
     for label in (np.int64(5), 2.5):
         with pytest.raises(InputError, match=rf"^class index {label} outside 1\.\.4$"):
             ce_loss(np.array([0.25] * 4), label)
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, None, "a"], ids=repr)
+def test_a_label_that_is_no_number_raises_input_error_alone(label):
+    pattern = rf"^class index {re.escape(repr(label))} outside 1\.\.4$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning first
+        with pytest.raises(InputError, match=pattern):
+            or_cnn_loss(np.full(3, 0.5), label)
+        with pytest.raises(InputError, match=pattern):
+            ce_loss(np.full(4, 0.25), label)
+        if isinstance(label, float):
+            with pytest.raises(InputError, match=pattern):
+                or_cnn_loss(np.full((2, 3), 0.5), np.array([2.0, label]))
+
+
+def test_a_probability_array_of_three_axes_is_rejected():
+    with pytest.raises(InputError, match=r"^tasks must be a 1-d probability vector or a \(B, n\)"
+                                         r" matrix of them$"):
+        or_cnn_loss(np.full((2, 2, 3), 0.5), np.array([1, 2]))
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])

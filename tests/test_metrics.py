@@ -1,5 +1,7 @@
 import math
 import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ordreg.metrics import (
     EvalRecord,
     MetricReport,
     RecordRowError,
+    RecordTable,
     _METRIC_NAMES,
     _WEIGHT_TOL,
     _average_ranks,
@@ -157,6 +160,20 @@ def test_qwk_with_unit_weights_equals_unweighted():
 
 def test_qwk_undefined_when_all_mass_in_one_cell():
     assert qwk_from_pairs([2, 2, 2], [2, 2, 2], 4) is None
+
+
+def test_qwk_labels_are_checked_as_class_indices_not_truncated():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN label raises no cast warning first
+        for a, b, k, message in (([1.5, 2, 1], [1, 2, 2], 2, "class index 1.5 outside 1..2"),
+                                 ([1, 2], [2, math.nan], 4, "class index nan outside 1..4"),
+                                 ([1, 2], [2, 5], 4, "class index 5 outside 1..4"),
+                                 ([], [], 4, "got shape (0,)"),
+                                 ([1, 2], [1, 2, 2], 4, "must be equal-length, got 2 and 3")):
+            with pytest.raises(InputError, match=re.escape(message)):
+                qwk_from_pairs(a, b, k)
+    assert qwk_from_pairs([1.0, 2.0, 1.0], [1, 2, 2], 2) == qwk_from_pairs([1, 2, 1], [1, 2, 2], 2)
+    assert qwk_from_pairs([1, 1], [1, 1], 1) is None
 
 
 def test_qwk_is_symmetric_in_its_two_label_sequences():
@@ -634,6 +651,45 @@ def test_report_contains_every_metric_and_round_trips():
     again = MetricReport.from_dict(doc)
     assert again.values == report.values
     assert again.to_dict() == doc
+
+
+def test_a_report_carries_exactly_the_suite_metrics():
+    values = dict.fromkeys(_METRIC_NAMES, 0.5)
+    with pytest.raises(InputError, match=r"^unknown metric names: \['f1'\]$"):
+        MetricReport(values={**values, "f1": 0.5}, num_records=1)
+    del values["ece"]
+    with pytest.raises(InputError, match="^a MetricReport must carry every suite metric$"):
+        MetricReport(values=values, num_records=1)
+
+
+def test_a_malformed_metrics_document_is_named_malformed():
+    for doc in ({"metrics": [], "num_records": 1}, {"metrics": 3, "num_records": 1}):
+        with pytest.raises(InputError, match="^malformed metric report$"):
+            MetricReport.from_dict(doc)
+
+
+def test_records_of_different_class_counts_are_rejected():
+    records = [rec(one_hot(3, 1), one_hot(3, 1)), rec(one_hot(4, 2), one_hot(4, 2))]
+    with pytest.raises(InputError, match="^records disagree on the number of classes$"):
+        mae(records, use_weights=True)
+
+
+def test_a_record_table_checks_its_column_shapes():
+    soft, hard = np.array([[1.0, 0.0]] * 2), np.array([1, 1])
+    columns = dict(ids=("a", "b"), soft=soft, pred=soft, hard=hard, pred_hard=hard,
+                   weight=np.ones(2))
+    RecordTable(**columns)
+    for change in (dict(pred=soft[:1]), dict(soft=soft[0]), dict(ids=("a",))):
+        with pytest.raises(InputError, match=r"^a record table needs \(N, K\) soft and pred"):
+            RecordTable(**{**columns, **change})
+    for name in ("hard", "pred_hard", "weight"):
+        with pytest.raises(InputError, match="^hard, pred_hard and weight must each hold 2 entries$"):
+            RecordTable(**{**columns, name: columns[name][:1]})
+
+
+def test_ece_needs_at_least_one_bin():
+    with pytest.raises(InputError, match="^num_bins must be >= 1$"):
+        ece([rec(one_hot(3, 1), one_hot(3, 1))], 0)
 
 
 def test_report_flags_undefined_metrics():

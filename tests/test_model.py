@@ -131,6 +131,19 @@ def test_head_shapes_per_kind():
     assert soft.bundle.head_w.shape == (k, 7) and soft.bundle.head_b.shape == (k,)
 
 
+def test_an_unknown_head_kind_is_rejected():
+    with pytest.raises(InputError, match="^unknown head kind 'ordinal'$"):
+        init_params(EncoderConfig(3, ()), "ordinal", ProblemSpec(3), 0)
+
+
+def test_a_param_bundle_of_the_wrong_size_is_rejected():
+    layout = init_params(EncoderConfig(3, (4,)), HEAD_SOFTMAX, ProblemSpec(3), 0).bundle.layout
+    for flat in (np.zeros(30), np.zeros((2, 30)), np.zeros((2, 2, 31))):
+        with pytest.raises(InputError, match=re.escape(
+                f"flat vector must have 31 entries, got {flat.shape}")):
+            ParamBundle(flat, layout)
+
+
 def test_encoder_config_validation():
     with pytest.raises(InputError):
         EncoderConfig(0, ())
@@ -251,6 +264,22 @@ def test_task_losses_reject_the_softmax_head_and_vice_versa():
     task_params = init_params(EncoderConfig(3, ()), HEAD_INDEPENDENT, ProblemSpec(3), 0)
     with pytest.raises(InputError):
         loss_and_gradient(task_params, [(np.zeros(3), 1)], LOSS_CE)
+
+
+def test_an_unknown_loss_kind_is_rejected_naming_the_valid_ones():
+    params = init_params(EncoderConfig(3, ()), HEAD_SOFTMAX, ProblemSpec(3), 0)
+    with pytest.raises(InputError, match=re.escape(
+            f"unknown loss kind 'hinge'; valid: {', '.join(ALL_LOSS_KINDS)}")):
+        loss_and_gradient(params, [(np.zeros(3), 1)], "hinge")
+
+
+def test_ragged_batch_pairs_are_rejected():
+    params = init_params(EncoderConfig(3, ()), HEAD_SOFTMAX, ProblemSpec(3), 0)
+    with pytest.raises(InputError, match="^batch features must all have the same length$"):
+        loss_and_gradient(params, [(np.zeros(3), 1), (np.zeros(2), 2)], LOSS_CE)
+    with pytest.raises(InputError, match="^batch targets must all have the same length$"):
+        loss_and_gradient(params, [(np.zeros(3), [0.5, 0.5, 0.0]), (np.zeros(3), [1.0, 0.0])],
+                          LOSS_CE_SOFT)
 
 
 def test_empty_batch_rejected():
@@ -417,4 +446,17 @@ def test_a_malformed_checkpoint_names_the_file_and_the_field(tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_params(path)
+
+
+def test_a_checkpoint_whose_tensors_do_not_fit_its_encoder_is_rejected(tmp_path):
+    params = init_params(EncoderConfig(3, (4,)), HEAD_INDEPENDENT, ProblemSpec(4), 0)
+    save_params(params, tmp_path / "good.json")
+    doc = json.loads((tmp_path / "good.json").read_text())
+    for bad in ({**doc, "head_w": doc["head_w"][:2]}, {**doc, "encoder_b": [[0.0] * 5]},
+                {**doc, "num_classes": 5}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: parameter shapes do not"
+                                             " match the encoder and head$"):
             load_params(path)
