@@ -8,7 +8,8 @@ save checkpoints), ``cv`` (cross-validated experiment over a method list),
 
 Exit codes: 0 success, 1 input or config error (the message names the
 offending field or file), 2 runtime failure. All file outputs are written
-atomically. ``ORDREG_LOG`` selects the log level (debug/info/warning/error).
+atomically. ``ORDREG_LOG`` selects the log level (debug/info/warning/error);
+each warning is one log line, written when it is raised.
 
 Flag-vs-config precedence: ``--config`` supplies a JSON document; any flag
 given on the command line overrides the corresponding config entry. The
@@ -283,18 +284,9 @@ def _cmd_train(args: argparse.Namespace) -> None:
     print(f"trained {config.method} on {len(dataset)} examples; checkpoints in {out}")
 
 
-def _warnings_logged(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, each warning it raises written as a log line."""
-    with warnings.catch_warnings(record=True) as caught:
-        result = fn(*args, **kwargs)
-    for warning in caught:
-        log.warning("%s", warning.message)
-    return result
-
-
 def _method_output(dataset: Dataset, config: TrainConfig, split) -> tuple[dict, dict]:
-    """One method's summary block and rendered files; each warning of its run is a log line."""
-    result = _warnings_logged(run_cv, dataset, config, split=split)
+    """One method's summary block and rendered files."""
+    result = run_cv(dataset, config, split=split)
     return result_summary_block(result), render_experiment_result(result)
 
 
@@ -322,8 +314,8 @@ def _cmd_cv(args: argparse.Namespace) -> None:
     configs = [replace(config, encoder=encoder) for config in configs]
     methods = [config.method for config in configs]
     # one split for every method, called by the name run_cv uses, which traces count
-    split = _warnings_logged(harness.stratified_k_fold, dataset, cfg["folds"],
-                             cfg["split_seed"], configs[0].val_fraction)
+    split = harness.stratified_k_fold(dataset, cfg["folds"], cfg["split_seed"],
+                                      configs[0].val_fraction)
     finished: list[tuple[str, dict]] = []
     meta = _meta(args)
     failure: Optional[Exception] = None
@@ -507,17 +499,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     level = os.environ.get("ORDREG_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    try:
-        args = _build_parser().parse_args(argv)
-        args.func(args)
-        return 0
-    except (InputError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except Exception as err:  # runtime failure, not an input problem
-        log.debug("unhandled failure", exc_info=True)
-        print(f"failure: {err}", file=sys.stderr)
-        return 2
+    # a warning is one log line, written when it is raised, so ahead of a failing command's
+    # error; forked cv workers inherit the hook, and entering resets the once-a-location registry
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: log.warning("%s", message)
+        try:
+            args = _build_parser().parse_args(argv)
+            args.func(args)
+            return 0
+        except (InputError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        except Exception as err:  # runtime failure, not an input problem
+            log.debug("unhandled failure", exc_info=True)
+            print(f"failure: {err}", file=sys.stderr)
+            return 2
 
 
 def main() -> None:

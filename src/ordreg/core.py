@@ -227,12 +227,7 @@ def exceedance_from_soft(
     matrix of distributions gives the (B, K-1) matrix of their tail masses.
     """
     if isinstance(dist, (RatingDistribution, ClassDistribution)):
-        # tail sums of a checked distribution already pass the label's checks
-        exceed = _tail_rows(dist.probs)
-        exceed.setflags(write=False)
-        label = object.__new__(ExceedanceLabel)
-        object.__setattr__(label, "exceed", exceed)
-        return label
+        return ExceedanceLabel(_tail_rows(dist.probs))
     return _tail_rows(_checked_rows("rating probabilities", dist, 2, sums_to_one=True))
 
 

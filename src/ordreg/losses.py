@@ -73,12 +73,7 @@ HARD_TARGET_LOSSES = (LOSS_CE, LOSS_OR_CNN, LOSS_CORN, LOSS_SORD_AE, LOSS_SORD_S
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 def _probs(x, name: str) -> np.ndarray:
-    if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64:
-        return x  # one float64 vector, the per-example case: nothing to convert
     arr = x.probs if hasattr(x, "probs") else np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise InputError(f"{name} must be a 1-d probability vector or a (B, n) matrix of them")

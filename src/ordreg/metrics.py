@@ -39,6 +39,7 @@ from .core import (
     ClassDistribution,
     InputError,
     RatingDistribution,
+    check_class_index,
     check_class_indices,
     class_max,
     class_min,
@@ -75,8 +76,8 @@ class EvalRecord:
         k = self.soft.num_classes
         if self.pred_dist.num_classes != k:
             raise InputError("soft and pred_dist disagree on the number of classes")
-        if not 1 <= self.hard <= k or not 1 <= self.pred_hard <= k:
-            raise InputError(f"labels must lie in 1..{k}")
+        object.__setattr__(self, "hard", check_class_index(self.hard, k))
+        object.__setattr__(self, "pred_hard", check_class_index(self.pred_hard, k))
         if abs(self.weight - float(self.soft.probs.max())) > _WEIGHT_TOL:
             raise InputError("weight must equal the soft label's maximum entry")
         if not 0.0 < self.weight <= 1.0:
@@ -105,6 +106,21 @@ def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _label_column(values, k: int) -> np.ndarray:
+    """A read-only int64 copy of a label column. A string or object column raises, and so
+    does a float label that is not a whole number (1.7, NaN), as check_class_index words it,
+    where the cast would parse or truncate it; a whole number outside 1..k is left to the
+    row checks, which name its row."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":  # strings and objects: '2' and None are no class index
+        raise InputError("class indices must be integers")
+    with np.errstate(invalid="ignore"):  # NaN and inf cast silently, then fail below
+        labels = _frozen(arr, np.int64)
+    if arr.dtype.kind == "f" and not np.array_equal(labels, arr):
+        check_class_index(arr[labels != arr][0].item(), k)  # raises, naming the value
+    return labels
 
 
 def _failing_rows(
@@ -148,8 +164,6 @@ class RecordTable:
     def __post_init__(self) -> None:
         soft = _frozen(self.soft, np.float64)
         pred = _frozen(self.pred, np.float64)
-        hard = _frozen(self.hard, np.int64)
-        pred_hard = _frozen(self.pred_hard, np.int64)
         weight = _frozen(self.weight, np.float64)
         ids = tuple(self.ids)
         n = len(ids)
@@ -158,6 +172,7 @@ class RecordTable:
                 f"a record table needs (N, K) soft and pred with N >= 1 and N = {n} ids,"
                 f" got shapes {soft.shape} and {pred.shape}"
             )
+        hard, pred_hard = (_label_column(v, soft.shape[1]) for v in (self.hard, self.pred_hard))
         if hard.shape != (n,) or pred_hard.shape != (n,) or weight.shape != (n,):
             raise InputError(f"hard, pred_hard and weight must each hold {n} entries")
         for name, value in (("ids", ids), ("soft", soft), ("pred", pred), ("hard", hard),
@@ -249,7 +264,7 @@ def eval_record(
                   else ClassDistribution(pred_dist))
         soft, pred = soft_d.probs[None, :], pred_d.probs[None, :]
         ids = (example_id,)
-        pred_hard = None if pred_hard is None else [int(pred_hard)]
+        pred_hard = None if pred_hard is None else [pred_hard]
     else:
         soft = np.asarray(soft, dtype=np.float64)
         pred = np.asarray(pred_dist, dtype=np.float64)

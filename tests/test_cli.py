@@ -401,6 +401,21 @@ def test_an_empty_validation_fold_exits_one_naming_the_fold_and_its_cause(tmp_pa
         assert not out.exists()
 
 
+def test_the_warning_that_explains_a_failed_cv_reaches_stderr_before_the_error(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("id,f_1,r_1\n" + "".join(f"e{v},{v / 10},{v}\n" for v in (1, 2, 3, 4)))
+    env = {k: v for k, v in os.environ.items() if k != "ORDREG_LOG"}
+    proc = subprocess.run(CLI + ["cv", "--data", str(data), "--methods", "ce", "--folds", "2",
+                                 "--out", str(tmp_path / "r")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "WARNING ordreg: k=2 exceeds the smallest class count 1; some folds will miss that class",
+        "error: fold 1: validation split is empty: its test set holds every example",
+    ]
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_on_one_example_per_class_names_the_cause(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("id,f_1,r_1\na,0.1,1\nb,0.2,2\nc,0.3,3\n")

@@ -102,6 +102,44 @@ def test_record_rejects_mode_outside_rater_classes():
         )
 
 
+_SOFT2, _PRED2 = np.array([[0.5, 0.5], [0.6, 0.4]]), np.full((2, 2), 0.5)
+_COLUMNS2 = dict(ids=("a", "b"), soft=_SOFT2, pred=_PRED2, hard=[1, 1], pred_hard=[1, 1],
+                 weight=[0.5, 0.6])
+
+
+def _record2(hard, pred_hard):
+    return EvalRecord(soft=RatingDistribution(_SOFT2[0]), hard=hard,
+                      pred_dist=ClassDistribution(_PRED2[0]), pred_hard=pred_hard, weight=0.5)
+
+
+@pytest.mark.parametrize("make,shown", [
+    (lambda: _record2(1, 1.5), "1.5"),
+    (lambda: _record2(math.nan, 1), "nan"),
+    (lambda: RecordTable(**{**_COLUMNS2, "hard": [1.7, 2]}), "1.7"),
+    (lambda: RecordTable(**{**_COLUMNS2, "pred_hard": [1, math.nan]}), "nan"),
+    (lambda: eval_record(_SOFT2, _PRED2, pred_hard=[1.5, 2.0]), "1.5"),
+    (lambda: eval_record(_SOFT2[0], _PRED2[0], pred_hard=1.5), "1.5"),
+], ids=["record-pred-hard", "record-hard-nan", "table-hard", "table-pred-hard-nan",
+        "eval-record-table", "eval-record-one"])
+def test_record_labels_are_checked_as_class_indices_not_truncated(make, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN label raises no cast warning first
+        with pytest.raises(InputError, match=f"^class index {re.escape(shown)} outside 1..2$"):
+            make()
+
+
+@pytest.mark.parametrize("labels", [["1", "2"], [1, None]], ids=["strings", "none"])
+def test_a_record_table_refuses_labels_that_are_not_numbers(labels):
+    with pytest.raises(InputError, match="^class indices must be integers$"):
+        RecordTable(**{**_COLUMNS2, "pred_hard": labels})
+
+
+def test_whole_number_labels_are_kept_as_ints():
+    assert RecordTable(**{**_COLUMNS2, "hard": [1.0, 1.0]}).hard.tolist() == [1, 1]
+    record = _record2(np.int64(1), 2.0)
+    assert (record.hard, record.pred_hard) == (1, 2)
+    assert type(record.hard) is int and type(record.pred_hard) is int
+
 
 def test_a_record_row_error_survives_pickling_with_its_row():
     err = pickle.loads(pickle.dumps(RecordRowError(3, "weight 0.9 is not the soft maximum")))

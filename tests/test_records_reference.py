@@ -475,7 +475,7 @@ def test_a_table_rejects_the_first_bad_row_with_the_record_message():
     for change, row, message in [
         (dict(weight=[0.5, 0.6, 0.95, 0.8]), 2, "weight must equal"),
         (dict(hard=[1, 1, 2, 2]), 2, "mode class"),
-        (dict(pred_hard=[1, 3, 1, 0]), 1, "labels must lie in 1..2"),
+        (dict(pred_hard=[1, 3, 1, 0]), 1, "class index 3 outside 1..2"),
         (dict(soft=np.vstack([soft[:3], [[0.2, 0.81]]])), 3, "rating probabilities sum to"),
         (dict(pred=np.vstack([pred[:1], [[np.nan, 0.5]], pred[2:]])), 1,
          "ClassDistribution.probs entries must be finite"),
