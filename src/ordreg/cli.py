@@ -65,9 +65,9 @@ from .metrics import (
     DEFAULT_NUM_BINS,
     DIRECTION_HIGHER,
     DIRECTION_LOWER,
-    MAX_NUM_BINS,
     MetricReport,
     calibration_curve,
+    check_num_bins,
     compute_metric_report,
     confusion_matrix,
     risk_coverage,
@@ -279,7 +279,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         log.info(
             "%s seed %d: best epoch %d, val UW-MAE %.6f",
             config.method, outcome.seed, outcome.best_epoch,
-            min(h.val_uw_mae for h in outcome.history),
+            outcome.history[outcome.best_epoch - 1].val_uw_mae,
         )
     print(f"trained {config.method} on {len(dataset)} examples; checkpoints in {out}")
 
@@ -346,9 +346,10 @@ def _cmd_cv(args: argparse.Namespace) -> None:
 
 
 def _num_bins(args: argparse.Namespace) -> int:
-    if not 1 <= args.num_bins <= MAX_NUM_BINS:
-        raise InputError(f"--num-bins: num_bins must lie in 1..{MAX_NUM_BINS}, got {args.num_bins}")
-    return args.num_bins
+    try:
+        return check_num_bins(args.num_bins)
+    except InputError as err:
+        raise InputError(f"--num-bins: {err}") from None
 
 
 def _records_path(data: str) -> str | Path:

@@ -325,79 +325,62 @@ def load_csv(path, spec: Optional[ProblemSpec] = None) -> Dataset:
     Without ``spec``, the same pass infers the number of classes K: the count
     columns ``c_1..c_K`` give it, or else the highest vote does.
     """
-    with csv_rows(path) as reader:
-        try:
-            return _dataset_from_rows(reader, spec)
-        except InputError as err:
-            raise InputError(f"{path}: {err}") from None
-
-
-def _dataset_from_rows(reader, spec: Optional[ProblemSpec]) -> Dataset:
-    top = spec.num_classes if spec is not None else None
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("line 1: empty file") from None
-    id_col, f_cols, r_cols, c_cols = _split_header(header, top)
-    # each label cell holds an int in low..cap; a blank cell is 0, no vote or no votes
-    if r_cols:
-        cells, kind, low, cap = r_cols, "vote", 1, top or MAX_INFERRED_CLASSES
-        hint = "" if top else " (set num_classes to allow more classes)"
-    else:
-        cells, kind, low, cap, hint = c_cols, "count", 0, MAX_CELL_COUNT, ""
-    id_lines: dict[str, int] = {}  # each id read so far, in order, and its line
-    features: list[list[float]] = []
-    label_rows: list[list[int]] = []  # per line, the R votes or the K counts
-    read = reader.line_num  # lines read so far; a quoted field may span lines
-    for row in reader:
-        line_no, read = read + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise InputError(
-                f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            values = [float(row[p]) for p in f_cols]
-        except ValueError:
-            raise InputError(f"line {line_no}: malformed feature value") from None
-        if not all(map(math.isfinite, values)):
-            p = next(p for p, x in zip(f_cols, values) if not math.isfinite(x))
-            raise InputError(
-                f"line {line_no}: non-finite feature value {row[p].strip()!r}"
-                f" in column {header[p].strip()!r}"
-            )
-        features.append(values)
-        labels: list[int] = []
-        for p in cells:
-            field = row[p].strip()
+    with csv_rows(path) as (header, rows):
+        top = spec.num_classes if spec is not None else None
+        id_col, f_cols, r_cols, c_cols = _split_header(header, top)
+        # each label cell holds an int in low..cap; a blank cell is 0, no vote or no votes
+        if r_cols:
+            cells, kind, low, cap = r_cols, "vote", 1, top or MAX_INFERRED_CLASSES
+            hint = "" if top else " (set num_classes to allow more classes)"
+        else:
+            cells, kind, low, cap, hint = c_cols, "count", 0, MAX_CELL_COUNT, ""
+        id_lines: dict[str, int] = {}  # each id read so far, in order, and its line
+        features: list[list[float]] = []
+        label_rows: list[list[int]] = []  # per line, the R votes or the K counts
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise InputError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
             try:
-                value = int(field) if field else 0
+                values = [float(row[p]) for p in f_cols]
             except ValueError:
-                raise InputError(f"line {line_no}: malformed {kind} {field!r}") from None
-            if field and not low <= value <= cap:
-                raise InputError(f"line {line_no}: {kind} {value} in column"
-                                 f" {header[p].strip()!r} outside {low}..{cap}{hint}")
-            labels.append(value)
-        if not any(labels):
-            raise InputError(f"line {line_no}: example has no votes")
-        label_rows.append(labels)
-        example_id = row[id_col].strip() if id_col is not None else str(len(label_rows))
-        if example_id in id_lines:
-            raise InputError(f"line {line_no}: example id {example_id!r}"
-                             f" repeats line {id_lines[example_id]}")
-        id_lines[example_id] = line_no
-    if not label_rows:
-        raise InputError("no examples")
-    table = np.array(label_rows, dtype=np.int64)
-    votes = table if r_cols else None
-    if spec is None:
-        k = len(c_cols) or int(table.max())
-        if k < 2:
-            raise InputError("could not infer at least two classes")
-        spec = ProblemSpec(k)
-    counts = table if votes is None else _class_counts(votes, spec.num_classes)
-    return _dataset(spec, features, list(id_lines), counts, votes)
+                raise InputError(f"line {line_no}: malformed feature value") from None
+            if not all(map(math.isfinite, values)):
+                p = next(p for p, x in zip(f_cols, values) if not math.isfinite(x))
+                raise InputError(
+                    f"line {line_no}: non-finite feature value {row[p].strip()!r}"
+                    f" in column {header[p].strip()!r}"
+                )
+            features.append(values)
+            labels: list[int] = []
+            for p in cells:
+                field = row[p].strip()
+                try:
+                    value = int(field) if field else 0
+                except ValueError:
+                    raise InputError(f"line {line_no}: malformed {kind} {field!r}") from None
+                if field and not low <= value <= cap:
+                    raise InputError(f"line {line_no}: {kind} {value} in column"
+                                     f" {header[p].strip()!r} outside {low}..{cap}{hint}")
+                labels.append(value)
+            if not any(labels):
+                raise InputError(f"line {line_no}: example has no votes")
+            label_rows.append(labels)
+            example_id = row[id_col].strip() if id_col is not None else str(len(label_rows))
+            if example_id in id_lines:
+                raise InputError(f"line {line_no}: example id {example_id!r}"
+                                 f" repeats line {id_lines[example_id]}")
+            id_lines[example_id] = line_no
+        if not label_rows:
+            raise InputError("no examples")
+        table = np.array(label_rows, dtype=np.int64)
+        votes = table if r_cols else None
+        if spec is None:
+            k = len(c_cols) or int(table.max())
+            if k < 2:
+                raise InputError("could not infer at least two classes")
+            spec = ProblemSpec(k)
+        counts = table if votes is None else _class_counts(votes, spec.num_classes)
+        return _dataset(spec, features, list(id_lines), counts, votes)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -499,6 +482,13 @@ def _stratified_split(indices: np.ndarray, labels: np.ndarray, fraction: float,
     return tuple(np.sort(indices[train]).tolist()), tuple(np.sort(indices[~train]).tolist())
 
 
+def _split_rng(seed: int, *stream: int) -> np.random.Generator:
+    """The generator of one split stream of ``seed``, which must be >= 0."""
+    if seed < 0:  # numpy.random.default_rng takes non-negative integers only
+        raise InputError(f"split seed must be >= 0, got {seed}")
+    return np.random.default_rng([seed, *stream])
+
+
 def train_val_split(indices: Sequence[int], hard_labels, fraction: float = 0.8,
                     seed: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Stratified train/validation split of the given indices.
@@ -506,12 +496,10 @@ def train_val_split(indices: Sequence[int], hard_labels, fraction: float = 0.8,
     ``hard_labels`` is the full dataset's hard-label array; stratification
     uses the labels at ``indices``. Deterministic per seed.
     """
-    if seed < 0:  # numpy.random.default_rng takes non-negative integers only
-        raise InputError(f"split seed must be >= 0, got {seed}")
+    rng = _split_rng(seed, _STREAM_TRAIN_VAL)
     idx = np.asarray([int(i) for i in indices], dtype=np.int64)
     if idx.size == 0:
         raise InputError("cannot split an empty index set")
-    rng = np.random.default_rng([seed, _STREAM_TRAIN_VAL])
     return _stratified_split(idx, np.asarray(hard_labels)[idx], fraction, rng)
 
 
@@ -525,12 +513,10 @@ def stratified_k_fold(dataset: Dataset, k: int, seed: int, val_fraction: float =
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
-    if seed < 0:
-        raise InputError(f"split seed must be >= 0, got {seed}")
+    rng = _split_rng(seed, _STREAM_FOLD_DEAL)
     n = len(dataset)
     if k > n:
         raise InputError(f"k={k} exceeds the {n} available examples")
-    rng = np.random.default_rng([seed, _STREAM_FOLD_DEAL])
     classes, sizes = np.unique(dataset.hard, return_counts=True)
     fold_of = np.empty(n, dtype=np.int64)
     for cls, size in zip(classes, sizes):
@@ -542,7 +528,7 @@ def stratified_k_fold(dataset: Dataset, k: int, seed: int, val_fraction: float =
     folds = []
     for fold_idx in range(k):
         rest = np.flatnonzero(fold_of != fold_idx)
-        fold_rng = np.random.default_rng([seed, _STREAM_TRAIN_VAL, fold_idx])
+        fold_rng = _split_rng(seed, _STREAM_TRAIN_VAL, fold_idx)
         train, val = _stratified_split(rest, dataset.hard[rest], val_fraction, fold_rng, fold_idx + 1)
         folds.append(Fold(tuple(np.flatnonzero(fold_of == fold_idx).tolist()), train, val))
     return FoldSplit(folds=tuple(folds))

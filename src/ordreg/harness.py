@@ -58,13 +58,13 @@ from .ioutil import atomic_write_text, canonical_json, csv_field, csv_rows
 from .metrics import (
     ALPHA,
     DEFAULT_NUM_BINS,
-    MAX_NUM_BINS,
     EvalRecord,
     MetricReport,
     RecordRowError,
     Records,
     RecordTable,
     _METRIC_NAMES,
+    check_num_bins,
     compute_metric_report,
     eval_record,
     paired_t_test_one_sided,
@@ -173,8 +173,7 @@ class TrainConfig:
             raise InputError(
                 f"tie_policy must be one of {ALL_TIE_POLICIES}, got {self.tie_policy!r}"
             )
-        if not 1 <= self.num_bins <= MAX_NUM_BINS:
-            raise InputError(f"num_bins must lie in 1..{MAX_NUM_BINS}, got {self.num_bins}")
+        check_num_bins(self.num_bins)
 
     @property
     def effective_decode(self) -> str:
@@ -484,12 +483,11 @@ def _log_progress(config: TrainConfig, trained: Sequence, seconds: float) -> Non
         if isinstance(outcome, TrainingDiverged):
             log.info("%s fold %d seed %d: diverged (%s)", config.method, fold, seed, outcome)
             continue
-        best = outcome.history[outcome.best_epoch - 1].val_uw_mae if outcome.best_epoch else None
         log.info(
-            "%s fold %d seed %d: best epoch %d, val UW-MAE %s; stacked group of %d models,"
+            "%s fold %d seed %d: best epoch %d, val UW-MAE %.6f; stacked group of %d models,"
             " %.3f s, %.1f epochs/s",
             config.method, fold, seed, outcome.best_epoch,
-            "n/a" if best is None else f"{best:.6f}", len(trained), seconds,
+            outcome.history[outcome.best_epoch - 1].val_uw_mae, len(trained), seconds,
             config.epochs / seconds if seconds > 0 else float("inf"),
         )
 
@@ -717,7 +715,7 @@ class _RecordColumns:
             raise InputError(f"the row has {len(row)} fields; the header needs {self.width}") from None
 
 
-def _record_columns(path, header: list[str]) -> _RecordColumns:
+def _record_columns(header: list[str]) -> _RecordColumns:
     """Where the fields sit: soft_1..soft_K and pred_1..pred_K in any order, each by its number."""
     soft_cols = [i for i, name in enumerate(header) if name.startswith("soft_")]
     pred_cols = [i for i, name in enumerate(header) if name.startswith("pred_") and name != "pred_hard"]
@@ -725,15 +723,15 @@ def _record_columns(path, header: list[str]) -> _RecordColumns:
         id_col, hard_col, pred_hard_col, weight_col = map(
             header.index, ("id", "hard", "pred_hard", "weight"))
     except ValueError as missing:
-        raise InputError(f"{path}: records header is missing a column: {missing}") from None
+        raise InputError(f"records header is missing a column: {missing}") from None
     if not soft_cols or len(soft_cols) != len(pred_cols):
-        raise InputError(f"{path}: records header needs matching soft_/pred_ columns")
+        raise InputError("records header needs matching soft_/pred_ columns")
     k = len(soft_cols)
     place = {f"{prefix}{c}": -1 for prefix in ("soft_", "pred_") for c in range(1, k + 1)}
     for i in sorted(soft_cols + pred_cols):
         if place.get(header[i], 0) >= 0:
             fault = "repeats" if header[i] in place else "has"
-            raise InputError(f"{path}: records header {fault} column {header[i]!r}; the class"
+            raise InputError(f"records header {fault} column {header[i]!r}; the class"
                              f" columns are soft_1..soft_{k} and pred_1..pred_{k}")
         place[header[i]] = i
     columns = tuple(place.values())  # soft_1..soft_K, then pred_1..pred_K
@@ -768,7 +766,7 @@ def _read_plain_records(path) -> Optional[RecordTable]:
                     return None
                 fields[width - 1 :: width] = [end[:-1] for end in ends]
                 if cols is None:
-                    cols = _record_columns(path, fields)
+                    cols = _record_columns(fields)
                     continue
                 numbers.append(np.array(
                     [_each_once(float, fields[c::width]) for c in (cols.weight, *cols.soft)]
@@ -785,29 +783,22 @@ def _read_plain_records(path) -> Optional[RecordTable]:
         return RecordTable(ids=tuple(ids), soft=numbers[:, 1 : 1 + k], pred=numbers[:, 1 + k :],
                            hard=classes[:, 0], pred_hard=classes[:, 1], weight=numbers[:, 0])
     except RecordRowError as err:  # row i of a plain file is its line i + 2
-        raise InputError(f"{path} line {err.row + 2}: {err}") from None
+        raise InputError(f"{path}: line {err.row + 2}: {err}") from None
 
 
 def _read_record_rows(path) -> RecordTable:
     """The table of a records.csv read row by row, each row checked as an EvalRecord.
     The first row that fails raises InputError naming the line it starts on."""
     records = []
-    with csv_rows(path) as reader:
-        try:
-            cols = _record_columns(path, next(reader))
-        except StopIteration:
-            raise InputError(f"{path}: empty records file") from None
-        read = reader.line_num  # lines read so far; a quoted field may span lines
-        for row in reader:
-            line_no, read = read + 1, reader.line_num
-            if not row:
-                continue
+    with csv_rows(path) as (header, rows):
+        cols = _record_columns(header)
+        for line_no, row in rows:
             try:
                 records.append(cols.record(row))
             except ValueError as err:  # InputError included
-                raise InputError(f"{path} line {line_no}: {err}") from None
-    if not records:
-        raise InputError(f"{path}: no records")
+                raise InputError(f"line {line_no}: {err}") from None
+        if not records:
+            raise InputError("no records")
     return record_table(records)
 
 

@@ -79,14 +79,29 @@ def read_json(path: str | Path) -> Any:
 
 
 @contextmanager
-def csv_rows(path: str | Path) -> Iterator:
-    """A ``csv.reader`` over a UTF-8 file. Bytes that are not UTF-8, and rows the csv
-    module rejects (a field over its size limit), raise InputError naming the file."""
+def csv_rows(path: str | Path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
+    """The header of a UTF-8 CSV file and its non-blank rows as ``(line, fields)``, ``line``
+    the one the row starts on. An empty file, bytes that are not UTF-8, a row the csv
+    module rejects and an InputError raised in the block raise InputError naming the path."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        start = 1  # the line the row being read starts on; a quoted field may span lines
+
+        def rows() -> Iterator[tuple[int, list[str]]]:
+            nonlocal start
+            for fields in reader:
+                if fields:
+                    yield start, fields
+                start = reader.line_num + 1
+
         try:
-            yield reader
+            if (header := next(reader, None)) is None:
+                raise InputError("line 1: empty file")
+            start = reader.line_num + 1
+            yield header, rows()
         except UnicodeDecodeError:
             raise InputError(f"{path}: not UTF-8 text") from None
         except csv.Error as err:
-            raise InputError(f"{path} line {reader.line_num}: {err}") from None
+            raise InputError(f"{path}: line {start}: {err}") from None
+        except InputError as err:
+            raise InputError(f"{path}: {err}") from None

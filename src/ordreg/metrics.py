@@ -347,6 +347,13 @@ def any_rater_accuracy(records: Records) -> float:
     return int(np.count_nonzero(t.true_accuracy > 0.0)) / len(t)
 
 
+def check_num_bins(num_bins: int) -> int:
+    """``num_bins`` if it lies in 1..MAX_NUM_BINS; else InputError."""
+    if not 1 <= num_bins <= MAX_NUM_BINS:
+        raise InputError(f"num_bins must lie in 1..{MAX_NUM_BINS}, got {num_bins}")
+    return num_bins
+
+
 def _bin_indices(conf: np.ndarray, num_bins: int) -> np.ndarray:
     # equal-width bins over (0,1]; an exact edge value belongs to the lower bin
     uppers = np.linspace(0.0, 1.0, num_bins + 1)[1:]
@@ -357,8 +364,7 @@ def _bin_means(
     t: RecordTable, num_bins: int
 ) -> list[tuple[int, Optional[float], Optional[float]]]:
     """Per bin: member count, mean confidence and mean true accuracy (None if empty)."""
-    if num_bins < 1:
-        raise InputError("num_bins must be >= 1")
+    check_num_bins(num_bins)
     conf = t.confidence
     acc = t.true_accuracy
     idx = _bin_indices(conf, num_bins)

@@ -857,7 +857,7 @@ def test_evaluate_names_a_bad_row_sum_as_a_plain_number(tmp_path, capsys, row, m
     path.write_text("id,hard,pred_hard,weight,soft_1,soft_2,pred_1,pred_2\n"
                     f"a,1,1,0.5,0.5,0.5,0.5,0.5\n{row}\n")
     assert run(["evaluate", "--data", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {path} line 3: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
 
 
 def test_evaluate_and_curves_take_the_experiments_bin_count(ws, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -276,6 +277,14 @@ def test_load_csv_skips_a_blank_line_and_counts_it_in_later_line_numbers(tmp_pat
     with pytest.raises(InputError) as err:
         load_csv(path, SPEC4)
     assert str(err.value) == f"{path}: line 4: malformed feature value"
+
+
+def test_load_csv_names_the_path_and_line_of_a_field_over_the_csv_limit(tmp_path):
+    limit = csv.field_size_limit()
+    path = write_csv(tmp_path, f"id,f_1,r_1\na,0.0,1\nb,{'1' * (limit + 1)},2\n", "big.csv")
+    with pytest.raises(InputError) as err:
+        load_csv(path, SPEC4)
+    assert str(err.value) == f"{path}: line 3: field larger than field limit ({limit})"
 
 
 def test_load_csv_names_a_repeated_id_and_both_of_its_lines(tmp_path):

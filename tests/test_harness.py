@@ -490,7 +490,7 @@ def test_read_records_csv_names_the_line_a_row_starts_on_after_a_quoted_line_bre
     )
     with pytest.raises(InputError) as err:
         read_records_csv(path)
-    assert str(err.value) == f"{path} line 5: weight must equal the soft label's maximum entry"
+    assert str(err.value) == f"{path}: line 5: weight must equal the soft label's maximum entry"
 
 
 def test_result_directory_layout_and_metric_file_consistency(tmp_path):

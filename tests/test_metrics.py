@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ordreg import metrics
 from ordreg.core import PROB_SUM_TOL, ClassDistribution, InputError, RatingDistribution
 from ordreg.metrics import (
+    MAX_NUM_BINS,
     CalibrationBin,
     EvalRecord,
     MetricReport,
@@ -726,8 +727,15 @@ def test_a_record_table_checks_its_column_shapes():
 
 
 def test_ece_needs_at_least_one_bin():
-    with pytest.raises(InputError, match="^num_bins must be >= 1$"):
+    with pytest.raises(InputError, match=rf"^num_bins must lie in 1\.\.{MAX_NUM_BINS}, got 0$"):
         ece([rec(one_hot(3, 1), one_hot(3, 1))], 0)
+
+
+@pytest.mark.parametrize("binned", [ece, calibration_curve, compute_metric_report])
+def test_binned_metrics_take_at_most_max_num_bins(binned):
+    over = MAX_NUM_BINS + 1
+    with pytest.raises(InputError, match=rf"^num_bins must lie in 1\.\.{MAX_NUM_BINS}, got {over}$"):
+        binned([rec(one_hot(3, 1), one_hot(3, 1))], over)
 
 
 def test_report_flags_undefined_metrics():

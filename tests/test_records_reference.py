@@ -261,7 +261,7 @@ def _ref_read_records_csv(path):
         try:
             header = next(reader)
         except StopIteration:
-            raise InputError(f"{path}: empty records file") from None
+            raise InputError(f"{path}: line 1: empty file") from None
         soft_cols = [i for i, name in enumerate(header) if name.startswith("soft_")]
         pred_cols = [i for i, name in enumerate(header)
                      if name.startswith("pred_") and name != "pred_hard"]
@@ -307,7 +307,7 @@ def _ref_read_records_csv(path):
                     )
                 )
             except (ValueError, InputError) as err:
-                raise InputError(f"{path} line {line_no}: {err}") from None
+                raise InputError(f"{path}: line {line_no}: {err}") from None
     if not records:
         raise InputError(f"{path}: no records")
     return records
@@ -787,7 +787,7 @@ def test_a_written_records_file_is_read_without_the_csv_reader(tmp_path, monkeyp
     weight = lines[2500].split(",")[3]
     lines[2500] = lines[2500].replace(f",{weight},", f",{float(weight) / 2!r},", 1)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InputError, match=f"^{path} line 2501: weight must equal"):
+    with pytest.raises(InputError, match=f"^{path}: line 2501: weight must equal"):
         read_records_csv(path)
     path.write_text(text.replace("e7,", '"e,7",', 1))
     with pytest.raises(AssertionError, match="went to the csv reader"):
