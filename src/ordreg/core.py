@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -57,8 +57,7 @@ class ProblemSpec:
     num_classes: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_classes, int) or self.num_classes < 2:
-            raise InputError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
+        object.__setattr__(self, "num_classes", check_int("num_classes", self.num_classes, 2))
 
 
 def _checked_vector(field: str, values, wording: str, min_size: int, size_message: str,
@@ -157,6 +156,10 @@ class ClassDistribution:
         return int(self.probs.size)
 
 
+def _shown(value):  # a value as a message shows it: 5, not np.int64(5)
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_class_index(label: int, k: int) -> int:
     """``label`` as an int in 1..k; anything else (1.5, NaN, None, 'a') raises InputError."""
     try:
@@ -164,9 +167,25 @@ def check_class_index(label: int, k: int) -> int:
     except (TypeError, ValueError, OverflowError):  # None, 'a', nan, inf
         idx = 0
     if idx != label or not 1 <= idx <= k:
-        shown = label.item() if isinstance(label, np.generic) else label  # 5, not np.int64(5)
-        raise InputError(f"class index {shown!r} outside 1..{k}")
+        raise InputError(f"class index {_shown(label)!r} outside 1..{k}")
     return idx
+
+
+def check_int(name: str, value, low: int, high: Optional[int] = None) -> int:
+    """``value`` as an int in low..high (no upper bound if ``high`` is None). Only a Python
+    or NumPy integer passes; a bool, a float (even 2.0), a string or None raises InputError."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    raise InputError(f"{name} must be an integer {bound}, got {_shown(value)!r}")
+
+
+def check_choice(name: str, value, choices: tuple) -> str:
+    """``value`` if it is one of the strings ``choices``; else InputError listing them."""
+    if not (isinstance(value, str) and value in choices):
+        raise InputError(f"{name} must be one of {choices}, got {_shown(value)!r}")
+    return value
 
 
 def _argmax_rows(p: np.ndarray) -> np.ndarray:

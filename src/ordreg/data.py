@@ -28,7 +28,9 @@ from .core import (
     InputError,
     ProblemSpec,
     _argmax_rows,
+    check_choice,
     check_class_index,
+    check_int,
     class_max,
     exceedance_from_soft,
 )
@@ -198,12 +200,11 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if min(self.n_examples, self.n_features, self.n_raters) < 1:
-            raise InputError("n_examples, n_features, n_raters must all be >= 1")
+        for name in ("n_examples", "n_features", "n_raters"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.n_examples * (self.n_features + self.n_raters) > MAX_SYNTHETIC_CELLS:
             raise InputError(f"n_examples x (n_features + n_raters) exceeds {MAX_SYNTHETIC_CELLS}")
-        if self.num_classes < 2:
-            raise InputError("num_classes must be >= 2")
+        object.__setattr__(self, "num_classes", check_int("num_classes", self.num_classes, 2))
         th = tuple(float(t) for t in self.thresholds)
         if len(th) != self.num_classes - 1:
             raise InputError(
@@ -213,8 +214,7 @@ class SyntheticConfig:
             raise InputError("thresholds must be strictly increasing")
         if self.feature_noise_sd < 0 or self.rater_noise_sd < 0:
             raise InputError("noise standard deviations must be >= 0")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         object.__setattr__(self, "thresholds", th)
 
     def to_dict(self) -> dict:
@@ -442,9 +442,7 @@ class TieResolution:
 
 
 def resolve_ties(dataset: Dataset, policy: str) -> TieResolution:
-    if policy not in ALL_TIE_POLICIES:
-        raise InputError(f"tie policy must be one of {ALL_TIE_POLICIES}, got {policy!r}")
-    return TieResolution(policy=policy, dataset=dataset)
+    return TieResolution(check_choice("tie policy", policy, ALL_TIE_POLICIES), dataset)
 
 
 # ===== splits =====
@@ -483,10 +481,8 @@ def _stratified_split(indices: np.ndarray, labels: np.ndarray, fraction: float,
 
 
 def _split_rng(seed: int, *stream: int) -> np.random.Generator:
-    """The generator of one split stream of ``seed``, which must be >= 0."""
-    if seed < 0:  # numpy.random.default_rng takes non-negative integers only
-        raise InputError(f"split seed must be >= 0, got {seed}")
-    return np.random.default_rng([seed, *stream])
+    """The generator of one split stream of ``seed``, an integer >= 0."""
+    return np.random.default_rng([check_int("split seed", seed, 0), *stream])
 
 
 def train_val_split(indices: Sequence[int], hard_labels, fraction: float = 0.8,
@@ -511,8 +507,7 @@ def stratified_k_fold(dataset: Dataset, k: int, seed: int, val_fraction: float =
     across folds. Each fold's other examples are cut by :func:`_stratified_split`,
     ``val_fraction`` of each class training; an empty validation part raises naming the fold.
     """
-    if k < 2:
-        raise InputError(f"k must be >= 2, got {k}")
+    k = check_int("k", k, 2)
     rng = _split_rng(seed, _STREAM_FOLD_DEAL)
     n = len(dataset)
     if k > n:

@@ -40,6 +40,8 @@ from .core import (
     InputError,
     RatingDistribution,
     _count_rows,
+    check_choice,
+    check_int,
     class_distribution_from_tasks,
     class_max,
     decode_argmax,
@@ -153,27 +155,20 @@ class TrainConfig:
     num_bins: int = DEFAULT_NUM_BINS
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise InputError(
-                f"unknown method {self.method!r}; valid: {', '.join(sorted(METHODS))}"
-            )
-        if self.epochs < 1 or self.batch_size < 1:
-            raise InputError("epochs and batch_size must be >= 1")
+        check_choice("method", self.method, tuple(METHODS))
+        object.__setattr__(self, "epochs", check_int("epochs", self.epochs, 1))
+        object.__setattr__(self, "batch_size", check_int("batch_size", self.batch_size, 1))
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InputError(f"lr must be a finite number > 0, got {self.lr}")
-        seeds = tuple(int(s) for s in self.seeds)
-        if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        seeds = tuple(check_int(f"seeds[{i}]", s, 0) for i, s in enumerate(self.seeds))
+        if not seeds or len(set(seeds)) != len(seeds):
             raise InputError("seeds must be a non-empty list of distinct integers >= 0")
         object.__setattr__(self, "seeds", seeds)
         if not 0.0 < self.val_fraction < 1.0:
             raise InputError("val_fraction must lie strictly between 0 and 1")
-        if self.decode is not None and self.decode not in ALL_DECODES:
-            raise InputError(f"decode must be one of {ALL_DECODES}, got {self.decode!r}")
-        if self.tie_policy not in ALL_TIE_POLICIES:
-            raise InputError(
-                f"tie_policy must be one of {ALL_TIE_POLICIES}, got {self.tie_policy!r}"
-            )
-        check_num_bins(self.num_bins)
+        check_choice("decode", self.effective_decode, ALL_DECODES)  # the default when unset
+        check_choice("tie_policy", self.tie_policy, ALL_TIE_POLICIES)
+        object.__setattr__(self, "num_bins", check_num_bins(self.num_bins))
 
     @property
     def effective_decode(self) -> str:
@@ -241,8 +236,7 @@ def decode_distribution(
     gives an int. Argmax sends exact ties to the lowest class; the count
     decode is 1 + #{k : P(y > k) > 0.5}.
     """
-    if rule not in ALL_DECODES:
-        raise InputError(f"decode must be one of {ALL_DECODES}, got {rule!r}")
+    check_choice("decode", rule, ALL_DECODES)
     single = isinstance(dist, ClassDistribution)
     probs = dist.probs[None, :] if single else np.asarray(dist)
     lead = probs.shape[:-1]
@@ -311,7 +305,7 @@ def train_models(
         test_idx.append(np.asarray(job.test, dtype=np.int64))
     if not jobs:
         return []
-    seeds = [int(job.seed) for job in jobs]
+    seeds = [check_int("seed", job.seed, 0) for job in jobs]
     n_models = len(jobs)
     inits = [init_params(config.encoder, method.head_kind, dataset.spec, s) for s in seeds]
     flat = np.stack([p.bundle.flat for p in inits])
@@ -618,8 +612,7 @@ def compare_methods(
     the folds both completed.
 
     An unknown metric, or one undefined on a fold, raises InputError."""
-    if metric not in _METRIC_NAMES:
-        raise InputError(f"unknown metric {metric!r}; valid: {', '.join(_METRIC_NAMES)}")
+    check_choice("metric", metric, _METRIC_NAMES)
     folds_a = {f.fold: f for f in result_a.completed_folds()}
     folds_b = {f.fold: f for f in result_b.completed_folds()}
     if set(folds_a) != set(folds_b) or not folds_a:
@@ -719,24 +712,23 @@ def _record_columns(header: list[str]) -> _RecordColumns:
     """Where the fields sit: soft_1..soft_K and pred_1..pred_K in any order, each by its number."""
     soft_cols = [i for i, name in enumerate(header) if name.startswith("soft_")]
     pred_cols = [i for i, name in enumerate(header) if name.startswith("pred_") and name != "pred_hard"]
-    try:
-        id_col, hard_col, pred_hard_col, weight_col = map(
-            header.index, ("id", "hard", "pred_hard", "weight"))
-    except ValueError as missing:
-        raise InputError(f"records header is missing a column: {missing}") from None
+    named = ("id", "hard", "pred_hard", "weight")  # the fields of _RecordColumns, in order
+    for name in named:
+        if header.count(name) != 1:
+            fault = "repeats" if name in header else "is missing"
+            raise InputError(f"line 1: records header {fault} column {name!r}")
     if not soft_cols or len(soft_cols) != len(pred_cols):
-        raise InputError("records header needs matching soft_/pred_ columns")
+        raise InputError("line 1: records header needs matching soft_/pred_ columns")
     k = len(soft_cols)
     place = {f"{prefix}{c}": -1 for prefix in ("soft_", "pred_") for c in range(1, k + 1)}
     for i in sorted(soft_cols + pred_cols):
         if place.get(header[i], 0) >= 0:
             fault = "repeats" if header[i] in place else "has"
-            raise InputError(f"records header {fault} column {header[i]!r}; the class"
+            raise InputError(f"line 1: records header {fault} column {header[i]!r}; the class"
                              f" columns are soft_1..soft_{k} and pred_1..pred_{k}")
         place[header[i]] = i
     columns = tuple(place.values())  # soft_1..soft_K, then pred_1..pred_K
-    return _RecordColumns(id=id_col, hard=hard_col, pred_hard=pred_hard_col, weight=weight_col,
-                          soft=columns[:k], pred=columns[k:])
+    return _RecordColumns(*map(header.index, named), soft=columns[:k], pred=columns[k:])
 
 
 def _each_once(convert, column: list[str]) -> list:

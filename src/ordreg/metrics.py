@@ -39,8 +39,10 @@ from .core import (
     ClassDistribution,
     InputError,
     RatingDistribution,
+    check_choice,
     check_class_index,
     check_class_indices,
+    check_int,
     class_max,
     class_min,
     decode_argmax,
@@ -348,10 +350,8 @@ def any_rater_accuracy(records: Records) -> float:
 
 
 def check_num_bins(num_bins: int) -> int:
-    """``num_bins`` if it lies in 1..MAX_NUM_BINS; else InputError."""
-    if not 1 <= num_bins <= MAX_NUM_BINS:
-        raise InputError(f"num_bins must lie in 1..{MAX_NUM_BINS}, got {num_bins}")
-    return num_bins
+    """``num_bins`` as an int in 1..MAX_NUM_BINS; else InputError."""
+    return check_int("num_bins", num_bins, 1, MAX_NUM_BINS)
 
 
 def _bin_indices(conf: np.ndarray, num_bins: int) -> np.ndarray:
@@ -594,8 +594,7 @@ def paired_t_test_one_sided(
     b = np.asarray(metric_b_per_fold, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise InputError("paired test needs two equal-length sequences of length >= 2")
-    if direction not in (DIRECTION_LOWER, DIRECTION_HIGHER):
-        raise InputError(f"direction must be 'lower' or 'higher', got {direction!r}")
+    check_choice("direction", direction, (DIRECTION_LOWER, DIRECTION_HIGHER))
     d = a - b
     mean = float(d.mean())
     sd = float(d.std(ddof=1))

@@ -32,7 +32,9 @@ from .core import (
     DISTANCE_SE,
     InputError,
     ProblemSpec,
+    check_choice,
     check_class_indices,
+    check_int,
     class_max,
     sord_soft_label,
 )
@@ -70,14 +72,10 @@ class EncoderConfig:
     activation: str = ACT_RELU
 
     def __post_init__(self) -> None:
-        for name, sizes in (("input_dim", (self.input_dim,)), ("hidden_dims", self.hidden_dims)):
-            if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
-                       for d in sizes):
-                raise InputError(f"{name} must hold integers >= 1, got {getattr(self, name)!r}")
-        object.__setattr__(self, "input_dim", int(self.input_dim))
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        if self.activation not in (ACT_RELU, ACT_TANH):
-            raise InputError(f"unknown activation {self.activation!r}")
+        object.__setattr__(self, "input_dim", check_int("input_dim", self.input_dim, 1))
+        object.__setattr__(self, "hidden_dims", tuple(
+            check_int(f"hidden_dims[{i}]", d, 1) for i, d in enumerate(self.hidden_dims)))
+        check_choice("activation", self.activation, (ACT_RELU, ACT_TANH))
 
     @property
     def output_dim(self) -> int:
@@ -193,7 +191,7 @@ def init_params(
 ) -> ModelParams:
     """Deterministic init: fan-in-scaled uniform weights, zero biases."""
     layout = _layout(config, head_kind, spec.num_classes)
-    rng = np.random.default_rng([int(seed), _INIT_STREAM])
+    rng = np.random.default_rng([check_int("seed", seed, 0), _INIT_STREAM])
     enc_w = []
     for fan_out, fan_in in layout[: len(config.hidden_dims)]:
         bound = 1.0 / np.sqrt(fan_in)
@@ -359,10 +357,7 @@ def loss_and_gradient(
                                  f" of shape {examples[:-1]}, got {rows.tolist()}")
         if len(batch) == 0:
             raise InputError("batch must be non-empty")
-        if loss_kind not in losses_mod.ALL_LOSS_KINDS:
-            raise InputError(
-                f"unknown loss kind {loss_kind!r}; valid: {', '.join(losses_mod.ALL_LOSS_KINDS)}"
-            )
+        check_choice("loss_kind", loss_kind, losses_mod.ALL_LOSS_KINDS)
         if task_head != (params.head_kind != HEAD_SOFTMAX):
             raise InputError(f"loss {loss_kind!r} needs "
                              + ("a task head, not softmax" if task_head else "the softmax head"))

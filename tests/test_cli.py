@@ -839,8 +839,20 @@ def test_evaluate_places_each_class_column_by_its_number(ws, tmp_path, capsys):
 def test_evaluate_rejects_a_class_column_out_of_its_numbers(ws, tmp_path, capsys, rename, fault):
     path = _records_with_columns(ws, tmp_path, _REORDERED, rename)
     assert run(["evaluate", "--data", str(path)]) == 1
-    assert capsys.readouterr().err == (f"error: {path}: records header {fault}; the class columns"
-                                       " are soft_1..soft_3 and pred_1..pred_3\n")
+    assert capsys.readouterr().err == (f"error: {path}: line 1: records header {fault}; the class"
+                                       " columns are soft_1..soft_3 and pred_1..pred_3\n")
+
+
+@pytest.mark.parametrize("order,fault", [
+    ([name for name in _REORDERED if name != "pred_hard"], "is missing column 'pred_hard'"),
+    (_REORDERED + ["hard"], "repeats column 'hard'"),
+    (["weight"] + _REORDERED, "repeats column 'weight'"),
+], ids=["missing", "repeated", "repeated-first"])
+def test_evaluate_names_line_1_and_the_column_of_a_header_fault(ws, tmp_path, capsys, order,
+                                                               fault):
+    path = _records_with_columns(ws, tmp_path, order)
+    assert run(["evaluate", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 1: records header {fault}\n"
 
 
 def test_evaluate_missing_file_exits_one(tmp_path, capsys):
@@ -899,7 +911,7 @@ def test_a_bin_count_over_the_bound_exits_one_before_any_work(ws, tmp_path, caps
                 "--num-bins", str(MAX_NUM_BINS + 1)]
     assert run(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"num_bins must lie in 1..{MAX_NUM_BINS}" in err
+    assert err.startswith("error: ") and f"num_bins must be an integer in 1..{MAX_NUM_BINS}" in err
     assert not out.exists()
     if command != "cv":  # the bound itself is accepted
         assert run(args[:-1] + [str(MAX_NUM_BINS)]) == 0

@@ -14,8 +14,10 @@ from ordreg.core import (
     ProblemSpec,
     RatingDistribution,
     TaskProbabilities,
+    check_choice,
     check_class_index,
     check_class_indices,
+    check_int,
     class_distribution_from_tasks,
     class_max,
     class_min,
@@ -24,6 +26,33 @@ from ordreg.core import (
     exceedance_from_soft,
     sord_soft_label,
 )
+from ordreg.data import (
+    ALL_TIE_POLICIES,
+    SyntheticConfig,
+    dataset_from_votes,
+    generate_synthetic,
+    resolve_ties,
+    stratified_k_fold,
+    train_val_split,
+)
+from ordreg.harness import (
+    ALL_DECODES,
+    METHODS,
+    TrainConfig,
+    compare_methods,
+    decode_distribution,
+    train_one,
+)
+from ordreg.losses import ALL_LOSS_KINDS
+from ordreg.metrics import (
+    MAX_NUM_BINS,
+    EvalRecord,
+    _METRIC_NAMES,
+    calibration_curve,
+    ece,
+    paired_t_test_one_sided,
+)
+from ordreg.model import HEAD_SOFTMAX, EncoderConfig, init_params, loss_and_gradient
 
 K4 = ProblemSpec(num_classes=4)
 
@@ -383,3 +412,136 @@ def test_class_max_and_min_equal_the_reductions_over_the_last_axis(k, shape, dty
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.flags.c_contiguous  # a sum over it adds in the same order
         assert np.array_equal(got, want, equal_nan=dtype is np.float64)
+
+
+# ---- one rule per kind of setting: check_int and check_choice ----
+
+
+def _two_class_set():
+    votes = [(1,)] * 4 + [(2,)] * 4
+    return dataset_from_votes(ProblemSpec(2), np.arange(16.0).reshape(8, 2), votes)
+
+
+def _record():
+    return EvalRecord(soft=RatingDistribution(np.array([0.75, 0.25])), hard=1,
+                      pred_dist=ClassDistribution(np.array([0.6, 0.4])), pred_hard=1,
+                      weight=0.75, example_id="a")
+
+
+def _synthetic(**fields):
+    base = dict(n_examples=10, n_features=2, num_classes=3, n_raters=3,
+                thresholds=(-0.5, 0.5), feature_noise_sd=0.1, rater_noise_sd=0.3, seed=0)
+    config = SyntheticConfig(**{**base, **fields})
+    return config, generate_synthetic(config).counts.tolist()
+
+
+_ENCODER = EncoderConfig(2, (3,))
+
+# (name in the message, low, high, a valid value, the call that takes the setting); each
+# call's result is plain data, so a NumPy integer must give what the Python int gives
+_INT_SETTINGS = [
+    ("num_classes", 2, None, 3, ProblemSpec),
+    ("input_dim", 1, None, 4, EncoderConfig),
+    ("hidden_dims[1]", 1, None, 4, lambda v: EncoderConfig(3, (2, v))),
+    ("epochs", 1, None, 3, lambda v: TrainConfig("ce", _ENCODER, epochs=v)),
+    ("batch_size", 1, None, 3, lambda v: TrainConfig("ce", _ENCODER, batch_size=v)),
+    ("seeds[0]", 0, None, 1, lambda v: TrainConfig("ce", _ENCODER, seeds=(v, 5))),
+    ("seeds[1]", 0, None, 1, lambda v: TrainConfig("ce", _ENCODER, seeds=(5, v))),
+    ("num_bins", 1, MAX_NUM_BINS, 3, lambda v: TrainConfig("ce", _ENCODER, num_bins=v)),
+    ("num_bins", 1, MAX_NUM_BINS, 3, lambda v: ece([_record(), _record()], v)),
+    ("num_bins", 1, MAX_NUM_BINS, 3, lambda v: calibration_curve([_record()], v)),
+    ("n_examples", 1, None, 12, lambda v: _synthetic(n_examples=v)),
+    ("n_features", 1, None, 3, lambda v: _synthetic(n_features=v)),
+    ("n_raters", 1, None, 4, lambda v: _synthetic(n_raters=v)),
+    ("num_classes", 2, None, 3,
+     lambda v: _synthetic(num_classes=v, thresholds=(-0.5, 0.5) if v == 3 else (0.0,))),
+    ("seed", 0, None, 7, lambda v: _synthetic(seed=v)),
+    ("split seed", 0, None, 3, lambda v: train_val_split(range(8), _two_class_set().hard, seed=v)),
+    ("split seed", 0, None, 3, lambda v: stratified_k_fold(_two_class_set(), 2, v)),
+    ("k", 2, None, 3, lambda v: stratified_k_fold(_two_class_set(), v, 0)),
+    ("seed", 0, None, 2, lambda v: init_params(_ENCODER, HEAD_SOFTMAX, ProblemSpec(3),
+                                                v).bundle.flat.tolist()),
+    ("seed", 0, None, 2, lambda v: train_one(
+        _two_class_set(), TrainConfig("ce", EncoderConfig(2), epochs=2, seeds=(0,)),
+        [0, 1, 2, 4, 5, 6], [3, 7], v).params.bundle.flat.tolist()),
+]
+_INT_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(_INT_SETTINGS)]
+
+
+def _bad_ints(low, high):
+    """Values an integer setting refuses; 1.5 and 10.5 name a fraction that int() truncates."""
+    values = [2.5, low + 0.5, 1.5, 10.5, float(low), True, False, "3", None, low - 1]
+    values += [] if high is None else [high + 1]
+    return list({repr(v): v for v in values}.values())
+
+
+@pytest.mark.parametrize("name,low,high,bad,call", [
+    pytest.param(name, low, high, bad, call, id=f"{setting_id}-{bad!r}")
+    for setting_id, (name, low, high, _, call) in zip(_INT_IDS, _INT_SETTINGS)
+    for bad in _bad_ints(low, high) if not (bad is False and low == 0)
+])
+def test_an_integer_setting_refuses_anything_but_an_integer_in_range(name, low, high, bad,
+                                                                     call):
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    message = f"{name} must be an integer {bound}, got {bad!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name,low,high,good,call", _INT_SETTINGS, ids=_INT_IDS)
+def test_an_integer_setting_takes_a_numpy_integer_as_the_python_int(name, low, high, good, call):
+    for value in {low, good} - {0} if name.startswith("seeds") else {low, good}:
+        assert call(np.int64(value)) == call(value)
+        assert call(np.int32(value)) == call(value)
+
+
+def test_a_numpy_integer_setting_is_stored_as_a_python_int():
+    assert type(ProblemSpec(np.int64(3)).num_classes) is int
+    config = TrainConfig("ce", _ENCODER, epochs=np.int64(2), seeds=(np.int64(1),),
+                         num_bins=np.int16(5))
+    assert [type(v) for v in (config.epochs, config.seeds[0], config.num_bins)] == [int] * 3
+    synthetic, _ = _synthetic(seed=np.uint8(4), n_examples=np.int64(10))
+    assert synthetic == _synthetic(seed=4)[0] and type(synthetic.seed) is int
+
+
+def test_check_int_shows_a_numpy_value_as_python_shows_it():
+    with pytest.raises(InputError, match=r"^k must be an integer >= 2, got 1$"):
+        check_int("k", np.int64(1), 2)
+    with pytest.raises(InputError, match=r"^k must be an integer >= 2, got 2\.0$"):
+        check_int("k", np.float64(2.0), 2)
+    assert check_int("k", np.uint64(2**63), 2) == 2**63
+
+
+_RESULTS = (None, None)  # an unknown metric is refused before the results are read
+_CHOICES = [
+    ("method", tuple(METHODS), lambda v: TrainConfig(v, _ENCODER)),
+    ("decode", ALL_DECODES, lambda v: TrainConfig("ce", _ENCODER, decode=v)),
+    ("tie_policy", ALL_TIE_POLICIES, lambda v: TrainConfig("ce", _ENCODER, tie_policy=v)),
+    ("activation", ("relu", "tanh"), lambda v: EncoderConfig(2, (3,), activation=v)),
+    ("loss_kind", ALL_LOSS_KINDS, lambda v: loss_and_gradient(
+        init_params(_ENCODER, HEAD_SOFTMAX, ProblemSpec(3), 0), [(np.zeros(2), 1)], v)),
+    ("decode", ALL_DECODES, lambda v: decode_distribution(np.array([[0.5, 0.5]]), v)),
+    ("tie policy", ALL_TIE_POLICIES, lambda v: resolve_ties(_two_class_set(), v)),
+    ("metric", _METRIC_NAMES, lambda v: compare_methods(*_RESULTS, v, "lower")),
+    ("direction", ("lower", "higher"),
+     lambda v: paired_t_test_one_sided([0.1, 0.2], [0.2, 0.4], v)),
+]
+
+
+@pytest.mark.parametrize("name,choices,call,bad", [
+    pytest.param(name, choices, call, bad, id=f"{name}-{i}-{bad!r}")
+    for i, (name, choices, call) in enumerate(_CHOICES)
+    for bad in ("nope", "", "Lower", None, 1) if not (bad is None and i == 1)  # None: the default
+])
+def test_a_named_option_refuses_an_unknown_value_listing_the_choices(name, choices, call, bad):
+    message = f"{name} must be one of {choices}, got {bad!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_each_named_option_takes_every_choice_it_lists():
+    # a loss kind needs its own head, and a metric needs results to compare
+    for name, choices, call in _CHOICES:
+        for choice in choices if name not in ("loss_kind", "metric") else ():
+            call(choice)
+    assert check_choice("k", np.str_("a"), ("a",)) == "a"

@@ -423,9 +423,9 @@ def test_a_vote_that_is_no_number_raises_input_error_naming_it(vote):
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("n_examples", 0, "n_examples, n_features, n_raters must all be >= 1"),
-    ("num_classes", 1, "num_classes must be >= 2"),
-    ("seed", -1, "seed must be >= 0, got -1"),
+    ("n_examples", 0, "n_examples must be an integer >= 1, got 0"),
+    ("num_classes", 1, "num_classes must be an integer >= 2, got 1"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
 ])
 def test_a_synthetic_config_out_of_range_is_rejected(field, value, message):
     doc = {**NOISELESS.to_dict(), field: value}
@@ -649,7 +649,7 @@ def test_k_fold_is_deterministic_and_seed_sensitive():
 
 def test_k_fold_rejects_degenerate_k():
     ds = _labels_dataset([4, 4])
-    with pytest.raises(InputError, match="k must be >= 2"):
+    with pytest.raises(InputError, match="k must be an integer >= 2, got 1"):
         stratified_k_fold(ds, 1, seed=0)
     with pytest.raises(InputError, match="exceeds"):
         stratified_k_fold(ds, 9, seed=0)
@@ -657,9 +657,9 @@ def test_k_fold_rejects_degenerate_k():
 
 def test_splits_reject_a_negative_seed():
     ds = _labels_dataset([4, 4])
-    with pytest.raises(InputError, match="seed must be >= 0"):
+    with pytest.raises(InputError, match="^split seed must be an integer >= 0, got -1$"):
         stratified_k_fold(ds, 2, seed=-1)
-    with pytest.raises(InputError, match="seed must be >= 0"):
+    with pytest.raises(InputError, match="^split seed must be an integer >= 0, got -1$"):
         train_val_split(range(len(ds)), ds.hard, seed=-1)
 
 

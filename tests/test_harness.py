@@ -118,7 +118,7 @@ def test_config_rejects_bad_fields():
 
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
 def test_config_rejects_zero_epochs_or_batch_size(field):
-    with pytest.raises(InputError, match="^epochs and batch_size must be >= 1$"):
+    with pytest.raises(InputError, match=f"^{field} must be an integer >= 1, got 0$"):
         small_config(**{field: 0})
 
 
@@ -411,7 +411,7 @@ def test_comparison_serializes_to_plain_json():
 def test_compare_rejects_an_unknown_metric_naming_the_valid_ones():
     a = _fake_result("or_soft", [0.2, 0.3, 0.25])
     b = _fake_result("ce", [0.3, 0.4, 0.35])
-    with pytest.raises(InputError, match="unknown metric 'mae_w'; valid: mae_uw, qwk_uw, "):
+    with pytest.raises(InputError, match=r"^metric must be one of \('mae_uw', 'qwk_uw', .*\), got 'mae_w'$"):
         compare_methods(a, b, "mae_w", "lower")
 
 

@@ -727,14 +727,14 @@ def test_a_record_table_checks_its_column_shapes():
 
 
 def test_ece_needs_at_least_one_bin():
-    with pytest.raises(InputError, match=rf"^num_bins must lie in 1\.\.{MAX_NUM_BINS}, got 0$"):
+    with pytest.raises(InputError, match=rf"^num_bins must be an integer in 1\.\.{MAX_NUM_BINS}, got 0$"):
         ece([rec(one_hot(3, 1), one_hot(3, 1))], 0)
 
 
 @pytest.mark.parametrize("binned", [ece, calibration_curve, compute_metric_report])
 def test_binned_metrics_take_at_most_max_num_bins(binned):
     over = MAX_NUM_BINS + 1
-    with pytest.raises(InputError, match=rf"^num_bins must lie in 1\.\.{MAX_NUM_BINS}, got {over}$"):
+    with pytest.raises(InputError, match=rf"^num_bins must be an integer in 1\.\.{MAX_NUM_BINS}, got {over}$"):
         binned([rec(one_hot(3, 1), one_hot(3, 1))], over)
 
 

@@ -155,8 +155,8 @@ def test_encoder_config_validation():
 
 def test_encoder_sizes_must_be_integers_not_floats_or_bools():
     for args, field in (((3.5, ()), "input_dim"), ((True, ()), "input_dim"),
-                        ((3, (2.7,)), "hidden_dims"), ((3, (4, False)), "hidden_dims")):
-        with pytest.raises(InputError, match=f"^{field} must hold integers >= 1, got "):
+                        ((3, (2.7,)), r"hidden_dims\[0\]"), ((3, (4, False)), r"hidden_dims\[1\]")):
+        with pytest.raises(InputError, match=f"^{field} must be an integer >= 1, got "):
             EncoderConfig(*args)
     config = EncoderConfig(np.int64(3), (np.int32(4),))  # NumPy integers are sizes too
     assert (config.input_dim, config.hidden_dims) == (3, (4,))
@@ -269,7 +269,7 @@ def test_task_losses_reject_the_softmax_head_and_vice_versa():
 def test_an_unknown_loss_kind_is_rejected_naming_the_valid_ones():
     params = init_params(EncoderConfig(3, ()), HEAD_SOFTMAX, ProblemSpec(3), 0)
     with pytest.raises(InputError, match=re.escape(
-            f"unknown loss kind 'hinge'; valid: {', '.join(ALL_LOSS_KINDS)}")):
+            f"loss_kind must be one of {ALL_LOSS_KINDS}, got 'hinge'")):
         loss_and_gradient(params, [(np.zeros(3), 1)], "hinge")
 
 

@@ -265,15 +265,17 @@ def _ref_read_records_csv(path):
         soft_cols = [i for i, name in enumerate(header) if name.startswith("soft_")]
         pred_cols = [i for i, name in enumerate(header)
                      if name.startswith("pred_") and name != "pred_hard"]
-        try:
-            id_col = header.index("id")
-            hard_col = header.index("hard")
-            pred_hard_col = header.index("pred_hard")
-            weight_col = header.index("weight")
-        except ValueError as missing:
-            raise InputError(f"{path}: records header is missing a column: {missing}") from None
+        for name in ("id", "hard", "pred_hard", "weight"):
+            if name not in header:
+                raise InputError(f"{path}: line 1: records header is missing column {name!r}")
+            if header.count(name) > 1:
+                raise InputError(f"{path}: line 1: records header repeats column {name!r}")
+        id_col = header.index("id")
+        hard_col = header.index("hard")
+        pred_hard_col = header.index("pred_hard")
+        weight_col = header.index("weight")
         if not soft_cols or len(soft_cols) != len(pred_cols):
-            raise InputError(f"{path}: records header needs matching soft_/pred_ columns")
+            raise InputError(f"{path}: line 1: records header needs matching soft_/pred_ columns")
         k = len(soft_cols)
         names = [f"soft_{c}" for c in range(1, k + 1)] + [f"pred_{c}" for c in range(1, k + 1)]
         where = {}
@@ -281,9 +283,9 @@ def _ref_read_records_csv(path):
             if i in soft_cols or i in pred_cols:
                 rule = f"the class columns are soft_1..soft_{k} and pred_1..pred_{k}"
                 if name not in names:
-                    raise InputError(f"{path}: records header has column {name!r}; {rule}")
+                    raise InputError(f"{path}: line 1: records header has column {name!r}; {rule}")
                 if name in where:
-                    raise InputError(f"{path}: records header repeats column {name!r}; {rule}")
+                    raise InputError(f"{path}: line 1: records header repeats column {name!r}; {rule}")
                 where[name] = i
         soft_cols = [where[name] for name in names[:k]]
         pred_cols = [where[name] for name in names[k:]]
@@ -715,6 +717,8 @@ _EDGE_CASES = {
          for fields in lines]),
     "bom": lambda lines: "\ufeff" + _text(lines),
     "header-only": lambda lines: _text(lines[:1]),
+    "header-without-pred-hard": lambda lines: _text([fields[:2] + fields[3:] for fields in lines]),
+    "header-repeats-hard": lambda lines: _text([fields + fields[1:2] for fields in lines]),
     "empty": lambda lines: "",
 }
 

@@ -23,10 +23,11 @@ relative paths, so that messages naming a file read the same on both sides:
   the default bins and with ``--num-bins 15``, and on two copies of it that
   the csv reader reads: one with CRLF line ends, one with each id quoted;
   ``compare`` of two methods;
-- five failures: a malformed config, ``--seed -1``, ``cv`` of four
+- six failures: a malformed config, ``--seed -1``, ``cv`` of four
   single-vote rows over two folds, whose split warns and then fails, ``cv``
-  of a data CSV with a malformed line 3, and ``evaluate`` of a copy of the
-  fold's ``records.csv`` with a class index out of range on line 2.
+  of a data CSV with a malformed line 3, and ``evaluate`` of two copies of
+  the fold's ``records.csv``: one with a class index out of range on line 2,
+  one whose header lacks the ``pred_hard`` column.
 
 It compares, item by item, every command's exit code, stdout and stderr,
 and every file the commands write (``summary.json`` without its ``meta``
@@ -34,19 +35,43 @@ block, which holds the time and the argv). A command that runs more than one
 process has its stderr compared as sorted lines, since the lines of
 different methods may interleave. It prints the number of differing items
 and the first one, and exits 1 if any differ, else 0.
+
+    python tools/identity.py --parent DIR --change DIR --timing WORKLOAD [--rounds N] [--seed S]
+
+times one benchmark workload (``cv-paper``, ``cv-all-methods`` or
+``evaluate-records``) in both trees instead. One long-lived worker process per
+tree imports that tree's own ``perfbench/run.py``, with the tree's ``src``
+first on ``sys.path``, and writes the workload's inputs once from ``--seed``
+(default 1). After 3 warm-up rounds a side, N single in-process rounds
+(default 10) alternate between the trees, and the side that goes first
+alternates too. It prints each side's median and quartiles of the unscaled
+wall seconds of a round, the median change/parent ratio of the paired rounds
+with its range, the number of rounds the change won, and whether every
+round's output digest matched across the trees. The digest covers every
+output file, ``summary.json`` without ``meta`` and with its ``dataset.source``
+masked, since each worker reads its own input path. It exits 1 on any digest
+difference, else 0; it puts no bound on the times.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import re
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Optional, Sequence
 
 METHODS = ("ce", "ce_soft", "or_cnn", "or_soft", "coral", "coral_soft", "corn", "sord_ae",
            "sord_se")
@@ -110,14 +135,19 @@ def _rater_and_count_sets(folder: Path, source: str) -> None:
 
 def _records_copies(folder: Path, source: str) -> None:
     """Copies of the records file ``source``: ``records-crlf.csv`` with CRLF line ends,
-    ``records-quoted.csv`` with each id quoted, and ``records-bad.csv`` with the hard
-    label of line 2 set to 9. Without ``source`` it writes none."""
+    ``records-quoted.csv`` with each id quoted, ``records-bad.csv`` with the hard
+    label of line 2 set to 9, and ``records-no-pred-hard.csv`` without the ``pred_hard``
+    column. Without ``source`` it writes none."""
     if not (folder / source).exists():
         return
     header, *rows = (folder / source).read_text().splitlines()
     (folder / "records-crlf.csv").write_text("\n".join([header, *rows]) + "\n", newline="\r\n")
     quoted = [f'"{example_id}",{rest}' for example_id, rest in (row.split(",", 1) for row in rows)]
     (folder / "records-quoted.csv").write_text("\n".join([header, *quoted]) + "\n")
+    drop = header.split(",").index("pred_hard")
+    lines = [",".join(f for i, f in enumerate(line.split(",")) if i != drop)
+             for line in [header, *rows]]
+    (folder / "records-no-pred-hard.csv").write_text("\n".join(lines) + "\n")
     fields = rows[0].split(",")
     rows[0] = ",".join(fields[:1] + ["9"] + fields[2:])
     (folder / "records-bad.csv").write_text("\n".join([header, *rows]) + "\n")
@@ -175,13 +205,18 @@ def _commands(folder: Path):
     yield "fail-bad-data-line", ["cv", "--data", "bad-line3.csv", "--methods", "ce",
                                  "--out", "bad"], 1
     yield "fail-bad-records-row", ["evaluate", "--data", "records-bad.csv"], 1
+    yield "fail-records-header", ["evaluate", "--data", "records-no-pred-hard.csv"], 1
 
 
-def _file_item(path: Path) -> bytes:
+def _file_item(path: Path, source: Optional[str] = None) -> bytes:
+    """A file's bytes; a ``summary.json`` as its JSON without ``meta`` and, given
+    ``source``, with the source of its dataset block read as ``source``."""
     if path.name != "summary.json":
         return path.read_bytes()
     doc = json.loads(path.read_text())
     doc.pop("meta", None)
+    if source is not None and "source" in doc.get("dataset", {}):
+        doc["dataset"]["source"] = source
     return json.dumps(doc, sort_keys=True, indent=1).encode()
 
 
@@ -230,11 +265,132 @@ def _first_lines(a: bytes | None, b: bytes | None) -> tuple[str, str]:
     return "(line ends differ)", "(line ends differ)"
 
 
+# ===== --timing: one benchmark workload, round by round, in both trees =====
+
+WARM_UP_ROUNDS = 3
+
+# a timing worker's program: ``python -c _WORKER TOOLS TREE WORKLOAD SEED FOLDER``
+_WORKER = ("import sys; sys.path.insert(0, sys.argv[1]); import identity;"
+           " identity.serve(*sys.argv[2:])")
+
+
+def round_digest(out: Path) -> str:
+    """Hash of every file under ``out``, each by its relative path and :func:`_file_item`
+    with the dataset source masked."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = _file_item(path, source="<input>")
+        h.update(str(path.relative_to(out)).encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+def serve(tree: str, workload: str, seed: str, folder: str) -> None:
+    """Run as a timing worker: load ``tree``'s ``perfbench/run.py`` with ``tree/src`` first
+    on ``sys.path``, write the workload's inputs into ``folder`` from ``seed``, then run one
+    round per line read on stdin, answering each with "<seconds> <failed> <digest>"."""
+    root = Path(tree).resolve()
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    spec.loader.exec_module(bench)  # puts perfbench/ on sys.path for its own modules
+    sys.path.insert(0, str(root / "src"))
+    from ordreg.cli import run as cli_run
+
+    job, work = bench.WORKLOADS[workload], Path(folder)
+    state = job.prepare(int(seed), work)
+    for index, _ in enumerate(sys.stdin):
+        out = work / f"round_{index}"
+        with contextlib.redirect_stdout(io.StringIO()):  # stdout carries the answers
+            start = time.perf_counter()
+            failed = job.run_round(cli_run, state, out, job.jobs)
+            seconds = time.perf_counter() - start
+        print(seconds, failed, round_digest(out), flush=True)
+        shutil.rmtree(out)
+
+
+def _worker(tree: Path, workload: str, seed: int, folder: Path) -> subprocess.Popen:
+    env = {name: value for name, value in os.environ.items() if name != "ORDREG_LOG"}
+    env["PYTHONPATH"] = str(tree.resolve() / "src")
+    argv = [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parent),
+            str(tree.resolve()), workload, str(seed), str(folder)]
+    return subprocess.Popen(argv, cwd=folder, env=env, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def _one_round(worker: subprocess.Popen) -> tuple[float, int, str]:
+    worker.stdin.write("round\n")
+    worker.stdin.flush()
+    answer = worker.stdout.readline().split()
+    if len(answer) != 3:
+        raise RuntimeError(f"a timing worker stopped (exit code {worker.wait(timeout=60)})")
+    return float(answer[0]), int(answer[1]), answer[2]
+
+
+def _quartiles(times: Sequence[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def timing_summary(parent: Sequence[float], change: Sequence[float]) -> dict:
+    """Each side's (median, Q1, Q3) of its round times, and over the pairs of rounds
+    (round i of each side) the median, least and greatest change/parent ratio and the
+    number of pairs in which the change took less time."""
+    ratios = [c / p for p, c in zip(parent, change, strict=True)]
+    return {
+        "parent": _quartiles(parent),
+        "change": _quartiles(change),
+        "ratio": (statistics.median(ratios), min(ratios), max(ratios)),
+        "wins": sum(c < p for p, c in zip(parent, change)),
+        "pairs": len(ratios),
+    }
+
+
+def timing(parent: Path, change: Path, workload: str, rounds: int, seed: int) -> int:
+    """Time ``workload`` in both trees (see the module docstring); 1 if any digest differs."""
+    times: tuple[list, list] = ([], [])
+    failed, matched = [0, 0], 0
+    with tempfile.TemporaryDirectory(prefix="ordreg-timing-") as scratch, \
+            contextlib.ExitStack() as stack:
+        workers = []
+        for tree, side in ((parent, "parent"), (change, "change")):
+            (Path(scratch) / side).mkdir()
+            # leaving the stack closes the worker's stdin, which ends it, and waits for it
+            workers.append(stack.enter_context(_worker(tree, workload, seed, Path(scratch) / side)))
+        for index in range(WARM_UP_ROUNDS + rounds):
+            sides = (0, 1) if index % 2 == 0 else (1, 0)  # who goes first alternates
+            results = {side: _one_round(workers[side]) for side in sides}
+            matched += results[0][2] == results[1][2]
+            for side in (0, 1):
+                failed[side] += results[side][1]
+                if index >= WARM_UP_ROUNDS:
+                    times[side].append(results[side][0])
+    stats = timing_summary(*times)
+    total = WARM_UP_ROUNDS + rounds
+    print(f"{workload}: {rounds} timed rounds a side after {WARM_UP_ROUNDS} warm-up rounds,"
+          f" seed {seed}; unscaled wall seconds of one in-process round")
+    for side in ("parent", "change"):
+        median, q1, q3 = stats[side]
+        print(f"{side}: median {median:.4f} s [Q1 {q1:.4f}, Q3 {q3:.4f}]")
+    ratio, low, high = stats["ratio"]
+    print(f"change/parent: median {ratio:.3f} ({low:.3f}-{high:.3f});"
+          f" change faster in {stats['wins']} of {stats['pairs']} rounds")
+    print(f"failed operations: parent {failed[0]}, change {failed[1]}")
+    print(f"output digests match in {matched} of {total} rounds")
+    return 0 if matched == total else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="the tree to compare against")
     parser.add_argument("--change", required=True, type=Path, help="the tree under test")
+    parser.add_argument("--timing", metavar="WORKLOAD",
+                        help="time this benchmark workload instead of the command list")
+    parser.add_argument("--rounds", type=int, default=10, help="timed rounds a side (>= 2)")
+    parser.add_argument("--seed", type=int, default=1, help="the seed of the workload's inputs")
     args = parser.parse_args(argv)
+    if args.timing is not None:
+        if args.rounds < 2:
+            parser.error("--rounds must be at least 2")
+        return timing(args.parent, args.change, args.timing, args.rounds, args.seed)
     with tempfile.TemporaryDirectory(prefix="ordreg-identity-") as scratch:
         folders = [Path(scratch) / side for side in ("parent", "change")]
         for folder in folders:
